@@ -49,13 +49,11 @@ def _load_config(path) -> MagneticSystem:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         raise SystemExit(2)
-    try:
-        import jsonschema
+    import jsonschema  # deferred: a slow import that only config loading needs
 
+    try:
         jsonschema.validate(doc, SYSTEM_SCHEMA)
-    except ImportError:
-        pass
-    except Exception as exc:
+    except jsonschema.ValidationError as exc:
         print(f"error: config schema violation: {exc}", file=sys.stderr)
         raise SystemExit(2)
     try:

@@ -1,8 +1,8 @@
 """Fenchel/Legendre duality between Lagrangian and Hamiltonian specs.
 
-The fiberwise conjugates are computed by a damped Newton iteration; the
-Tonelli conditions make the fiber maps p = L_v and v = H_p mutually inverse
-diffeomorphisms, so Newton with backtracking converges globally.
+The fiberwise conjugates are computed by a batched damped Newton iteration;
+the Tonelli conditions make the fiber maps p = L_v and v = H_p mutually
+inverse diffeomorphisms, so Newton with backtracking converges globally.
 """
 
 from __future__ import annotations
@@ -29,55 +29,63 @@ DEFAULT_TOL = 1e-12
 DEFAULT_MAXIT = 50
 
 
-def _newton_fiber(residual, jacobian, x0, tol, maxit, label):
-    """Damped Newton on a fiber map with monotone backtracking."""
-    x = np.array(x0, dtype=float)
-    r = residual(x)
-    norm = np.linalg.norm(r)
-    for _ in range(maxit):
-        if norm <= tol:
-            return x
-        step = np.linalg.solve(jacobian(x), -r)
-        alpha = 1.0
+def _newton_fiber(grad, hess, t, q, target, x0, tol, maxit, label):
+    """Solve grad(t, q, x) = target by damped Newton with monotone backtracking.
+
+    Works at one point or a batch (leading axis M).  Every point keeps its own
+    step length (the line search halves only for points not yet accepted) and
+    its own stop flag (a converged point leaves the batch), so its iterates are
+    exactly those of a solve at that point alone.
+    """
+    target = np.asarray(target, dtype=float)
+    y = np.atleast_2d(target)
+    t = np.broadcast_to(np.asarray(t, dtype=float), y.shape[:1])
+    q = np.broadcast_to(np.asarray(q, dtype=float), y.shape)
+    x = np.zeros_like(y) if x0 is None else np.array(np.broadcast_to(x0, y.shape), dtype=float)
+    out, rows = x, np.arange(len(y))
+    r = np.asarray(grad(t, q, x)) - y
+    norm = np.linalg.norm(r, axis=-1)
+    for it in range(maxit + 1):
+        done = norm <= tol
+        if done.all():
+            out[rows] = x
+            return out if target.ndim > 1 else out[0]
+        if done.any():
+            out[rows[done]] = x[done]
+            rows, t, q, y, x, r, norm = (a[~done] for a in (rows, t, q, y, x, r, norm))
+        if it == maxit:
+            raise NonConvergence(f"{label}: residual {np.max(norm):.3e} "
+                                 f"after {maxit} iterations")
+        step = np.linalg.solve(np.asarray(hess(t, q, x)), -r[..., None])[..., 0]
+        alpha, pending = 1.0, np.ones(len(x), dtype=bool)
         for _ in range(40):
             trial = x + alpha * step
-            r_trial = residual(trial)
-            n_trial = np.linalg.norm(r_trial)
-            if n_trial < norm:
+            r_trial = np.asarray(grad(t, q, trial)) - y
+            n_trial = np.linalg.norm(r_trial, axis=-1)
+            ok = pending & (n_trial < norm)
+            if ok.all():  # the common case, taken without masked copies
                 x, r, norm = trial, r_trial, n_trial
+                break
+            x[ok], r[ok], norm[ok] = trial[ok], r_trial[ok], n_trial[ok]
+            pending &= ~ok
+            if not pending.any():
                 break
             alpha *= 0.5
         else:
-            raise NonConvergence(f"{label}: line search stalled at residual {norm:.3e}")
-    if norm <= tol:
-        return x
-    raise NonConvergence(f"{label}: residual {norm:.3e} after {maxit} iterations")
+            raise NonConvergence(f"{label}: line search stalled at residual "
+                                 f"{np.max(norm[pending]):.3e}")
 
 
 def dual_momentum(H: HamiltonianSpec, t, q, v, p0=None,
                   tol=DEFAULT_TOL, maxit=DEFAULT_MAXIT):
-    """Solve H_p(t, q, p) = v for the unique momentum p."""
-    q = np.asarray(q, dtype=float)
-    v = np.asarray(v, dtype=float)
-    x0 = np.zeros_like(v) if p0 is None else np.asarray(p0, dtype=float)
-    return _newton_fiber(
-        lambda p: np.asarray(H.grad_p(t, q, p)) - v,
-        lambda p: np.asarray(H.hess_pp(t, q, p)),
-        x0, tol, maxit, "dual_momentum",
-    )
+    """Solve H_p(t, q, p) = v for the unique momentum p, at a point or a batch."""
+    return _newton_fiber(H.grad_p, H.hess_pp, t, q, v, p0, tol, maxit, "dual_momentum")
 
 
 def dual_velocity(L: LagrangianSpec, t, q, p, v0=None,
                   tol=DEFAULT_TOL, maxit=DEFAULT_MAXIT):
-    """Solve L_v(t, q, v) = p for the unique velocity v."""
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    x0 = np.zeros_like(p) if v0 is None else np.asarray(v0, dtype=float)
-    return _newton_fiber(
-        lambda v: np.asarray(L.grad_v(t, q, v)) - p,
-        lambda v: np.asarray(L.hess_vv(t, q, v)),
-        x0, tol, maxit, "dual_velocity",
-    )
+    """Solve L_v(t, q, v) = p for the unique velocity v, at a point or a batch."""
+    return _newton_fiber(L.grad_v, L.hess_vv, t, q, p, v0, tol, maxit, "dual_velocity")
 
 
 def fenchel_L_from_H(H: HamiltonianSpec, t, q, v, p0=None,
@@ -101,165 +109,112 @@ def legendre_map(H: HamiltonianSpec, x: PhasePoint, t=0.0) -> TangentPoint:
     return TangentPoint(x.q, np.asarray(H.grad_p(t, x.q, x.p)), x.torus)
 
 
-def lagrangian_from_hamiltonian(H: HamiltonianSpec, tol=DEFAULT_TOL,
-                                maxit=DEFAULT_MAXIT) -> LagrangianSpec:
-    """Fenchel-dual LagrangianSpec with partials from the implicit function rule.
+def _dual_spec(primal, solve, hess_yy, hess_qy, dual_cls):
+    """Fenchel dual of ``primal`` with partials from the implicit function rule.
 
-    With p* = p*(t,q,v) the fiber maximizer:
-        L_v = p*,   L_q = -H_q(t,q,p*),   L_vv = H_pp^{-1},
-        L_qv = -H_qp H_pp^{-1},  L_qq = -H_qq + H_qp H_pp^{-1} H_qp^T,
-    all evaluated at (t, q, p*).  Each call performs the fiber Newton solve,
-    so this path is meant for moderate point counts.
+    With y* = solve(t, q, x) the fiber maximizer of x.y - primal(t, q, y):
+        D_x = y*,   D_q = -P_q,   D_xx = P_yy^{-1},
+        D_qx = -P_qy P_yy^{-1},   D_qq = -P_qq + P_qy P_yy^{-1} P_qy^T,
+    all evaluated at (t, q, y*), where D is the dual and P the primal.
+
+    The partials at one evaluation point share one fiber solve through a
+    one-slot memo keyed on the exact bytes of (t, q, x).  The key and the
+    solution are one tuple replaced in a single assignment, so a concurrent
+    caller sees either the old pair or the new one, never a mix.
+
+    The public builders pass a ``solve`` that looks up ``dual_momentum`` or
+    ``dual_velocity`` when called, so a wrapper installed on the module
+    attribute (as ``brakebench --trace 1`` installs) sees every solve.
     """
+    slot = (None, None)
 
-    def _solve_batch(t, q, v):
-        q = np.atleast_2d(np.asarray(q, dtype=float))
-        v = np.atleast_2d(np.asarray(v, dtype=float))
-        tt = np.broadcast_to(np.asarray(t, dtype=float), (q.shape[0],))
-        return np.stack([
-            dual_momentum(H, tt[i], q[i], v[i], tol=tol, maxit=maxit)
-            for i in range(q.shape[0])
-        ])
+    def fiber(t, q, x):
+        nonlocal slot
+        key = (q.shape, t.tobytes(), q.tobytes(), x.tobytes())
+        cached, ys = slot
+        if cached != key:
+            ys = solve(t, q, x)
+            slot = (key, ys)
+        return ys
 
-    def _wrap(fn):
-        def inner(t, q, v):
-            q_arr = np.asarray(q, dtype=float)
-            batched = q_arr.ndim > 1
-            out = fn(t, np.atleast_2d(q_arr), np.atleast_2d(np.asarray(v, dtype=float)))
-            return out if batched else out[0]
+    def partial(fn):
+        def inner(t, q, x):
+            q = np.asarray(q, dtype=float)
+            q2 = np.atleast_2d(q)
+            x2 = np.atleast_2d(np.asarray(x, dtype=float))
+            tt = np.broadcast_to(np.asarray(t, dtype=float), (q2.shape[0],))
+            out = fn(tt, q2, x2, fiber(tt, q2, x2))
+            return out if q.ndim > 1 else out[0]
 
         return inner
 
-    def value(t, q, v):
-        ps = _solve_batch(t, q, v)
-        tt = np.broadcast_to(np.asarray(t, dtype=float), (ps.shape[0],))
-        return np.sum(ps * v, axis=-1) - H.value(tt, q, ps)
+    def value(t, q, x, ys):
+        return np.sum(ys * x, axis=-1) - primal.value(t, q, ys)
 
-    def grad_q(t, q, v):
-        ps = _solve_batch(t, q, v)
-        tt = np.broadcast_to(np.asarray(t, dtype=float), (ps.shape[0],))
-        return -H.grad_q(tt, q, ps)
+    def grad_q(t, q, x, ys):
+        return -primal.grad_q(t, q, ys)
 
-    def grad_v(t, q, v):
-        return _solve_batch(t, q, v)
+    def grad_x(t, q, x, ys):
+        return ys.copy()
 
-    def hess_vv(t, q, v):
-        ps = _solve_batch(t, q, v)
-        tt = np.broadcast_to(np.asarray(t, dtype=float), (ps.shape[0],))
-        return np.linalg.inv(H.hess_pp(tt, q, ps))
+    def hess_xx(t, q, x, ys):
+        return np.linalg.inv(hess_yy(t, q, ys))
 
-    def hess_qv(t, q, v):
-        ps = _solve_batch(t, q, v)
-        tt = np.broadcast_to(np.asarray(t, dtype=float), (ps.shape[0],))
-        hpp_inv = np.linalg.inv(H.hess_pp(tt, q, ps))
-        return -np.einsum("...ik,...kj->...ij", H.hess_qp(tt, q, ps), hpp_inv)
+    def hess_qx(t, q, x, ys):
+        inv = np.linalg.inv(hess_yy(t, q, ys))
+        return -np.einsum("...ik,...kj->...ij", hess_qy(t, q, ys), inv)
 
-    def hess_qq(t, q, v):
-        ps = _solve_batch(t, q, v)
-        tt = np.broadcast_to(np.asarray(t, dtype=float), (ps.shape[0],))
-        hqp = H.hess_qp(tt, q, ps)
-        hpp_inv = np.linalg.inv(H.hess_pp(tt, q, ps))
-        return -H.hess_qq(tt, q, ps) + np.einsum(
-            "...ik,...kl,...jl->...ij", hqp, hpp_inv, hqp)
+    def hess_qq(t, q, x, ys):
+        hqy = hess_qy(t, q, ys)
+        inv = np.linalg.inv(hess_yy(t, q, ys))
+        return -primal.hess_qq(t, q, ys) + np.einsum(
+            "...ik,...kl,...jl->...ij", hqy, inv, hqy)
 
-    return LagrangianSpec(
-        H.torus, _wrap(value), _wrap(grad_q), _wrap(grad_v),
-        _wrap(hess_vv), _wrap(hess_qv), _wrap(hess_qq),
-        reversible=H.reversible, autonomous=H.autonomous,
-        name=f"dual({H.name})",
+    return dual_cls(
+        primal.torus, partial(value), partial(grad_q), partial(grad_x),
+        partial(hess_xx), partial(hess_qx), partial(hess_qq),
+        reversible=primal.reversible, autonomous=primal.autonomous,
+        name=f"dual({primal.name})",
     )
+
+
+def lagrangian_from_hamiltonian(H: HamiltonianSpec, tol=DEFAULT_TOL,
+                                maxit=DEFAULT_MAXIT) -> LagrangianSpec:
+    """Fenchel-dual LagrangianSpec of H, with p* = dual_momentum(H, t, q, v)."""
+    return _dual_spec(H, lambda t, q, v: dual_momentum(H, t, q, v, tol=tol, maxit=maxit),
+                      H.hess_pp, H.hess_qp, LagrangianSpec)
 
 
 def hamiltonian_from_lagrangian(L: LagrangianSpec, tol=DEFAULT_TOL,
                                 maxit=DEFAULT_MAXIT) -> HamiltonianSpec:
-    """Fenchel-dual HamiltonianSpec, mirror of lagrangian_from_hamiltonian."""
-
-    def _solve_batch(t, q, p):
-        q = np.atleast_2d(np.asarray(q, dtype=float))
-        p = np.atleast_2d(np.asarray(p, dtype=float))
-        tt = np.broadcast_to(np.asarray(t, dtype=float), (q.shape[0],))
-        return np.stack([
-            dual_velocity(L, tt[i], q[i], p[i], tol=tol, maxit=maxit)
-            for i in range(q.shape[0])
-        ])
-
-    def _wrap(fn):
-        def inner(t, q, p):
-            q_arr = np.asarray(q, dtype=float)
-            batched = q_arr.ndim > 1
-            out = fn(t, np.atleast_2d(q_arr), np.atleast_2d(np.asarray(p, dtype=float)))
-            return out if batched else out[0]
-
-        return inner
-
-    def value(t, q, p):
-        vs = _solve_batch(t, q, p)
-        tt = np.broadcast_to(np.asarray(t, dtype=float), (vs.shape[0],))
-        return np.sum(np.asarray(p) * vs, axis=-1) - L.value(tt, q, vs)
-
-    def grad_q(t, q, p):
-        vs = _solve_batch(t, q, p)
-        tt = np.broadcast_to(np.asarray(t, dtype=float), (vs.shape[0],))
-        return -L.grad_q(tt, q, vs)
-
-    def grad_p(t, q, p):
-        return _solve_batch(t, q, p)
-
-    def hess_pp(t, q, p):
-        vs = _solve_batch(t, q, p)
-        tt = np.broadcast_to(np.asarray(t, dtype=float), (vs.shape[0],))
-        return np.linalg.inv(L.hess_vv(tt, q, vs))
-
-    def hess_qp(t, q, p):
-        vs = _solve_batch(t, q, p)
-        tt = np.broadcast_to(np.asarray(t, dtype=float), (vs.shape[0],))
-        hvv_inv = np.linalg.inv(L.hess_vv(tt, q, vs))
-        return -np.einsum("...ik,...kj->...ij", L.hess_qv(tt, q, vs), hvv_inv)
-
-    def hess_qq(t, q, p):
-        vs = _solve_batch(t, q, p)
-        tt = np.broadcast_to(np.asarray(t, dtype=float), (vs.shape[0],))
-        hqv = L.hess_qv(tt, q, vs)
-        hvv_inv = np.linalg.inv(L.hess_vv(tt, q, vs))
-        return -L.hess_qq(tt, q, vs) + np.einsum(
-            "...ik,...kl,...jl->...ij", hqv, hvv_inv, hqv)
-
-    return HamiltonianSpec(
-        L.torus, _wrap(value), _wrap(grad_q), _wrap(grad_p),
-        _wrap(hess_pp), _wrap(hess_qp), _wrap(hess_qq),
-        reversible=L.reversible, autonomous=L.autonomous,
-        name=f"dual({L.name})",
-    )
+    """Fenchel-dual HamiltonianSpec of L, with v* = dual_velocity(L, t, q, p)."""
+    return _dual_spec(L, lambda t, q, p: dual_velocity(L, t, q, p, tol=tol, maxit=maxit),
+                      L.hess_vv, L.hess_qv, HamiltonianSpec)
 
 
 @dataclass
 class DualPair:
-    """A Lagrangian and its Fenchel-dual Hamiltonian with solve settings."""
+    """A Lagrangian and its Fenchel-dual Hamiltonian."""
 
     lagrangian: LagrangianSpec
     hamiltonian: HamiltonianSpec
-    newton_tol: float = DEFAULT_TOL
-    max_iterations: int = DEFAULT_MAXIT
 
     @classmethod
-    def from_lagrangian(cls, L: LagrangianSpec, **kw) -> "DualPair":
-        return cls(L, hamiltonian_from_lagrangian(L), **kw)
+    def from_lagrangian(cls, L: LagrangianSpec) -> "DualPair":
+        return cls(L, hamiltonian_from_lagrangian(L))
 
     @classmethod
-    def from_hamiltonian(cls, H: HamiltonianSpec, **kw) -> "DualPair":
-        return cls(lagrangian_from_hamiltonian(H), H, **kw)
+    def from_hamiltonian(cls, H: HamiltonianSpec) -> "DualPair":
+        return cls(lagrangian_from_hamiltonian(H), H)
 
     def roundtrip_violation(self, samples=100, rng=None, v_scale=1.0) -> float:
         """Max |L(t,q,v) - (p*.v - H(t,q,p*))| at p* = L_v(t,q,v) over samples."""
         rng = np.random.default_rng(0 if rng is None else rng)
         torus = self.lagrangian.torus
-        worst = 0.0
-        for _ in range(samples):
-            t = float(rng.uniform(0, 1))
-            q = rng.uniform(0, 1, torus.dim) * torus.periods
-            v = v_scale * rng.normal(size=torus.dim)
-            p = np.asarray(self.lagrangian.grad_v(t, q, v))
-            lhs = float(self.lagrangian.value(t, q, v))
-            rhs = float(np.dot(p, v) - self.hamiltonian.value(t, q, p))
-            worst = max(worst, abs(lhs - rhs))
-        return worst
+        t = rng.uniform(0, 1, samples)
+        q = rng.uniform(0, 1, (samples, torus.dim)) * torus.periods
+        v = v_scale * rng.normal(size=(samples, torus.dim))
+        p = np.asarray(self.lagrangian.grad_v(t, q, v))
+        lhs = self.lagrangian.value(t, q, v)
+        rhs = np.sum(p * v, axis=-1) - self.hamiltonian.value(t, q, p)
+        return float(np.max(np.abs(lhs - rhs)))

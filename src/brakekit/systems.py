@@ -27,6 +27,7 @@ H_theta = H o Phi on the standard side.
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import dataclass, field
 from typing import Optional
@@ -404,7 +405,13 @@ def load_system(doc) -> MagneticSystem:
     if builtin not in _BUILTINS:
         raise ValueError(f"unknown lagrangian builtin {builtin!r}; "
                          f"available: {sorted(_BUILTINS)}")
-    L_theta = _BUILTINS[builtin](torus, **lag)
+    make = _BUILTINS[builtin]
+    accepted = list(inspect.signature(make).parameters)[1:]  # the first is the torus
+    unknown = sorted(set(lag) - set(accepted))
+    if unknown:
+        raise ValueError(f"lagrangian builtin {builtin!r} does not accept {unknown}; "
+                         f"it accepts {accepted}")
+    L_theta = make(torus, **lag)
 
     minus_theta = OneForm(
         torus,

@@ -106,6 +106,17 @@ def test_schema_error_exit_code(tmp_path):
     assert err.value.code == 2
 
 
+def test_builtin_rejects_unknown_key_exit_code(tmp_path, capsys):
+    # schema-valid, but quartic_kinetic takes no mass
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"dim": 1, "lagrangian": {"builtin": "quartic_kinetic",
+                                                        "mass": 2.0}}))
+    with pytest.raises(SystemExit) as err:
+        main(["--store", str(tmp_path / "s"), "find-orbits", "--config", str(bad)])
+    assert err.value.code == 2
+    assert "'mass'" in capsys.readouterr().err
+
+
 def test_modify_check_command(mild_store):
     tmp, cfg, store = mild_store
     assert main(["--store", store, "modify-check", "--config", cfg,

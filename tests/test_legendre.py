@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from brakekit.legendre import (
     DualPair,
     dual_momentum,
+    dual_velocity,
     fenchel_H_from_L,
     fenchel_L_from_H,
     hamiltonian_from_lagrangian,
@@ -14,6 +16,7 @@ from brakekit.model import HamiltonianSpec, LagrangianSpec, PhasePoint
 from brakekit.systems import (
     kinetic_hamiltonian,
     kinetic_potential_lagrangian,
+    load_system,
     shifted_hamiltonian,
 )
 
@@ -160,3 +163,56 @@ def test_gradient_duality(stiff_system):
         p = np.asarray(L.grad_v(t, q, v))
         v_back = np.asarray(H.grad_p(t, q, p))
         assert np.max(np.abs(v_back - v)) < 1e-12
+
+
+THETA = "0.3 + 0.1*sin(2*pi*q1)"
+
+
+@pytest.fixture(scope="module")
+def quartic_twisted():
+    """Quartic kinetic energy with a q-dependent theta: H = dual of L_theta - theta[v]."""
+    return load_system({"dim": 1, "theta": [THETA],
+                        "lagrangian": {"builtin": "quartic_kinetic"}})
+
+
+def quartic_batch():
+    rng = np.random.default_rng(3)
+    t = rng.uniform(0, 1, 400)
+    q = rng.uniform(0, 1, (400, 1))
+    p = rng.normal(size=(400, 1)) * 3
+    # |p| ~ 40: the full Newton step from v = 0 lands near v = 40, where the
+    # residual is ~40^3, so these points backtrack
+    p[:40, 0] = rng.uniform(38.0, 42.0, 40) * rng.choice([-1.0, 1.0], 40)
+    return t, q, p
+
+
+def test_batched_dual_matches_root_oracle(quartic_twisted):
+    # L_v = (v^2 + 1) v - theta(q), so H_p(q, p) is the real root of (v^2 + 1) v = p + theta(q)
+    H = quartic_twisted.H
+    t, q, p = quartic_batch()
+    rhs = p[:, 0] + 0.3 + 0.1 * np.sin(2 * np.pi * q[:, 0])
+    v = np.array([brentq(lambda w, c=c: (w * w + 1.0) * w - c, -10.0, 10.0, xtol=1e-14)
+                  for c in rhs])
+    assert np.max(np.abs(H.grad_p(t, q, p)[:, 0] - v)) < 1e-10
+    assert np.max(np.abs(H.hess_pp(t, q, p)[:, 0, 0] - 1.0 / (3.0 * v * v + 1.0))) < 1e-10
+
+
+def test_batched_dual_equals_pointwise(quartic_twisted):
+    H = quartic_twisted.H
+    t, q, p = quartic_batch()
+    for name in ("value", "grad_q", "grad_p", "hess_pp", "hess_qp", "hess_qq"):
+        fn = getattr(H, name)
+        single = np.stack([fn(t[i], q[i], p[i]) for i in range(len(t))])
+        assert np.array_equal(fn(t, q, p), single), name
+
+
+def test_dual_memo_is_never_stale(quartic_twisted):
+    H, L = quartic_twisted.H, quartic_twisted.L
+    t, q, p = quartic_batch()
+    first = H.grad_p(t, q, p)
+    p[3, 0] += 1.0  # the caller's array changes in place between two calls
+    second = H.grad_p(t, q, p)
+    assert np.array_equal(second, dual_velocity(L, t, q, p))
+    assert not np.array_equal(first[3], second[3])
+    second[:] = 0.0  # nor may a caller's write to a result reach the memo
+    assert np.array_equal(H.grad_p(t, q, p), dual_velocity(L, t, q, p))
