@@ -412,7 +412,6 @@ def build_parser():
     p.add_argument("--seeds", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--grid", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-10)
     p.set_defaults(func=cmd_find_orbits)
 
     p = sub.add_parser("index", help="index identities for a stored orbit")

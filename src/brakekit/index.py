@@ -31,6 +31,7 @@ from scipy.optimize import minimize_scalar
 
 from .errors import BlowUp, IllConditionedCrossing, SingularP
 from .loopspace import (
+    BlockTridiagonal,
     SymmetricLoop,
     _coefficients_along,
     assemble_gram,
@@ -240,21 +241,11 @@ def fundamental_solution(B, total_time: float, tol: float = 1e-11,
 # Morse side
 # ---------------------------------------------------------------------------
 
-def _inertia_negative(A: np.ndarray) -> int:
-    """Number of negative eigenvalues via a Bunch-Kaufman LDL^T factorization."""
-    lu, d, perm = scipy.linalg.ldl(A)
-    n = A.shape[0]
-    neg = 0
-    i = 0
-    while i < n:
-        if i + 1 < n and d[i + 1, i] != 0.0:
-            ev = np.linalg.eigvalsh(d[i: i + 2, i: i + 2])
-            neg += int(np.sum(ev < 0))
-            i += 2
-        else:
-            neg += int(d[i, i] < 0)
-            i += 1
-    return neg
+def _negative_count(A: BlockTridiagonal) -> int:
+    """Number of strictly negative eigenvalues, from the operator's lower band."""
+    ev = scipy.linalg.eig_banded(A.lower_band(), lower=True, eigvals_only=True,
+                                 select="v", select_range=(-np.inf, 0.0))
+    return int(np.sum(ev < 0.0))
 
 
 def _hessian_scale(L: LagrangianSpec, loop: SymmetricLoop, k: int) -> float:
@@ -273,15 +264,15 @@ def morse_index(L: LagrangianSpec, loop: SymmetricLoop, k: int = 1,
     and inside [-eps_n, eps_n] with eps_n = null_scale * h^2 * scale, tracking
     the O(h^2) discretization error of the quadratic form.  Since the Gram is
     positive definite, the counts are Sylvester inertias of H + eps G and
-    H - eps G, obtained from LDL^T factorizations without solving for spectra.
+    H - eps G, counted on their block-tridiagonal bands.
     """
     subspace = "even" if symmetric else "full"
-    H = assemble_hessian(L, loop, k=k, subspace=subspace, scheme="fem")
-    G = assemble_gram(loop, k=k, subspace=subspace, scheme="fem")
+    H = assemble_hessian(L, loop, k=k, subspace=subspace)
+    G = assemble_gram(loop, k=k, subspace=subspace)
     h = loop.h
     eps = null_scale * h * h * _hessian_scale(L, loop, k)
-    neg = _inertia_negative(H + eps * G)
-    below = _inertia_negative(H - eps * G)
+    neg = _negative_count(H + eps * G)
+    below = _negative_count(H - eps * G)
     return IndexPair(neg, below - neg)
 
 

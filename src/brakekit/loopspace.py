@@ -36,9 +36,9 @@ __all__ = [
     "time_rescale_loop",
     "find_critical",
     "full_gradient_check",
+    "BlockTridiagonal",
     "assemble_hessian",
     "assemble_gram",
-    "even_embedding",
     "loop_distance",
 ]
 
@@ -221,22 +221,22 @@ def _gradient_full(L: LagrangianSpec, loop: SymmetricLoop) -> np.ndarray:
     return c * (lq + (np.roll(lv, 1, axis=0) - np.roll(lv, -1, axis=0)) / (2.0 * loop.h))
 
 
-def even_embedding(n_full: int, dim: int) -> np.ndarray:
-    """Matrix mapping half-grid DOF to full-grid values (reflection)."""
-    n_half = n_full // 2 + 1
-    E = np.zeros((n_full, n_half))
-    for j in range(n_full):
-        E[j, min(j, n_full - j)] = 1.0
-    return np.kron(E, np.eye(dim))
+def _fold_nodes(a: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Sum the full-grid nodes j and n - j of one axis onto the half grid.
+
+    This is E^T a along that axis for the reflection embedding E of the
+    even subspace, each half-grid entry the sum of at most two terms.
+    """
+    a = np.moveaxis(a, axis, 0)
+    n = a.shape[0]
+    out = a[: n // 2 + 1].copy()
+    out[1: n // 2] += a[n // 2 + 1:][::-1]
+    return np.moveaxis(out, 0, axis)
 
 
 def action_gradient_even(L: LagrangianSpec, loop: SymmetricLoop) -> np.ndarray:
     """Gradient of the discrete mean action w.r.t. the half-grid DOF, flattened."""
-    g_full = _gradient_full(L, loop)
-    n = loop.n
-    b = g_full[: n // 2 + 1].copy()
-    b[1: n // 2] += g_full[n // 2 + 1:][::-1]
-    return b.ravel()
+    return _fold_nodes(_gradient_full(L, loop)).ravel()
 
 
 def action_differential(L: LagrangianSpec, loop: SymmetricLoop, xi: LoopTangent) -> float:
@@ -259,30 +259,33 @@ def _gram_w12_full(n: int, dim: int, period: float) -> np.ndarray:
     return np.kron(G, np.eye(dim)) if dim > 1 else G
 
 
-def riesz_gradient(L: LagrangianSpec, loop: SymmetricLoop) -> LoopTangent:
-    """W^{1,2} Riesz representative of the action differential on the even subspace."""
-    b = action_gradient_even(L, loop)
-    G = gram_even_w12(loop)
+def _riesz_solve(loop: SymmetricLoop, b: np.ndarray) -> np.ndarray:
+    """Solve gram_even_w12(loop) g = b for the half-grid DOF g."""
     try:
-        g = np.linalg.solve(G, b)
+        return np.linalg.solve(gram_even_w12(loop), b)
     except np.linalg.LinAlgError as exc:
         raise SolverFailure(f"Gram system is singular: {exc}") from exc
+
+
+def riesz_gradient(L: LagrangianSpec, loop: SymmetricLoop) -> LoopTangent:
+    """W^{1,2} Riesz representative of the action differential on the even subspace."""
+    g = _riesz_solve(loop, action_gradient_even(L, loop))
     return LoopTangent(loop.period, g.reshape(-1, loop.dim))
 
 
 def gram_even_w12(loop: SymmetricLoop) -> np.ndarray:
-    E = even_embedding(loop.n, loop.dim)
-    return E.T @ _gram_w12_full(loop.n, loop.dim, loop.period) @ E
+    """Trapezoid/centered W^{1,2} Gram on the even half-grid DOF (dense)."""
+    M, dim = loop.n, loop.dim
+    G = _gram_w12_full(M, dim, loop.period).reshape(M, dim, M, dim)
+    G = _fold_nodes(_fold_nodes(G, 0), 2)
+    n_half = M // 2 + 1
+    return G.reshape(n_half * dim, n_half * dim)
 
 
 def gradient_norm_w12(L: LagrangianSpec, loop: SymmetricLoop) -> float:
+    """W^{1,2} norm of the even action gradient, sqrt(b . G^-1 b)."""
     b = action_gradient_even(L, loop)
-    G = gram_even_w12(loop)
-    try:
-        g = np.linalg.solve(G, b)
-    except np.linalg.LinAlgError as exc:
-        raise SolverFailure(f"Gram system is singular: {exc}") from exc
-    return float(np.sqrt(max(b @ g, 0.0)))
+    return float(np.sqrt(max(b @ _riesz_solve(loop, b), 0.0)))
 
 
 def full_gradient_check(L: LagrangianSpec, loop: SymmetricLoop) -> float:
@@ -392,103 +395,148 @@ def _coefficients_along(L: LagrangianSpec, loop: SymmetricLoop, k: int = 1):
     return it, ts, P, Q, R
 
 
-def _scatter_blocks(H, rows, cols, vals, dim):
-    """H[rows*dim + a, cols*dim + b] += vals[:, a, b], accumulating duplicates."""
-    for a in range(dim):
-        for b in range(dim):
-            np.add.at(H, (rows * dim + a, cols * dim + b), vals[:, a, b])
+@dataclass(frozen=True, eq=False)
+class BlockTridiagonal:
+    """Symmetric block-tridiagonal operator on node-major coordinates.
 
-
-def _fold_even(H: np.ndarray, M: int, dim: int) -> np.ndarray:
-    """Restrict a full-grid matrix to the even subspace (E^T H E by folding)."""
-    n_half = M // 2 + 1
-    dof = np.minimum(np.arange(M), M - np.arange(M))
-    row_map = (dof[:, None] * dim + np.arange(dim)[None, :]).ravel()
-    folded = np.zeros((n_half * dim, H.shape[1]))
-    np.add.at(folded, row_map, H)
-    out = np.zeros((n_half * dim, n_half * dim))
-    np.add.at(out.T, row_map, folded.T)
-    return out
-
-
-def assemble_hessian(L: LagrangianSpec, loop: SymmetricLoop, k: int = 1,
-                     subspace: str = "full", scheme: str = "fem") -> np.ndarray:
-    """Discretized Hessian of the mean action EA^{[k m]} at the iterated loop.
-
-    scheme "fem" uses P1 elements (positive kinetic part on every mode, used
-    for index counting); scheme "centered" is the exact Hessian of the
-    centered-difference discrete action (used by Newton refinement).
-    Returns a dense symmetric matrix on the requested subspace.
+    diag[j] is the block A[j, j] and upper[j] the coupling A[j, j + 1]; the
+    lower couplings are their transposes.  A cyclic operator has M couplings,
+    the last one joining node M - 1 to node 0; an open one has M - 1.
     """
-    it, ts, P, Q, R = _coefficients_along(L, loop, k)
-    M, dim = it.n, it.dim
-    h = it.h
-    c = 1.0 / (k * loop.period)
-    H = np.zeros((M * dim, M * dim))
-    idx = np.arange(M)
-    QT = np.swapaxes(Q, -1, -2)
 
-    if scheme == "fem":
-        nxt = (idx + 1) % M
-        Pm = 0.5 * (P + P[nxt])
-        Qm = 0.5 * (Q + Q[nxt])
-        Rm = 0.5 * (R + R[nxt])
-        kin = c * Pm / h
-        mix = c * 0.5 * Qm
-        mixT = np.swapaxes(mix, -1, -2)
-        pot = c * h * 0.25 * Rm
-        for r, sr in ((idx, -1.0), (nxt, 1.0)):
-            for s, ss in ((idx, -1.0), (nxt, 1.0)):
-                _scatter_blocks(H, r, s, sr * ss * kin + pot, dim)
-        for r in (idx, nxt):
-            _scatter_blocks(H, r, nxt, mix, dim)
-            _scatter_blocks(H, r, idx, -mix, dim)
-            _scatter_blocks(H, nxt, r, mixT, dim)
-            _scatter_blocks(H, idx, r, -mixT, dim)
-    elif scheme == "centered":
-        jm, jp = (idx - 1) % M, (idx + 1) % M
-        mix = c * Q * 0.5
-        mixT = np.swapaxes(mix, -1, -2)
-        kin = c * P / (4.0 * h)
-        _scatter_blocks(H, idx, idx, c * h * R, dim)
-        _scatter_blocks(H, idx, jp, mix, dim)
-        _scatter_blocks(H, jp, idx, mixT, dim)
-        _scatter_blocks(H, idx, jm, -mix, dim)
-        _scatter_blocks(H, jm, idx, -mixT, dim)
-        _scatter_blocks(H, jp, jp, kin, dim)
-        _scatter_blocks(H, jm, jm, kin, dim)
-        _scatter_blocks(H, jp, jm, -kin, dim)
-        _scatter_blocks(H, jm, jp, -np.swapaxes(kin, -1, -2), dim)
-    else:
-        raise ValueError("scheme must be 'fem' or 'centered'")
+    diag: np.ndarray  # (M, N, N)
+    upper: np.ndarray  # (M, N, N) if cyclic else (M - 1, N, N)
+    cyclic: bool
 
-    H = 0.5 * (H + H.T)
+    __array_ufunc__ = None  # numpy scalars defer to __rmul__
+
+    @property
+    def nodes(self) -> int:
+        return self.diag.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.diag.shape[1]
+
+    def __add__(self, other: "BlockTridiagonal") -> "BlockTridiagonal":
+        return BlockTridiagonal(self.diag + other.diag, self.upper + other.upper, self.cyclic)
+
+    def __sub__(self, other: "BlockTridiagonal") -> "BlockTridiagonal":
+        return BlockTridiagonal(self.diag - other.diag, self.upper - other.upper, self.cyclic)
+
+    def __rmul__(self, c: float) -> "BlockTridiagonal":
+        return BlockTridiagonal(c * self.diag, c * self.upper, self.cyclic)
+
+    def dense(self) -> np.ndarray:
+        """The (M N) x (M N) matrix."""
+        M, N = self.nodes, self.dim
+        A = np.zeros((M, N, M, N))
+        j = np.arange(M)
+        A[j, :, j, :] = self.diag
+        i = j[: len(self.upper)]
+        nxt = (i + 1) % M
+        A[i, :, nxt, :] = self.upper
+        A[nxt, :, i, :] += np.swapaxes(self.upper, -1, -2)
+        return A.reshape(M * N, M * N)
+
+    def _blocks(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Blocks A[rows[i], cols[i]]; zero for nodes more than one coupling apart."""
+        M = self.nodes
+        out = np.zeros((len(rows), self.dim, self.dim))
+        ahead = cols == ((rows + 1) % M if self.cyclic else rows + 1)
+        behind = rows == ((cols + 1) % M if self.cyclic else cols + 1)
+        same = rows == cols
+        out[ahead] += self.upper[rows[ahead]]
+        out[behind] += np.swapaxes(self.upper[cols[behind]], -1, -2)
+        out[same] += self.diag[rows[same]]
+        return out
+
+    def lower_band(self) -> np.ndarray:
+        """The matrix in LAPACK lower band storage, ab[r - c, c] = A[r, c].
+
+        An open operator keeps its node order (bandwidth 2N - 1).  A cyclic
+        one is stored in the node order 0, 1, M-1, 2, M-2, ..., which puts
+        every coupling, the wrap-around one included, at most two nodes off
+        the diagonal (bandwidth 3N - 1).  Eigenvalues are those of dense().
+        """
+        M, N = self.nodes, self.dim
+        p = np.arange(M)
+        order = np.where(p % 2, (p + 1) // 2, (M - p // 2) % M) if self.cyclic else p
+        reach = 2 if self.cyclic else 1
+        ab = np.zeros(((reach + 1) * N, M * N))
+        for s in range(reach + 1):
+            B = self._blocks(order[s:], order[: M - s])
+            for a in range(N):
+                for b in range(N):
+                    if s * N + a - b >= 0:
+                        ab[s * N + a - b, b: (M - s) * N: N] = B[:, a, b]
+        return ab
+
+
+def _on_subspace(A: BlockTridiagonal, subspace: str) -> BlockTridiagonal:
+    """A cyclic operator on M nodes, or its restriction E^T A E to the even subspace.
+
+    Half-grid node p carries the full-grid nodes p and M - p, so the even
+    restriction is open on M/2 + 1 nodes, with blocks D_p + D_{M-p} and
+    couplings U_p + U_{M-p-1}^T.
+    """
     if subspace == "full":
-        return H
+        return A
     if subspace == "even":
-        return _fold_even(H, M, dim)
+        M = A.nodes
+        upper = A.upper[: M // 2] + np.swapaxes(A.upper[M // 2:][::-1], -1, -2)
+        return BlockTridiagonal(_fold_nodes(A.diag), upper, cyclic=False)
     raise ValueError("subspace must be 'full' or 'even'")
 
 
-def assemble_gram(loop: SymmetricLoop, k: int = 1, subspace: str = "full",
-                  scheme: str = "fem") -> np.ndarray:
-    """W^{1,2} Gram matrix on the (iterated) grid, P1 or trapezoid/centered."""
+def assemble_hessian(L: LagrangianSpec, loop: SymmetricLoop, k: int = 1,
+                     subspace: str = "full") -> BlockTridiagonal:
+    """P1 (FEM) Hessian of the mean action EA^{[k m]} at the iterated loop.
+
+    The kinetic part is positive on every mode.  Returns the block-tridiagonal
+    operator on the requested subspace: cyclic on the full grid, open on the
+    even half grid.  Each block adds up the element contributions in the
+    order of an element-by-element dense assembly, so dense() equals that
+    matrix to the last bit.
+    """
+    it, ts, P, Q, R = _coefficients_along(L, loop, k)
+    M = it.n
+    h = it.h
+    c = 1.0 / (k * loop.period)
+    nxt = (np.arange(M) + 1) % M
+    Pm = 0.5 * (P + P[nxt])
+    Qm = 0.5 * (Q + Q[nxt])
+    Rm = 0.5 * (R + R[nxt])
+    kin = c * Pm / h
+    mix = c * 0.5 * Qm
+    mixT = np.swapaxes(mix, -1, -2)
+    pot = c * h * 0.25 * Rm
+    # element j = [node j, node j + 1]: kin + pot on both diagonal blocks,
+    # pot - kin on both couplings, and the +-mix terms of the (q, v) part
+    same = kin + pot
+    cross = -kin + pot
+
+    def prev(a):
+        return np.roll(a, 1, axis=0)
+
+    diag = ((((same + prev(same)) - mix) - mixT) + prev(mix)) + prev(mixT)
+    upper = (cross + mix) - mixT
+    lower = (cross + mixT) - mix
+    A = BlockTridiagonal(0.5 * (diag + np.swapaxes(diag, -1, -2)),
+                         0.5 * (upper + np.swapaxes(lower, -1, -2)), cyclic=True)
+    return _on_subspace(A, subspace)
+
+
+def assemble_gram(loop: SymmetricLoop, k: int = 1,
+                  subspace: str = "full") -> BlockTridiagonal:
+    """Exact P1 W^{1,2} Gram (mass plus stiffness) on the iterated grid."""
     it = iterate(loop, k)
     M, dim = it.n, it.dim
     h = it.h
-    if scheme == "centered":
-        G = _gram_w12_full(M, dim, it.period)
-    else:
-        # exact P1 mass and stiffness, circulant over the periodic grid
-        base = np.zeros((M, M))
-        i = np.arange(M)
-        base[i, i] = 2.0 * h / 3.0 + 2.0 / h
-        base[i, (i + 1) % M] = h / 6.0 - 1.0 / h
-        base[i, (i - 1) % M] = h / 6.0 - 1.0 / h
-        G = np.kron(base, np.eye(dim)) if dim > 1 else base
-    if subspace == "full":
-        return G
-    return _fold_even(G, M, dim)
+    eye = np.eye(dim)
+    diag = np.broadcast_to((2.0 * h / 3.0 + 2.0 / h) * eye, (M, dim, dim))
+    upper = np.broadcast_to((h / 6.0 - 1.0 / h) * eye, (M, dim, dim))
+    return _on_subspace(BlockTridiagonal(diag, upper, cyclic=True), subspace)
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +580,8 @@ def find_critical(L: LagrangianSpec, loop0: SymmetricLoop, grad_tol: float = 1e-
         if newton_first:
             # FEM Hessian: same O(h^2) operator, but with a positive kinetic
             # part on every mode, so steps cannot excite the checkerboard
-            # null direction of the centered scheme.
-            H = assemble_hessian(L, loop, k=1, subspace="even", scheme="fem")
+            # null direction of a centered-difference Hessian.
+            H = assemble_hessian(L, loop, k=1, subspace="even").dense()
             try:
                 step = np.linalg.solve(H, -b)
             except np.linalg.LinAlgError:

@@ -420,20 +420,19 @@ def hessian_T_independence(L_theta: LagrangianSpec, loop: SymmetricLoop,
     from .index import morse_index
 
     out = {}
-    mats = {}
+    ops = {}
     pairs = {}
     for T in (T1, T2):
         spec, _ = build_modification(L_theta, T, constants=constants, H=H, theta=theta)
-        mats[T] = {
-            "full": assemble_hessian(spec, loop, k=k, subspace="full", scheme="fem"),
-            "even": assemble_hessian(spec, loop, k=k, subspace="even", scheme="fem"),
-        }
+        ops[T] = {s: assemble_hessian(spec, loop, k=k, subspace=s) for s in ("full", "even")}
         pairs[T] = {
             "full": morse_index(spec, loop, k=k).as_tuple(),
             "even": morse_index(spec, loop, k=k, symmetric=True).as_tuple(),
         }
+    # the blocks hold every nonzero entry of the assembled matrices
     out["max_entry_deviation"] = max(
-        float(np.max(np.abs(mats[T1][s] - mats[T2][s]))) for s in ("full", "even"))
+        float(np.max(np.abs(getattr(ops[T1][s], part) - getattr(ops[T2][s], part))))
+        for s in ("full", "even") for part in ("diag", "upper"))
     out["index_pairs"] = {str(T): pairs[T] for T in (T1, T2)}
     out["index_pairs_equal"] = pairs[T1] == pairs[T2]
     return out

@@ -329,7 +329,7 @@ def test_criterion_9_convergence_order(free_system, stiff_system,
     exact_h = ((4 * np.pi) ** 2 - 4 * np.pi ** 2) / 2.0
 
     def hess_value(lp):
-        H = assemble_hessian(stiff_system.L_theta, lp, k=1, subspace="full")
+        H = assemble_hessian(stiff_system.L_theta, lp, k=1, subspace="full").dense()
         ts = lp.full_times()
         xi = np.cos(4 * np.pi * ts)[:, None].ravel()
         return float(xi @ H @ xi)

@@ -91,6 +91,21 @@ def test_index_rejects_tampered_orbit(mild_store, tmp_path):
     assert code == 2
 
 
+def test_unmapped_brakekit_error_exit_code(mild_store, monkeypatch, capsys):
+    from brakekit import cli
+    from brakekit.errors import IllConditionedCrossing
+
+    def fail(*args, **kwargs):
+        raise IllConditionedCrossing("crossing form singular at t = 0.5")
+
+    monkeypatch.setattr(cli, "verify_relations", fail)
+    tmp, cfg, store = mild_store
+    oid = load_records(store)[0]["id"]
+    assert main(["--store", store, "index", "--config", cfg,
+                 "--orbit", oid, "--k", "1"]) == 1
+    assert "crossing form singular" in capsys.readouterr().err
+
+
 def test_no_convergence_exit_code(tmp_path):
     cfg = write_config(tmp_path, MILD_CONFIG)
     code = main(["--store", str(tmp_path / "s"), "find-orbits", "--config", cfg,

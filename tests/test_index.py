@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from brakekit.index import (
+    _negative_count,
     assemble_B,
     constant_coefficients,
     cz_index,
@@ -13,7 +17,7 @@ from brakekit.index import (
     morse_index,
     verify_relations,
 )
-from brakekit.loopspace import SymmetricLoop
+from brakekit.loopspace import SymmetricLoop, assemble_gram, assemble_hessian
 from brakekit.model import OneForm
 from brakekit.systems import kinetic_potential_lagrangian
 
@@ -138,3 +142,49 @@ def test_verify_relations_nonconstant_orbit(stiff_system, libration):
     assert report["all_pass"], report
     assert report["per_k"][1]["morse_full"] == (1, 1)
     assert report["per_k"][2]["morse_full"] == (3, 1)
+
+
+def _ldl_negative_count(A):
+    """Negative eigenvalues of a dense symmetric matrix from Bunch-Kaufman LDL^T."""
+    _, d, _ = scipy.linalg.ldl(A)
+    n, neg, i = A.shape[0], 0, 0
+    while i < n:
+        if i + 1 < n and d[i + 1, i] != 0.0:
+            neg += int(np.sum(np.linalg.eigvalsh(d[i: i + 2, i: i + 2]) < 0))
+            i += 2
+        else:
+            neg += int(d[i, i] < 0)
+            i += 1
+    return neg
+
+
+@pytest.fixture(scope="module")
+def twisted_t2():
+    from brakekit.systems import load_system
+
+    return load_system({
+        "dim": 2, "theta": ["0.1*cos(2*pi*q2)", "sin(2*pi*q1)/(2*pi)"],
+        "lagrangian": {"builtin": "kinetic_potential",
+                       "potential": "0.7*cos(2*pi*q1) + 0.5*cos(2*pi*q2)"},
+    })
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 3),
+       period=st.integers(1, 2), dim=st.sampled_from([1, 2]),
+       symmetric=st.booleans(), shift=st.floats(-40.0, 40.0))
+def test_banded_negative_count_matches_dense_ldl(mild_system, twisted_t2, seed, k,
+                                                 period, dim, symmetric, shift):
+    system = mild_system if dim == 1 else twisted_t2
+    rng = np.random.default_rng(seed)
+    n = 8 * period
+    loop = SymmetricLoop(period, rng.uniform(-1.0, 1.0, size=(n // 2 + 1, dim)),
+                         system.torus)
+    subspace = "even" if symmetric else "full"
+    A = (assemble_hessian(system.L, loop, k=k, subspace=subspace)
+         + shift * assemble_gram(loop, k=k, subspace=subspace))
+    dense = A.dense()
+    ev = np.linalg.eigvalsh(dense)
+    # the count is only defined when no eigenvalue sits at round-off from zero
+    assume(np.min(np.abs(ev)) > 1e-8 * np.max(np.abs(ev)))
+    assert _negative_count(A) == _ldl_negative_count(dense) == int(np.sum(ev < 0))

@@ -5,10 +5,14 @@ from brakekit.errors import GridMismatch
 from brakekit.loopspace import (
     LoopTangent,
     SymmetricLoop,
+    _gram_w12_full,
     action_differential,
     action_gradient_even,
+    assemble_gram,
+    assemble_hessian,
     find_critical,
     full_gradient_check,
+    gram_even_w12,
     gradient_norm_w12,
     iterate,
     loop_distance,
@@ -19,6 +23,7 @@ from brakekit.loopspace import (
     time_rescale_loop,
     w12_inner,
 )
+from brakekit.systems import load_system
 
 
 def cosine_loop(a=0.1, period=1, n_per_unit=256, center=0.0):
@@ -184,3 +189,135 @@ def test_evenness_is_structural(libration):
     it = iterate(libration, 3)
     full3 = it.full_values()
     assert np.max(np.abs(full3[1:] - full3[1:][::-1])) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# block operators against the dense np.add.at assembly they replaced
+# ---------------------------------------------------------------------------
+
+def _scatter_blocks_reference(H, rows, cols, vals, dim):
+    for a in range(dim):
+        for b in range(dim):
+            np.add.at(H, (rows * dim + a, cols * dim + b), vals[:, a, b])
+
+
+def _fold_even_reference(H, M, dim):
+    n_half = M // 2 + 1
+    dof = np.minimum(np.arange(M), M - np.arange(M))
+    row_map = (dof[:, None] * dim + np.arange(dim)[None, :]).ravel()
+    folded = np.zeros((n_half * dim, H.shape[1]))
+    np.add.at(folded, row_map, H)
+    out = np.zeros((n_half * dim, n_half * dim))
+    np.add.at(out.T, row_map, folded.T)
+    return out
+
+
+def _hessian_reference(L, loop, k, subspace):
+    """Element-by-element P1 assembly into a dense matrix."""
+    it = iterate(loop, k)
+    ts, g, v = it.full_times(), it.full_values(), it.velocities()
+    P = np.asarray(L.hess_vv(ts, g, v))
+    Q = np.asarray(L.hess_qv(ts, g, v))
+    R = np.asarray(L.hess_qq(ts, g, v))
+    M, dim, h = it.n, it.dim, it.h
+    c = 1.0 / (k * loop.period)
+    H = np.zeros((M * dim, M * dim))
+    idx = np.arange(M)
+    nxt = (idx + 1) % M
+    kin = c * (0.5 * (P + P[nxt])) / h
+    mix = c * 0.5 * (0.5 * (Q + Q[nxt]))
+    mixT = np.swapaxes(mix, -1, -2)
+    pot = c * h * 0.25 * (0.5 * (R + R[nxt]))
+    for r, sr in ((idx, -1.0), (nxt, 1.0)):
+        for s, ss in ((idx, -1.0), (nxt, 1.0)):
+            _scatter_blocks_reference(H, r, s, sr * ss * kin + pot, dim)
+    for r in (idx, nxt):
+        _scatter_blocks_reference(H, r, nxt, mix, dim)
+        _scatter_blocks_reference(H, r, idx, -mix, dim)
+        _scatter_blocks_reference(H, nxt, r, mixT, dim)
+        _scatter_blocks_reference(H, idx, r, -mixT, dim)
+    H = 0.5 * (H + H.T)
+    return H if subspace == "full" else _fold_even_reference(H, M, dim)
+
+
+def _gram_reference(loop, k, subspace):
+    it = iterate(loop, k)
+    M, dim, h = it.n, it.dim, it.h
+    base = np.zeros((M, M))
+    i = np.arange(M)
+    base[i, i] = 2.0 * h / 3.0 + 2.0 / h
+    base[i, (i + 1) % M] = h / 6.0 - 1.0 / h
+    base[i, (i - 1) % M] = h / 6.0 - 1.0 / h
+    G = np.kron(base, np.eye(dim)) if dim > 1 else base
+    return G if subspace == "full" else _fold_even_reference(G, M, dim)
+
+
+def _even_embedding_reference(n_full, dim):
+    E = np.zeros((n_full, n_full // 2 + 1))
+    for j in range(n_full):
+        E[j, min(j, n_full - j)] = 1.0
+    return np.kron(E, np.eye(dim))
+
+
+@pytest.fixture(scope="module")
+def twisted_systems():
+    """N = 1 and N = 2 systems whose non-constant theta makes Q = L_qv nonzero."""
+    t1 = load_system({
+        "dim": 1, "theta": ["0.3 + 0.2*sin(2*pi*q1)"],
+        "lagrangian": {"builtin": "kinetic_potential", "potential": "cos(2*pi*q1)"},
+    })
+    t2 = load_system({
+        "dim": 2, "theta": ["0.1*cos(2*pi*q2)", "sin(2*pi*q1)/(2*pi)"],
+        "lagrangian": {"builtin": "kinetic_potential",
+                       "potential": "0.7*cos(2*pi*q1) + 0.5*cos(2*pi*q2)"},
+    })
+    loop1 = SymmetricLoop.from_function(
+        lambda t: np.array([0.2 + 0.15 * np.cos(2 * np.pi * t)
+                            + 0.05 * np.cos(6 * np.pi * t)]), 1, n_per_unit=24)
+    loop2 = SymmetricLoop.from_function(
+        lambda t: np.array([0.1 + 0.2 * np.cos(np.pi * t),
+                            0.4 - 0.1 * np.cos(2 * np.pi * t)]), 2, n_per_unit=12)
+    return [(t1.L, loop1), (t2.L, loop2)]
+
+
+@pytest.mark.parametrize("subspace", ["full", "even"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_block_assembly_matches_dense_reference(twisted_systems, k, subspace):
+    for L, loop in twisted_systems:
+        ts, g, v = loop.full_times(), loop.full_values(), loop.velocities()
+        assert np.max(np.abs(L.hess_qv(ts, g, v))) > 0.1
+        H = assemble_hessian(L, loop, k=k, subspace=subspace)
+        G = assemble_gram(loop, k=k, subspace=subspace)
+        assert H.cyclic == G.cyclic == (subspace == "full")
+        assert np.array_equal(H.dense(), _hessian_reference(L, loop, k, subspace))
+        assert np.array_equal(G.dense(), _gram_reference(loop, k, subspace))
+        # the operator arithmetic is the dense arithmetic
+        assert np.array_equal((H - 0.25 * G).dense(), H.dense() - 0.25 * G.dense())
+
+
+def _band_to_dense(ab):
+    n = ab.shape[1]
+    A = np.zeros((n, n))
+    for d in range(ab.shape[0]):
+        A[np.arange(d, n), np.arange(n - d)] = ab[d, : n - d]
+    return A + np.tril(A, -1).T
+
+
+@pytest.mark.parametrize("cyclic", [True, False])
+def test_lower_band_holds_the_dense_spectrum(twisted_systems, cyclic):
+    for L, loop in twisted_systems:
+        A = assemble_hessian(L, loop, k=2, subspace="full" if cyclic else "even")
+        ab = A.lower_band()
+        assert ab.shape[0] == (3 if cyclic else 2) * A.dim
+        dense = A.dense()
+        ev_band = np.sort(np.linalg.eigvalsh(_band_to_dense(ab)))
+        assert np.allclose(ev_band, np.linalg.eigvalsh(dense), atol=1e-10)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("n_per_unit,period", [(64, 1), (64, 2), (256, 1)])
+def test_gram_even_w12_matches_embedding(dim, n_per_unit, period):
+    loop = SymmetricLoop.constant(np.zeros(dim), period, n_per_unit=n_per_unit)
+    E = _even_embedding_reference(loop.n, dim)
+    ref = E.T @ _gram_w12_full(loop.n, dim, period) @ E
+    assert np.array_equal(gram_even_w12(loop), ref)
