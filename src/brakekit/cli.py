@@ -35,7 +35,12 @@ SYSTEM_SCHEMA = {
                            "mass": {"type": "number", "exclusiveMinimum": 0}},
             "required": ["builtin"],
         },
-        "numerics": {"type": "object"},
+        "numerics": {
+            "type": "object",
+            "properties": {"grid": {"type": "integer", "minimum": 2},
+                           "integrator_tol": {"type": "number", "exclusiveMinimum": 0}},
+            "additionalProperties": False,
+        },
     },
     "required": ["dim", "lagrangian"],
     "additionalProperties": True,

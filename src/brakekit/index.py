@@ -27,7 +27,7 @@ import numpy as np
 import scipy.linalg
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 
 from .errors import BlowUp, IllConditionedCrossing, SingularP
 from .loopspace import (
@@ -36,7 +36,6 @@ from .loopspace import (
     _coefficients_along,
     assemble_gram,
     assemble_hessian,
-    iterate,
 )
 from .model import LagrangianSpec
 
@@ -44,7 +43,6 @@ __all__ = [
     "LinearizedCoefficients",
     "SymplecticPath",
     "IndexPair",
-    "L0IndexPair",
     "linearize",
     "assemble_B",
     "fundamental_solution",
@@ -80,15 +78,7 @@ class LinearizedCoefficients:
         """Periodic cubic interpolation of B(t); exact for constant coefficients."""
         B = self.B_nodes()
         if np.max(np.abs(B - B[0])) < 1e-14:
-            B0 = B[0].copy()
-
-            def const(t):
-                t = np.asarray(t, dtype=float)
-                if t.ndim == 0:
-                    return B0
-                return np.broadcast_to(B0, t.shape + B0.shape)
-
-            return const
+            return constant_coefficients(B[0].copy())
         ts = np.append(self.times, self.period)
         Bx = np.concatenate([B, B[:1]])
         spline = CubicSpline(ts, Bx, bc_type="periodic", axis=0)
@@ -108,15 +98,6 @@ class IndexPair:
         return (self.index, self.nullity)
 
 
-@dataclass(frozen=True)
-class L0IndexPair:
-    index: int
-    nullity: int
-
-    def as_tuple(self):
-        return (self.index, self.nullity)
-
-
 @dataclass
 class SymplecticPath:
     """Sampled fundamental solution of udot = J B(t) u with Psi(0) = I."""
@@ -124,18 +105,14 @@ class SymplecticPath:
     N: int
     period: float
     total_time: float
-    times: np.ndarray
-    matrices: np.ndarray
     dense: Callable
     B: Callable
     symplecticity_defect: float
 
     def at(self, t):
+        """Psi(t); a 1-D array of times gives shape (len(t), 2N, 2N)."""
         out = self.dense(np.asarray(t, dtype=float))
-        if np.ndim(t) == 0:
-            return out.reshape(2 * self.N, 2 * self.N)
-        return out.reshape(-1, 2 * self.N, 2 * self.N, order="F") \
-            if out.ndim == 2 else out
+        return out.T.reshape(np.shape(t) + (2 * self.N, 2 * self.N))
 
 
 def _J(n):
@@ -147,12 +124,7 @@ def _J(n):
 
 def linearize(L: LagrangianSpec, loop: SymmetricLoop) -> LinearizedCoefficients:
     """Second partials of L along the lifted curve, in the global flat chart."""
-    ts = loop.full_times()
-    g = loop.full_values()
-    v = loop.velocities()
-    P = np.asarray(L.hess_vv(ts, g, v))
-    Q = np.asarray(L.hess_qv(ts, g, v))
-    R = np.asarray(L.hess_qq(ts, g, v))
+    _, ts, P, Q, R = _coefficients_along(L, loop)
     # brake symmetry pattern: P(-t) = P(t), Q(-t) = -Q(t), R(-t) = R(t)
     rev = lambda A: A[np.r_[0, np.arange(len(ts) - 1, 0, -1)]]
     residuals = {
@@ -197,6 +169,13 @@ def constant_coefficients(B: np.ndarray, period: float = 1.0) -> Callable:
     return evaluate
 
 
+def _provider(B, period):
+    """(B callable, period) from LinearizedCoefficients or a callable t -> B(t)."""
+    if isinstance(B, LinearizedCoefficients):
+        return B.B_callable(), B.period
+    return B, period
+
+
 def fundamental_solution(B, total_time: float, tol: float = 1e-11,
                          period: float = 1.0, n_nodes: int = 257) -> SymplecticPath:
     """Integrate Psidot = J B(t) Psi columnwise from Psi(0) = I.
@@ -205,15 +184,9 @@ def fundamental_solution(B, total_time: float, tol: float = 1e-11,
     t -> (2N, 2N).  The path is integrated over [0, total_time] directly
     rather than by monodromy powers, keeping symplecticity defects bounded.
     """
-    if isinstance(B, LinearizedCoefficients):
-        period = B.period
-        B_fn = B.B_callable()
-    else:
-        B_fn = B
-    B0 = np.asarray(B_fn(0.0))
-    two_n = B0.shape[0]
-    n = two_n // 2
-    J = _J(n)
+    B_fn, period = _provider(B, period)
+    two_n = np.asarray(B_fn(0.0)).shape[0]
+    J = _J(two_n // 2)
 
     def rhs(t, y):
         Psi = y.reshape(two_n, two_n)
@@ -223,18 +196,14 @@ def fundamental_solution(B, total_time: float, tol: float = 1e-11,
                     rtol=tol, atol=tol, dense_output=True)
     if not sol.success:
         raise BlowUp(f"fundamental solution integration failed: {sol.message}")
-    ts = np.linspace(0.0, total_time, n_nodes)
-    mats = np.stack([sol.sol(t).reshape(two_n, two_n) for t in ts])
+    path = SymplecticPath(two_n // 2, period, total_time, sol.sol, B_fn, 0.0)
+    mats = path.at(np.linspace(0.0, total_time, n_nodes))
     # defect relative to |Psi|^2: hyperbolic paths grow exponentially and an
     # absolute bound would be dominated by float rounding alone
     raw = np.max(np.abs(np.swapaxes(mats, -1, -2) @ J @ mats - J), axis=(1, 2))
     scl = 1.0 + np.max(np.abs(mats), axis=(1, 2)) ** 2
-    defect = float(np.max(raw / scl))
-
-    def dense(t):
-        return sol.sol(t)
-
-    return SymplecticPath(n, period, total_time, ts, mats, dense, B_fn, defect)
+    path.symplecticity_defect = float(np.max(raw / scl))
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -315,19 +284,6 @@ def fourier_morse_index(P, Q, R, k: int = 1, period: int = 1,
 # crossing engine
 # ---------------------------------------------------------------------------
 
-def _integrate_path(B_fn, total, two_n, tol):
-    J = _J(two_n // 2)
-
-    def rhs(t, y):
-        return (J @ B_fn(t) @ y.reshape(two_n, two_n)).ravel()
-
-    sol = solve_ivp(rhs, (0.0, total), np.eye(two_n).ravel(), method="DOP853",
-                    rtol=tol, atol=tol, dense_output=True)
-    if not sol.success:
-        raise BlowUp(f"path integration failed: {sol.message}")
-    return sol.sol
-
-
 def _signed_counts(ev, tol):
     pos = int(np.sum(ev > tol))
     neg = int(np.sum(ev < -tol))
@@ -367,11 +323,9 @@ class _CrossingEngine:
     transversal sign change they are unresolvable and raise.
     """
 
-    def __init__(self, B_fn, period, N, k_max, tol=1e-11, deg_tol=1e-6,
-                 zone_rel=2e-3, samples_per_unit=None):
+    def __init__(self, B_fn, period, k_max, tol=1e-11, deg_tol=1e-6, zone_rel=2e-3):
         self.B_fn = B_fn
         self.period = period
-        self.N = N
         self.k_max = k_max
         probe = np.linspace(0.0, period, 33)
         norms = [np.linalg.norm(np.asarray(B_fn(t)), 2) for t in probe]
@@ -379,26 +333,27 @@ class _CrossingEngine:
         self.deg_tol = deg_tol
         self.zone_rel = zone_rel
         self.total = k_max * period * (1.0 + 2.0 * zone_rel) + 1e-6
-        if samples_per_unit is None:
-            samples_per_unit = 160.0 * (1.0 + 0.5 * self.b_scale)
+        samples_per_unit = 160.0 * (1.0 + 0.5 * self.b_scale)
         self.n_scan = int(min(max(800, samples_per_unit * self.total), 120000))
         self.guard = min(0.02 * period, 0.2 / (1.0 + self.b_scale))
-        self.tol = tol
-        self.dense = _integrate_path(B_fn, self.total, 2 * N, tol)
+        self.path = fundamental_solution(B_fn, self.total, tol, period)
+        self.N = self.path.N
         self._events = {}
         self._plateau = {}
 
     # -- path evaluation helpers -------------------------------------------
-    def _matrix(self, t):
-        return self.dense(t).reshape(2 * self.N, 2 * self.N)
+    def _window(self, mode, k):
+        return k * self.period if mode == "cz" else 0.5 * k * self.period
 
-    def _target(self, t):
-        M = self._matrix(t)
-        return (M - np.eye(2 * self.N)), M
+    def _target(self, t, mode):
+        """Crossing target and Psi at t (or an array of times).
 
-    def _target_l0(self, t):
-        M = self._matrix(t)
-        return M[: self.N, self.N:], M
+        The target is Psi - I for the periodic count and the block S12 for
+        the L0 count; it is singular exactly at the crossings.
+        """
+        M = self.path.at(t)
+        n = self.N
+        return (M - np.eye(2 * n) if mode == "cz" else M[..., :n, n:]), M
 
     def _crossing_det(self, tgt, mats, mode):
         """det of the crossing target, in a cancellation-free form when possible.
@@ -411,45 +366,41 @@ class _CrossingEngine:
             return 2.0 - np.trace(mats, axis1=-2, axis2=-1)
         return np.linalg.det(tgt)
 
+    def _kernel_form(self, t, M, ker, mode):
+        """Eigenvalues of the crossing form on the kernel ker at t, and their tolerance."""
+        B_here = np.asarray(self.B_fn(t))
+        if mode == "cz":
+            Gamma = ker.T @ B_here @ ker
+        else:
+            W, _ = np.linalg.qr(M[self.N:, self.N:] @ ker)
+            Gamma = W.T @ B_here[self.N:, self.N:] @ W
+        ev = np.linalg.eigvalsh(0.5 * (Gamma + Gamma.T))
+        return ev, 1e-7 * (1.0 + float(np.max(np.abs(B_here))))
+
     def _scan_arrays(self, mode):
         ts = np.linspace(self.guard, self.total, self.n_scan)
-        raw = self.dense(ts)
-        mats = raw.T.reshape(-1, 2 * self.N, 2 * self.N)
-        tgt = mats - np.eye(2 * self.N) if mode == "cz" else mats[:, : self.N, self.N:]
+        tgt, mats = self._target(ts, mode)
         sv = np.linalg.svd(tgt, compute_uv=False)
         scale = 1.0 + sv[:, 0]
         g = sv[:, -1] / scale
         dets = self._crossing_det(tgt, mats, mode)
-        return ts, mats, g, sv[:, -1], dets
+        return ts, g, sv[:, -1], dets
 
-    def _classify(self, t_star, mode, det_before, det_after, nb_times=()):
-        tgt, M = self._target(t_star) if mode == "cz" else self._target_l0(t_star)
+    def _classify(self, t_star, mode, det_before, det_after, nb_times):
+        tgt, M = self._target(t_star, mode)
         u, s, vt = np.linalg.svd(tgt)
         scale = 1.0 + s[0]
         ker_tol = np.full_like(s, max(self.deg_tol * scale, 10.0 * s[-1]))
-        if nb_times:
-            # a singular value belongs to the kernel when it dips far below its
-            # own size at the bracket edges; this keeps the count right when
-            # the integration noise floor exceeds the nominal tolerance
-            s_nb = np.max([np.linalg.svd(
-                (self._target(tn) if mode == "cz" else self._target_l0(tn))[0],
-                compute_uv=False) for tn in nb_times], axis=0)
-            ker_tol = np.maximum(ker_tol, 0.05 * s_nb)
-        ker_mask = s < ker_tol
-        ker = vt[ker_mask].T
+        # a singular value belongs to the kernel when it dips far below its
+        # own size at the bracket edges; this keeps the count right when
+        # the integration noise floor exceeds the nominal tolerance
+        s_nb = np.max([np.linalg.svd(self._target(tn, mode)[0], compute_uv=False)
+                       for tn in nb_times], axis=0)
+        ker_tol = np.maximum(ker_tol, 0.05 * s_nb)
+        ker = vt[s < ker_tol].T
         if ker.shape[1] == 0:
             ker = vt[-1:].T
-        B_here = np.asarray(self.B_fn(t_star))
-        if mode == "cz":
-            V = ker
-            Gamma = V.T @ B_here @ V
-        else:
-            W = M[self.N:, self.N:] @ ker
-            W, _ = np.linalg.qr(W)
-            Gamma = W.T @ B_here[self.N:, self.N:] @ W
-        Gamma = 0.5 * (Gamma + Gamma.T)
-        ev = np.linalg.eigvalsh(Gamma)
-        form_tol = 1e-7 * (1.0 + float(np.max(np.abs(B_here))))
+        ev, form_tol = self._kernel_form(t_star, M, ker, mode)
         pos, neg, zero = _signed_counts(ev, form_tol)
         if zero:
             if det_before * det_after < 0:
@@ -464,7 +415,7 @@ class _CrossingEngine:
         """Sorted (t, contribution) crossings over (guard, total)."""
         if mode in self._events:
             return self._events[mode]
-        ts, mats, g, g_abs, dets = self._scan_arrays(mode)
+        ts, g, g_abs, dets = self._scan_arrays(mode)
         # a plateau means the target is singular along whole segments; this is
         # an absolute statement (hyperbolic paths drive the relative smallest
         # singular value into the noise floor with no degeneracy at all)
@@ -475,22 +426,14 @@ class _CrossingEngine:
             # entire path degenerate (free-particle type): the kernel forms
             # must be sign-definite <= 0 after the left limit, contributing 0
             for t_probe in np.linspace(self.guard, self.total, 7):
-                tgt, M = (self._target(t_probe) if mode == "cz"
-                          else self._target_l0(t_probe))
+                tgt, M = self._target(t_probe, mode)
                 u, s, vt = np.linalg.svd(tgt)
                 scale = 1.0 + s[0]
                 ker = vt[s / scale < self.deg_tol].T
                 if ker.shape[1] == 0:
                     continue
-                B_here = np.asarray(self.B_fn(t_probe))
-                if mode == "cz":
-                    Gamma = ker.T @ B_here @ ker
-                else:
-                    W = M[self.N:, self.N:] @ ker
-                    W, _ = np.linalg.qr(W)
-                    Gamma = W.T @ B_here[self.N:, self.N:] @ W
-                ev = np.linalg.eigvalsh(0.5 * (Gamma + Gamma.T))
-                if np.any(ev > 1e-7 * (1.0 + float(np.max(np.abs(B_here))))):
+                ev, form_tol = self._kernel_form(t_probe, M, ker, mode)
+                if np.any(ev > form_tol):
                     raise IllConditionedCrossing(
                         f"degenerate path segment with positive crossing form "
                         f"(mode {mode}, t = {t_probe:.4g})")
@@ -516,24 +459,20 @@ class _CrossingEngine:
             candidates.append((ts[i - 1], ts[i + 1], g[lo_n], g[hi_n]))
 
         def sv_objective(t):
-            tgt, _ = self._target(t) if mode == "cz" else self._target_l0(t)
-            s = np.linalg.svd(tgt, compute_uv=False)
+            s = np.linalg.svd(self._target(t, mode)[0], compute_uv=False)
             return float(s[-1] / (1.0 + s[0]))
 
         def sv_absolute(t):
-            tgt, _ = self._target(t) if mode == "cz" else self._target_l0(t)
-            return float(np.linalg.svd(tgt, compute_uv=False)[-1])
+            return float(np.linalg.svd(self._target(t, mode)[0], compute_uv=False)[-1])
 
         def det_objective(t):
-            tgt, M = self._target(t) if mode == "cz" else self._target_l0(t)
+            tgt, M = self._target(t, mode)
             return float(self._crossing_det(tgt[None], M[None], mode)[0])
 
         located = []
         for lo, hi, g_lo, g_hi in candidates:
             d_lo, d_hi = det_objective(lo), det_objective(hi)
             if d_lo * d_hi < 0:
-                from scipy.optimize import brentq
-
                 t_star = float(brentq(det_objective, lo, hi, xtol=1e-13 * self.total))
             else:
                 res = minimize_scalar(sv_objective, bounds=(lo, hi), method="bounded",
@@ -561,7 +500,7 @@ class _CrossingEngine:
         return located
 
     def index(self, mode, k):
-        window = k * self.period if mode == "cz" else 0.5 * k * self.period
+        window = self._window(mode, k)
         zone = self.zone_rel * window
         init = _initial_contribution(self.B_fn, self.N, mode)
         evs = self.events(mode)
@@ -577,22 +516,26 @@ class _CrossingEngine:
         exploding matrix norm without any genuine degeneracy; only an actual
         crossing event inside the endpoint zone certifies a kernel.
         """
-        window = k * self.period if mode == "cz" else 0.5 * k * self.period
+        window = self._window(mode, k)
         evs = self.events(mode)
         if self._plateau.get(mode):
-            M = self._matrix(window)
-            T = M - np.eye(2 * self.N) if mode == "cz" else M[: self.N, self.N:]
-            s = np.linalg.svd(T, compute_uv=False)
+            s = np.linalg.svd(self._target(window, mode)[0], compute_uv=False)
             return int(np.sum(s / (1.0 + s[0]) < self.deg_tol))
         zone = self.zone_rel * window
         near = [kdim for t, _, kdim in evs if abs(t - window) <= zone]
         return max(near) if near else 0
 
 
-def _engine_for_path(path: SymplecticPath, k_max=1, deg_tol=1e-6) -> _CrossingEngine:
+def _path_pair(path: SymplecticPath, k: Optional[int], deg_tol: float,
+               mode: str) -> IndexPair:
+    """Index pair of the path in the given mode, from an engine covering its window."""
+    if path.symplecticity_defect > 1e-8:
+        raise ValueError(f"path symplecticity defect {path.symplecticity_defect:.2e}")
+    if k is None:
+        k = int(round(path.total_time / path.period))
     k_needed = max(1, int(np.ceil(path.total_time / path.period)))
-    return _CrossingEngine(path.B, path.period, path.N, max(k_needed, k_max),
-                           deg_tol=deg_tol)
+    eng = _CrossingEngine(path.B, path.period, max(k_needed, k), deg_tol=deg_tol)
+    return IndexPair(eng.index(mode, k), eng.nullity(mode, k))
 
 
 def cz_index(path: SymplecticPath, k: Optional[int] = None,
@@ -603,49 +546,40 @@ def cz_index(path: SymplecticPath, k: Optional[int] = None,
     left-limit convention: their crossings are excluded from the count and
     recorded in the nullity instead.
     """
-    if path.symplecticity_defect > 1e-8:
-        raise ValueError(f"path symplecticity defect {path.symplecticity_defect:.2e}")
-    if k is None:
-        k = int(round(path.total_time / path.period))
-    eng = _engine_for_path(path, k, deg_tol)
-    return IndexPair(eng.index("cz", k), eng.nullity("cz", k))
+    return _path_pair(path, k, deg_tol, "cz")
 
 
 def l0_index(path: SymplecticPath, k: Optional[int] = None,
-             deg_tol: float = 1e-6) -> L0IndexPair:
+             deg_tol: float = 1e-6) -> IndexPair:
     """Maslov-type L0-index pair over the brake half window (0, k * period / 2].
 
     Crossings are the zeros of det S12(t); the sign convention and the -N/2
     normalization at t = 0 are the calibrated ones, pinned by the identity
     m^-(EA^{[k]}) = i_L0 + N in the anchor tests.
     """
-    if path.symplecticity_defect > 1e-8:
-        raise ValueError(f"path symplecticity defect {path.symplecticity_defect:.2e}")
-    if k is None:
-        k = int(round(path.total_time / path.period))
-    eng = _engine_for_path(path, k, deg_tol)
-    return L0IndexPair(eng.index("l0", k), eng.nullity("l0", k))
+    return _path_pair(path, k, deg_tol, "l0")
 
 
 def mean_index(B, period: float = 1.0, k_max: int = 64, deg_tol: float = 1e-6) -> dict:
     """Mean indices by least-squares slope of i(Psi, k) over k in {1, 2, 4, ...}.
 
+    B may be a LinearizedCoefficients, a callable t -> B(t), or a crossing
+    engine already built over the path, whose period and deg_tol then apply.
     Returns ihat, ihat_L0, the per-k values, and slope uncertainties from the
     fit residuals.
     """
-    if isinstance(B, LinearizedCoefficients):
-        period = B.period
-        B_fn = B.B_callable()
-    else:
-        B_fn = B
-    B0 = np.asarray(B_fn(0.0))
-    N = B0.shape[0] // 2
     ks = []
     k = 1
     while k <= k_max:
         ks.append(k)
         k *= 2
-    eng = _CrossingEngine(B_fn, period, N, ks[-1], deg_tol=deg_tol)
+    if isinstance(B, _CrossingEngine):
+        eng = B
+        if eng.k_max < ks[-1]:
+            raise ValueError(f"engine horizon {eng.k_max} is short of k = {ks[-1]}")
+    else:
+        B_fn, period = _provider(B, period)
+        eng = _CrossingEngine(B_fn, period, ks[-1], deg_tol=deg_tol)
     i_vals = np.array([eng.index("cz", kk) for kk in ks], dtype=float)
     l_vals = np.array([eng.index("l0", kk) for kk in ks], dtype=float)
     karr = np.array(ks, dtype=float)
@@ -711,7 +645,6 @@ def verify_relations(L: LagrangianSpec, loop: SymmetricLoop, ks=(1, 2, 4),
         loop = coarsen(loop)
     coeffs = linearize(L, loop)
     N = coeffs.dim
-    B_fn = coeffs.B_callable()
     # degeneracy scale for orbit-derived paths: the coefficients carry the
     # O(h^2) bias of the discrete orbit, amplified by the coefficient size;
     # this mirrors the eps_n null threshold on the Morse side
@@ -720,9 +653,10 @@ def verify_relations(L: LagrangianSpec, loop: SymmetricLoop, ks=(1, 2, 4),
     constant_B = float(np.max(np.abs(B_nodes - B_nodes[0]))) < 1e-12
     h = loop.h
     deg = 1e-6 if constant_B else min(0.05, max(1e-6, 50.0 * h * h * (1.0 + b_scale)))
-    eng = _CrossingEngine(B_fn, coeffs.period, N, max(max(ks), mean_k_max),
+    # one engine for the per-k pairs and the mean index
+    eng = _CrossingEngine(coeffs.B_callable(), coeffs.period, max(max(ks), mean_k_max),
                           deg_tol=deg)
-    mi = mean_index(coeffs, k_max=mean_k_max, deg_tol=deg)
+    mi = mean_index(eng, k_max=mean_k_max)
     ihat = mi["ihat"]
     ihat_unc = max(mi["ihat_uncertainty"], 1e-9)
 

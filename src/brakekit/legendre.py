@@ -199,14 +199,6 @@ class DualPair:
     lagrangian: LagrangianSpec
     hamiltonian: HamiltonianSpec
 
-    @classmethod
-    def from_lagrangian(cls, L: LagrangianSpec) -> "DualPair":
-        return cls(L, hamiltonian_from_lagrangian(L))
-
-    @classmethod
-    def from_hamiltonian(cls, H: HamiltonianSpec) -> "DualPair":
-        return cls(lagrangian_from_hamiltonian(H), H)
-
     def roundtrip_violation(self, samples=100, rng=None, v_scale=1.0) -> float:
         """Max |L(t,q,v) - (p*.v - H(t,q,p*))| at p* = L_v(t,q,v) over samples."""
         rng = np.random.default_rng(0 if rng is None else rng)

@@ -131,17 +131,6 @@ class SymmetricLoop:
                 raise ValueError(f"sampled function is not even (residual {bad:.2e})")
         return cls(period, vals, torus)
 
-    @classmethod
-    def from_full_samples(cls, period, values, torus, tol=1e-12):
-        values = np.asarray(values, dtype=float)
-        n = values.shape[0]
-        if n % 2:
-            raise GridMismatch("full grid size must be even")
-        resid = float(np.max(np.abs(values[1:] - values[1:][::-1])))
-        if resid > tol:
-            raise ValueError(f"samples are not even under reflection (residual {resid:.2e})")
-        return cls(period, values[: n // 2 + 1], torus)
-
 
 @dataclass(frozen=True)
 class LoopTangent:

@@ -30,16 +30,6 @@ __all__ = [
 ]
 
 
-def _atleast_2d(x, dim):
-    """Return (array of shape (M, dim), was_batched)."""
-    a = np.asarray(x, dtype=float)
-    if a.ndim == 1:
-        if a.shape[0] != dim:
-            raise ValueError(f"expected point of dimension {dim}, got shape {a.shape}")
-        return a[None, :], False
-    return a, True
-
-
 @dataclass(frozen=True)
 class TorusSpace:
     """Flat torus T^N with given lattice periods (default all 1)."""
@@ -83,9 +73,6 @@ class PhasePoint:
     def __post_init__(self):
         object.__setattr__(self, "q", self.torus.wrap(np.asarray(self.q, dtype=float)))
         object.__setattr__(self, "p", np.asarray(self.p, dtype=float))
-
-    def as_array(self):
-        return np.concatenate([self.q, self.p])
 
 
 @dataclass(frozen=True)
@@ -175,10 +162,6 @@ class OneForm:
         """
         jac = self.jacobian(q)
         return np.swapaxes(jac, -1, -2) - jac
-
-    def pairing(self, q, v):
-        """theta(q)[v], batch-capable."""
-        return np.sum(self.components(q) * v, axis=-1)
 
     def periodicity_violation(self, samples=64, rng=None) -> float:
         """Max |theta(q + e_i period_i) - theta(q)| on a seeded sample set."""

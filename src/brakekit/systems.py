@@ -9,8 +9,7 @@ A system document looks like
       "lagrangian": {"builtin": "kinetic_potential",
                      "mass": 1.0,
                      "potential": "cos(2*pi*q1)"},
-      "numerics": {"grid": 256, "grad_tol": 1e-9,
-                   "integrator_tol": 1e-10, "seed": 0}
+      "numerics": {"grid": 256, "integrator_tol": 1e-10}
     }
 
 Expression grammar for "theta" components and "potential": arithmetic
@@ -59,10 +58,7 @@ __all__ = [
 
 DEFAULT_NUMERICS = {
     "grid": 256,
-    "grad_tol": 1e-9,
     "integrator_tol": 1e-10,
-    "seed": 0,
-    "blowup_ceiling": 1e6,
 }
 
 _ALLOWED_FUNCS = {"sin": sp.sin, "cos": sp.cos, "pi": sp.pi}

@@ -121,6 +121,16 @@ def test_schema_error_exit_code(tmp_path):
     assert err.value.code == 2
 
 
+def test_unread_numerics_key_exit_code(tmp_path, capsys):
+    # only grid and integrator_tol are read; anything else is rejected, not ignored
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**MILD_CONFIG, "numerics": {"grid": 128, "grad_tol": 1e-9}}))
+    with pytest.raises(SystemExit) as err:
+        main(["--store", str(tmp_path / "s"), "find-orbits", "--config", str(bad)])
+    assert err.value.code == 2
+    assert "grad_tol" in capsys.readouterr().err
+
+
 def test_builtin_rejects_unknown_key_exit_code(tmp_path, capsys):
     # schema-valid, but quartic_kinetic takes no mass
     bad = tmp_path / "bad.json"

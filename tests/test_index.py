@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from brakekit.index import (
     _negative_count,
@@ -64,6 +65,46 @@ def test_fundamental_solution_closed_forms():
     rot = np.array([[np.cos(1), -np.sin(1)], [np.sin(1), np.cos(1)]])
     assert np.allclose(path.at(1.0), rot, atol=1e-10)
     assert path.symplecticity_defect < 1e-8
+
+
+@pytest.mark.parametrize("B", [HARMONIC_B, np.diag([1.0, 2.0, 4 * np.pi ** 2, -1.0])],
+                         ids=["N=1", "N=2"])
+def test_path_at_vector_matches_scalar_calls(B):
+    path = fundamental_solution(constant_coefficients(B), 2.0)
+    ts = np.array([0.3, 1.0, 1.7])
+    stacked = np.stack([path.at(t) for t in ts])
+    assert np.array_equal(path.at(ts), stacked)
+
+
+def test_verify_relations_integrates_once(stiff_system, monkeypatch):
+    import brakekit.index as index_mod
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(index_mod, "solve_ivp", counting)
+    verify_relations(stiff_system.L_theta, SymmetricLoop.constant([0.5], 1),
+                     ks=(1, 2, 4), mean_k_max=16)
+    assert len(calls) == 1, calls
+
+
+def test_verify_relations_mean_index_matches_standalone(stiff_system):
+    L, loop = stiff_system.L_theta, SymmetricLoop.constant([0.5], 1)
+    report = verify_relations(L, loop, ks=(1, 2, 4), mean_k_max=16)
+    # B is constant here, so both sides run with deg_tol = 1e-6
+    assert report["mean_index"] == mean_index(linearize(L, loop), k_max=16)
+
+
+def test_mean_index_rejects_short_engine():
+    from brakekit.index import _CrossingEngine
+
+    eng = _CrossingEngine(constant_coefficients(HARMONIC_B), 1.0, 4)
+    assert mean_index(eng, k_max=4) == mean_index(constant_coefficients(HARMONIC_B), k_max=4)
+    with pytest.raises(ValueError, match="horizon"):
+        mean_index(eng, k_max=8)
 
 
 def test_morse_indices_match_fourier_oracle(free_system, stiff_system):
