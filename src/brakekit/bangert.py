@@ -56,50 +56,28 @@ __all__ = [
 
 @dataclass
 class PathSegment:
-    """Sampled path on a bounded interval with a continuous lift.
+    """Path on a bounded interval [a, b] with a continuous lift.
 
-    Velocities are exact per smooth span; corner times (junctions of
-    concatenations) split the action quadrature.  An optional evaluator gives
-    exact resampling; by default values interpolate linearly, which is exact
-    for geodesic legs.
+    eval_fn maps a 1-d array of times to (values, velocities), exact on each
+    smooth span; corner times (junctions of concatenations) split the action
+    quadrature.
     """
 
     a: float
     b: float
-    times: np.ndarray
-    values: np.ndarray
-    velocities: np.ndarray
+    eval_fn: Callable
     corners: tuple = ()
-    eval_fn: Optional[Callable] = None
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.values = np.atleast_2d(np.asarray(self.values, dtype=float))
-        self.velocities = np.atleast_2d(np.asarray(self.velocities, dtype=float))
 
     @property
     def start(self):
-        return self.values[0]
+        return self.at(self.a)[0][0]
 
     @property
     def end(self):
-        return self.values[-1]
+        return self.at(self.b)[0][0]
 
     def at(self, ts):
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        if self.eval_fn is not None:
-            return self.eval_fn(ts)
-        q = np.stack([np.interp(ts, self.times, self.values[:, j])
-                      for j in range(self.values.shape[1])], axis=-1)
-        v = np.stack([np.interp(ts, self.times, self.velocities[:, j])
-                      for j in range(self.values.shape[1])], axis=-1)
-        return q, v
-
-
-def _segment_from_eval(a, b, eval_fn, corners=(), n_samples=33):
-    ts = np.linspace(a, b, n_samples)
-    q, v = eval_fn(ts)
-    return PathSegment(a, b, ts, q, v, corners=tuple(corners), eval_fn=eval_fn)
+        return self.eval_fn(np.atleast_1d(np.asarray(ts, dtype=float)))
 
 
 def reparametrize(seg: PathSegment, a: float, b: float) -> PathSegment:
@@ -110,14 +88,12 @@ def reparametrize(seg: PathSegment, a: float, b: float) -> PathSegment:
     scale = len_old / (b - a)
 
     def eval_fn(ts):
-        src = (np.asarray(ts) - a) * scale + seg.a
+        src = (ts - a) * scale + seg.a
         q, v = seg.at(src)
         return q, v * scale
 
     corners = tuple(a + (c - seg.a) / scale for c in seg.corners)
-    ts = a + (seg.times - seg.a) / scale
-    return PathSegment(a, b, ts, seg.values, seg.velocities * scale,
-                       corners=corners, eval_fn=eval_fn)
+    return PathSegment(a, b, eval_fn, corners)
 
 
 def reverse_segment(seg: PathSegment) -> PathSegment:
@@ -125,13 +101,10 @@ def reverse_segment(seg: PathSegment) -> PathSegment:
     a, b = seg.a, seg.b
 
     def eval_fn(ts):
-        q, v = seg.at(a + b - np.asarray(ts))
+        q, v = seg.at(a + b - ts)
         return q, -v
 
-    corners = tuple(sorted(a + b - c for c in seg.corners))
-    ts = a + b - seg.times[::-1]
-    return PathSegment(a, b, ts, seg.values[::-1], -seg.velocities[::-1],
-                       corners=corners, eval_fn=eval_fn)
+    return PathSegment(a, b, eval_fn, tuple(sorted(a + b - c for c in seg.corners)))
 
 
 def concatenate(s1: PathSegment, s2: PathSegment, torus: Optional[TorusSpace] = None,
@@ -151,11 +124,9 @@ def concatenate(s1: PathSegment, s2: PathSegment, torus: Optional[TorusSpace] = 
     if resid > tol:
         raise EndpointMismatch(f"segment endpoints differ by {resid:.3e}")
     shift = s1.b - s2.a
-    s2v = s2.values + lattice
 
     def eval_fn(ts):
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        q = np.empty((len(ts), s1.values.shape[1]))
+        q = np.empty((len(ts), gap.size))
         v = np.empty_like(q)
         first = ts <= s1.b
         if np.any(first):
@@ -165,13 +136,8 @@ def concatenate(s1: PathSegment, s2: PathSegment, torus: Optional[TorusSpace] = 
             q[~first], v[~first] = q2 + lattice, v2
         return q, v
 
-    times = np.concatenate([s1.times, s2.times[1:] + shift]) \
-        if abs(s2.times[0] - s2.a) < 1e-15 else np.concatenate([s1.times, s2.times + shift])
-    values = np.vstack([s1.values, s2v[1:]])
-    vels = np.vstack([s1.velocities, s2.velocities[1:]])
     corners = tuple(s1.corners) + (s1.b,) + tuple(c + shift for c in s2.corners)
-    return PathSegment(s1.a, s1.b + (s2.b - s2.a), times, values, vels,
-                       corners=corners, eval_fn=eval_fn)
+    return PathSegment(s1.a, s1.b + (s2.b - s2.a), eval_fn, corners)
 
 
 def shortest_geodesic(torus: TorusSpace, qa, qb, a: float = 0.0,
@@ -186,12 +152,12 @@ def shortest_geodesic(torus: TorusSpace, qa, qb, a: float = 0.0,
     span = b - a
 
     def eval_fn(ts):
-        u = (np.atleast_1d(np.asarray(ts, dtype=float)) - a) / span
+        u = (ts - a) / span
         q = qa[None, :] + u[:, None] * disp[None, :]
         v = np.broadcast_to(disp / span, q.shape).copy()
         return q, v
 
-    return _segment_from_eval(a, b, eval_fn, n_samples=9)
+    return PathSegment(a, b, eval_fn)
 
 
 def segment_length(seg: PathSegment, n: int = 512) -> float:
@@ -258,7 +224,7 @@ class LoopFamily:
         return LoopFamily(xs, [self.at(x) for x in xs])
 
     def spline(self, x: float):
-        key = round(float(x), 15)
+        key = float(x)  # exact: a rounded key would return a neighbouring x's spline
         if key not in self._spline_cache:
             if len(self._spline_cache) > 512:
                 self._spline_cache.clear()
@@ -305,51 +271,44 @@ def _loop_segment(family: LoopFamily, x: float, t0: float, t1: float,
     scale = (src1 - src0) / (t1 - t0)
 
     def eval_fn(ts):
-        s = src0 + (np.atleast_1d(np.asarray(ts, dtype=float)) - t0) * scale
+        s = src0 + (ts - t0) * scale
         return sp(np.mod(s, 1.0)), dsp(np.mod(s, 1.0)) * scale
 
-    n = max(17, int(96 * (src1 - src0)) + 1)
-    return _segment_from_eval(t0, t1, eval_fn, n_samples=n)
+    return PathSegment(t0, t1, eval_fn)
 
 
-def loop_action(L: LagrangianSpec, loop: SymmetricLoop, pts_per_unit: int = 129) -> float:
-    """Mean action of a loop through the spline quadrature used for glued paths."""
+def loop_action(L: LagrangianSpec, loop: SymmetricLoop) -> float:
+    """Mean action of a loop through the quadrature used for glued paths."""
     sp = loop.spline()
     dsp = sp.derivative()
-    m = loop.period
-    n = pts_per_unit * m
-    if n % 2 == 0:
-        n += 1
-    ts = np.linspace(0.0, m, n)
-    vals = L.value(ts, sp(ts), dsp(ts))
-    h = ts[1] - ts[0]
-    simp = (h / 3.0) * (vals[0] + vals[-1] + 4.0 * np.sum(vals[1:-1:2])
-                        + 2.0 * np.sum(vals[2:-2:2]))
-    return float(simp / m)
+    seg = PathSegment(0.0, float(loop.period), lambda ts: (sp(ts), dsp(ts)))
+    return segment_action(L, seg) / loop.period
+
+
+_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(4)
 
 
 def segment_action(L: LagrangianSpec, seg: PathSegment, pts_per_unit: int = 192,
                    min_pts: int = 17) -> float:
     """Integral of L(t, q, qdot) over the segment, split at corner times.
 
-    Composite Simpson on each smooth span; geodesic legs have constant
-    velocity, loop spans are smooth, so this converges at fourth order.
+    Composite 4-point Gauss-Legendre on each smooth span, about pts_per_unit
+    nodes per unit time.  The nodes are interior, so no span samples the
+    velocity of the piece across a corner.
     """
     cuts = sorted({seg.a, seg.b, *[c for c in seg.corners if seg.a < c < seg.b]})
     total = 0.0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         if hi - lo < 1e-15:
             continue
-        n = max(min_pts, int(pts_per_unit * (hi - lo)) + 1)
-        if n % 2 == 0:
-            n += 1
-        ts = np.linspace(lo, hi, n)
+        panels = -(-max(min_pts, int(pts_per_unit * (hi - lo)) + 1) // 4)
+        edges = np.linspace(lo, hi, panels + 1)
+        half = 0.5 * np.diff(edges)
+        ts = ((edges[:-1] + half)[:, None] + half[:, None] * _GAUSS_NODES).ravel()
         q, v = seg.at(ts)
-        vals = np.asarray(L.value(ts, q, v))
-        h = ts[1] - ts[0]
-        total += (h / 3.0) * (vals[0] + vals[-1] + 4.0 * np.sum(vals[1:-1:2])
-                              + 2.0 * np.sum(vals[2:-2:2]))
-    return float(total)
+        vals = np.asarray(L.value(ts, q, v)).reshape(panels, 4)
+        total += float(np.sum(half * (vals @ _GAUSS_WEIGHTS)))
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -363,69 +322,54 @@ class BangertOutput:
     loops: List[SymmetricLoop]
     half_paths: List[PathSegment]
     C_theta: float = float("nan")
-    C_sigma: float = float("nan")
-    n_bar: Optional[int] = None
 
-    def at(self, x) -> SymmetricLoop:
-        i = int(np.argmin(np.abs(self.xs - x)))
-        return self.loops[i]
+
+def _at_right_end(family: LoopFamily, x: float) -> bool:
+    return x >= family.x1 - 1e-14 * max(1.0, abs(family.x1))
 
 
 def _half_table(family: LoopFamily, n: int, x: float,
                 rho: Optional[float] = None) -> PathSegment:
     """The half-period path on [0, n] realizing the regime tables."""
     x0, x1 = family.x0, family.x1
+    if _at_right_end(family, x):
+        return _loop_segment(family, x1, 0.0, n, 0.0, float(n))
     span = x1 - x0
     Y = span / n
-    if x >= x1 - 1e-14 * max(1.0, abs(x1)):
-        return _loop_segment(family, x1, 0.0, n, 0.0, float(n))
     l = min(int(np.floor((x - x0) / Y)), n - 1)
     y = (x - x0) - l * Y
     w = x0 + n * y
     z = span - n * y
-    torus = family.torus
-    pieces = []
 
     def geo(xa, xb, t0, t1):
-        g = broken_geodesic(family, xa, xb, rho=rho)
-        return reparametrize(g, t0, t1)
+        return reparametrize(broken_geodesic(family, xa, xb, rho=rho), t0, t1)
 
+    pieces = []
+    t, f1 = 0.0, 0.0
     if l <= n - 2:
-        t = 0.0
-        base_copies = n - l - 1
-        if base_copies:
-            pieces.append(_loop_segment(family, x0, t, t + base_copies, 0.0,
-                                        float(base_copies)))
-            t += base_copies
+        # n - l - 1 copies of the left loop, then the geodesic out to w; for
+        # l = n - 1 the moving loop comes first
+        pieces.append(_loop_segment(family, x0, t, t + (n - l - 1), 0.0,
+                                    float(n - l - 1)))
+        t += n - l - 1
         f1 = n * y / (n * y + 1.0)
         if y > 1e-14:
             pieces.append(geo(x0, w, t, t + f1))
-        pieces.append(_loop_segment(family, w, t + f1, t + 1.0))
-        t += 1.0
-        if l >= 1:
-            f2 = z / (z + 1.0)
-            if z > 1e-14:
-                pieces.append(geo(w, x1, t, t + f2))
-            pieces.append(_loop_segment(family, x1, t + f2, t + 1.0))
-            t += 1.0
-            if l - 1 > 0:
-                pieces.append(_loop_segment(family, x1, t, t + (l - 1), 0.0,
-                                            float(l - 1)))
-    else:
-        # l = n - 1: moving loop first, then the glue to the right endpoint
-        pieces.append(_loop_segment(family, w, 0.0, 1.0))
+    pieces.append(_loop_segment(family, w, t + f1, t + 1.0))
+    t += 1.0
+    if l >= 1:
+        # geodesic to x1, one compressed and l - 1 full copies of the right loop
         f2 = z / (z + 1.0)
-        t = 1.0
         if z > 1e-14:
             pieces.append(geo(w, x1, t, t + f2))
         pieces.append(_loop_segment(family, x1, t + f2, t + 1.0))
         t += 1.0
-        if n - 2 > 0:
-            pieces.append(_loop_segment(family, x1, t, t + (n - 2), 0.0,
-                                        float(n - 2)))
+        if l - 1 > 0:
+            pieces.append(_loop_segment(family, x1, t, t + (l - 1), 0.0,
+                                        float(l - 1)))
     seg = pieces[0]
     for p in pieces[1:]:
-        seg = concatenate(seg, p, torus=torus)
+        seg = concatenate(seg, p, torus=family.torus)
     return seg
 
 
@@ -453,15 +397,10 @@ def build_theta_2n(family: LoopFamily, n: int, xs: Optional[np.ndarray] = None,
     xs = np.asarray(xs, dtype=float)
     gpu = grid_per_unit or family.loops[0].n
     rho = family.modulus_rho() if rho is None else rho
-    loops, paths = [], []
-    for x in xs:
-        if x >= family.x1 - 1e-14 * max(1.0, abs(family.x1)):
-            loops.append(iterate(family.at(family.x1), 2 * n))
-            paths.append(_loop_segment(family, family.x1, 0.0, n, 0.0, float(n)))
-            continue
-        seg = _half_table(family, n, float(x), rho=rho)
-        paths.append(seg)
-        loops.append(_half_path_to_loop(seg, n, family.torus, gpu))
+    paths = [_half_table(family, n, float(x), rho=rho) for x in xs]
+    loops = [iterate(family.at(family.x1), 2 * n) if _at_right_end(family, x)
+             else _half_path_to_loop(seg, n, family.torus, gpu)
+             for x, seg in zip(xs, paths)]
     out = BangertOutput(n, xs, loops, paths)
     if L is not None:
         out.C_theta = hat_constant(family, L, rho=rho)
@@ -477,39 +416,23 @@ def _hat_segment(family: LoopFamily, w: float, rho: Optional[float] = None):
     total action is the integrand of the constant C.
     """
     x0, x1 = family.x0, family.x1
-    torus = family.torus
     rho = family.modulus_rho() if rho is None else rho
-    parts = []
-    lengths = []
+    # (geodesic or None for the moving loop, natural length) of the first half
+    half = [(None, 1.0)]
     if w - x0 > 1e-14:
-        g1 = broken_geodesic(family, x0, w, rho=rho)
-        parts.append(("seg", g1))
-        lengths.append(w - x0)
-    parts.append(("loop", w))
-    lengths.append(1.0)
+        half.insert(0, (broken_geodesic(family, x0, w, rho=rho), w - x0))
     if x1 - w > 1e-14:
-        g2 = broken_geodesic(family, w, x1, rho=rho)
-        parts.append(("seg", g2))
-        lengths.append(x1 - w)
-        parts.append(("rev", g2))
-        lengths.append(x1 - w)
-    parts.append(("loop", w))
-    lengths.append(1.0)
-    if w - x0 > 1e-14:
-        parts.append(("rev", parts[0][1]))
-        lengths.append(w - x0)
-    total_nat = sum(lengths)
+        half.append((broken_geodesic(family, w, x1, rho=rho), x1 - w))
+    parts = half + [(g if g is None else reverse_segment(g), nat)
+                    for g, nat in half[::-1]]
+    total_nat = sum(nat for _, nat in parts)
     seg = None
     t = 0.0
-    for (kind, obj), nat in zip(parts, lengths):
+    for g, nat in parts:
         dur = 2.0 * nat / total_nat
-        if kind == "loop":
-            piece = _loop_segment(family, obj, t, t + dur)
-        elif kind == "seg":
-            piece = reparametrize(obj, t, t + dur)
-        else:
-            piece = reparametrize(reverse_segment(obj), t, t + dur)
-        seg = piece if seg is None else concatenate(seg, piece, torus=torus)
+        piece = (_loop_segment(family, w, t, t + dur) if g is None
+                 else reparametrize(g, t, t + dur))
+        seg = piece if seg is None else concatenate(seg, piece, torus=family.torus)
         t += dur
     return seg
 
@@ -541,35 +464,29 @@ def action_bound_check(family: LoopFamily, L: LagrangianSpec, ns=(2, 4, 8),
                        xs: Optional[np.ndarray] = None, slack: float = 1e-3) -> dict:
     """Verify EA^{[2n]}(output(x)) <= max endpoint action + C/(2n) + slack.
 
-    Actions of the assembled loops come from the corner-split Simpson
-    quadrature; endpoint actions use the same spline quadrature so the two
-    sides share discretization conventions.
+    Actions of the assembled loops and of the endpoint loops come from the
+    same corner-split Gauss-Legendre quadrature (segment_action), so the two
+    sides share one discretization.
     """
     if not L.reversible:
         raise PreconditionViolated("the action estimate needs a reversible Lagrangian")
     if xs is None:
         xs = np.linspace(family.x0, family.x1, 33)
-    C = hat_constant(family, L)
+    rho = family.modulus_rho()
+    C = hat_constant(family, L, rho=rho)
     ea0 = loop_action(L, family.at(family.x0))
     ea1 = loop_action(L, family.at(family.x1))
     base = max(ea0, ea1)
-    rho = family.modulus_rho()
     report = {"C_theta": C, "endpoint_actions": (ea0, ea1), "per_n": {},
               "passed": True}
     for n in ns:
-        excesses = []
-        worst = -np.inf
-        for x in xs:
-            if x >= family.x1 - 1e-14:
-                seg = _loop_segment(family, family.x1, 0.0, n, 0.0, float(n))
-            else:
-                seg = _half_table(family, n, float(x), rho=rho)
-            ea = segment_action(L, seg) / n  # mean over [0, 2n] by evenness
-            excesses.append(ea - base)
-            worst = max(worst, ea - (base + C / (2.0 * n) + slack))
+        # mean over [0, 2n] by evenness
+        eas = np.array([segment_action(L, _half_table(family, n, float(x), rho=rho)) / n
+                        for x in xs])
+        worst = float(np.max(eas - (base + C / (2.0 * n) + slack)))
         report["per_n"][n] = {
-            "max_excess": float(np.max(excesses)),
-            "bound_margin": float(-worst),
+            "max_excess": float(np.max(eas - base)),
+            "bound_margin": -worst,
             "holds": worst <= 0.0,
         }
         report["passed"] &= worst <= 0.0
@@ -630,51 +547,41 @@ def bangert_homotopy(sigma, n: int, c1: float, c2: float, eps: float,
             if loop_action(L, family.at(x)) >= c1 - eps:
                 raise PreconditionViolated(
                     f"boundary action at x = {x:.4g} not below c1 - eps", witness=x)
-        C_sigma = hat_constant(family, L)
+        rho = family.modulus_rho()
+        C_sigma = hat_constant(family, L, rho=rho)
         n_bar = int(np.ceil(C_sigma / (2.0 * eps)))
         if n < n_bar:
             raise PreconditionViolated(f"n = {n} below n_bar = {n_bar}")
-        rho = family.modulus_rho()
 
-        def slice_loops(s):
-            # the chord at scale s is [x0, x0 + s span]; at its endpoints the
-            # construction reduces to the plain iterate exactly
-            chord_hi = family.x0 + s * (family.x1 - family.x0)
-            out = {}
-            for x in xs:
-                if (s <= 0.0 or x >= chord_hi - 1e-15
-                        or x <= family.x0 + 1e-15):
-                    out[float(x)] = ("iterate", None)
-                else:
-                    sub = family.restrict(family.x0, chord_hi) if s < 1.0 else family
-                    out[float(x)] = ("built", _half_table(sub, n, float(x), rho=rho))
-            return out
-
-        ss = np.linspace(0.0, 1.0, s_samples)
         cert_i = True
         cert_ii = True
         cert_iii = True
         max_action_seen = -np.inf
         sampled = {}
-        for s in ss:
-            sl = slice_loops(float(s))
-            for x, (kind, seg) in sl.items():
-                if kind == "iterate":
+        for s in np.linspace(0.0, 1.0, s_samples):
+            s = float(s)
+            # the chord at scale s is [x0, x0 + s span]; at its endpoints the
+            # construction reduces to the plain iterate exactly
+            chord_hi = family.x0 + s * (family.x1 - family.x0)
+            sub = None
+            for x in acts:
+                if s <= 0.0 or x >= chord_hi - 1e-15 or x <= family.x0 + 1e-15:
                     ea = acts[x]
                     if return_loops:
-                        sampled[(float(s), x)] = iterate(family.at(x), 2 * n)
+                        sampled[(s, x)] = iterate(family.at(x), 2 * n)
                 else:
+                    if sub is None:
+                        sub = family.restrict(family.x0, chord_hi) if s < 1.0 else family
+                    seg = _half_table(sub, n, x, rho=rho)
                     ea = segment_action(L, seg) / n
                     if return_loops:
-                        sampled[(float(s), x)] = _half_path_to_loop(
+                        sampled[(s, x)] = _half_path_to_loop(
                             seg, n, family.torus, grid_per_unit)
+                    cert_i &= s > 0.0
+                    cert_iii &= x not in boundary
                 max_action_seen = max(max_action_seen, ea)
                 if s >= 1.0 - 1e-15 and ea >= c1:
                     cert_ii = False
-                if x in (family.x0, family.x1) and kind != "iterate":
-                    cert_iii = False
-            if s <= 0.0 and any(kind != "iterate" for kind, _ in sl.values()):
-                cert_i = False
         out = {
             "q": 1, "n": n, "n_bar": n_bar, "C_sigma": C_sigma,
             "certificates": {"i": cert_i, "ii": cert_ii, "iii": cert_iii,
@@ -707,32 +614,30 @@ def bangert_homotopy(sigma, n: int, c1: float, c2: float, eps: float,
         xs_nodes = np.linspace(lo, hi, nodes)
         return LoopFamily(xs_nodes, [sigma(_z_from_yx(y, x)) for x in xs_nodes])
 
-    # C(sigma): max over full chords at s = 1
+    # the full chords at s = 1, each with its modulus rho
     ys = np.linspace(-1.0 / np.sqrt(2.0) + 1e-9, 1.0 / np.sqrt(2.0) - 1e-9, 9)
-    C_sigma = 0.0
+    chords = []
     for y in ys:
         lo, hi = _chord_q2(float(y), 1.0)
-        if hi - lo < 1e-6:
-            continue
-        C_sigma = max(C_sigma, hat_constant(chord_family(float(y), 1.0), L, n_w=9))
+        if hi - lo >= 1e-6:
+            fam = chord_family(float(y), 1.0)
+            chords.append((float(y), fam, fam.modulus_rho()))
+    # C(sigma): max over the full chords
+    C_sigma = max([0.0] + [hat_constant(fam, L, n_w=9, rho=rho)
+                           for _, fam, rho in chords])
     n_bar = int(np.ceil(C_sigma / (2.0 * eps)))
     if n < n_bar:
         raise PreconditionViolated(f"n = {n} below n_bar = {n_bar}")
 
     cert_ii = True
     worst = -np.inf
-    for y in ys:
-        lo, hi = _chord_q2(float(y), 1.0)
-        if hi - lo < 1e-6:
-            continue
-        fam = chord_family(float(y), 1.0)
-        for x in np.linspace(lo, hi, 7):
-            if x >= hi - 1e-14:
-                ea = acts.get(tuple(_z_from_yx(float(y), float(x))),
-                              loop_action(L, sigma(_z_from_yx(float(y), float(x)))))
+    for y, fam, rho in chords:
+        for x in np.linspace(fam.x0, fam.x1, 7):
+            if x >= fam.x1 - 1e-14:
+                z = _z_from_yx(y, float(x))
+                ea = acts[tuple(z)] if tuple(z) in acts else loop_action(L, sigma(z))
             else:
-                seg = _half_table(fam, n, float(x))
-                ea = segment_action(L, seg) / n
+                ea = segment_action(L, _half_table(fam, n, float(x), rho=rho)) / n
             worst = max(worst, ea)
             if ea >= c1:
                 cert_ii = False

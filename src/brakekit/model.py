@@ -61,6 +61,17 @@ class TorusSpace:
     def distance(self, a, b) -> float:
         return float(np.linalg.norm(self.displacement(a, b), axis=-1))
 
+    def lattice_defect(self, fn, samples=64, rng=None):
+        """(max |fn(q + e_i period_i) - fn(q)|, max |fn(q)|) on a seeded sample set.
+
+        A non-finite value of fn makes the first entry NaN.
+        """
+        rng = np.random.default_rng(0 if rng is None else rng)
+        q = rng.uniform(0, 1, size=(samples, self.dim)) * self.periods
+        base = fn(q)
+        worst = np.max([np.max(np.abs(fn(q + shift) - base)) for shift in np.diag(self.periods)])
+        return float(worst), float(np.max(np.abs(base)))
+
 
 @dataclass(frozen=True)
 class PhasePoint:
@@ -165,15 +176,7 @@ class OneForm:
 
     def periodicity_violation(self, samples=64, rng=None) -> float:
         """Max |theta(q + e_i period_i) - theta(q)| on a seeded sample set."""
-        rng = np.random.default_rng(0 if rng is None else rng)
-        q = rng.uniform(0, 1, size=(samples, self.torus.dim)) * self.torus.periods
-        worst = 0.0
-        base = self.components(q)
-        for i in range(self.torus.dim):
-            shift = np.zeros(self.torus.dim)
-            shift[i] = self.torus.periods[i]
-            worst = max(worst, float(np.max(np.abs(self.components(q + shift) - base))))
-        return worst
+        return self.torus.lattice_defect(self.components, samples, rng)[0]
 
 
 class LagrangianSpec:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,30 @@ def canonical_json(obj) -> str:
 
 def content_hash(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()[:12]
+
+
+def _write_atomic(path, write, newline=None):
+    """Run write(fh) on a temp file beside path, then move it onto path.
+
+    An interrupted write leaves neither a truncated file under the final name
+    nor the temp file.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline=newline) as fh:
+            write(fh)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _write_json(path, payload):
+    def write(fh):
+        json.dump(payload, fh, sort_keys=True, indent=1)
+        fh.write("\n")
+
+    _write_atomic(path, write)
 
 
 class OrbitStore:
@@ -55,9 +80,7 @@ class OrbitStore:
         record = dict(payload)
         record["id"] = orbit_id
         record.update(extra)
-        with open(self._orbit_path(orbit_id), "w") as fh:
-            json.dump(record, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        _write_json(self._orbit_path(orbit_id), record)
         self._write_loop_csv(loop, self.root / "orbits" / f"{orbit_id}.csv")
         return orbit_id
 
@@ -65,11 +88,14 @@ class OrbitStore:
     def _write_loop_csv(loop: SymmetricLoop, path):
         ts = loop.full_times()
         vals = loop.full_values()
-        with open(path, "w", newline="") as fh:
+
+        def write(fh):
             writer = csv.writer(fh)
             writer.writerow(["t"] + [f"q{i + 1}" for i in range(loop.dim)])
             for t, row in zip(ts, vals):
                 writer.writerow([repr(float(t))] + [repr(float(x)) for x in row])
+
+        _write_atomic(path, write, newline="")
 
     def load_orbit(self, orbit_id):
         with open(self._orbit_path(orbit_id)) as fh:
@@ -81,7 +107,5 @@ class OrbitStore:
 
     def save_report(self, name: str, payload: dict):
         path = self.root / "reports" / f"{name}.json"
-        with open(path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        _write_json(path, payload)
         return path

@@ -14,7 +14,9 @@ A system document looks like
 
 Expression grammar for "theta" components and "potential": arithmetic
 (+ - * / ** and parentheses), decimal literals, the constant pi, the
-functions sin and cos, and the coordinates q1..qN.  Expressions must be
+functions sin and cos, and the coordinates q1..qN.  The text is parsed by
+a whitelist walk of its Python ast, so nothing in it is evaluated; anything
+outside the grammar is a ValueError.  Every expression must be
 lattice-periodic; this is validated by sampling at load time.
 
 The "lagrangian" entry defines the reversible mechanical Lagrangian
@@ -26,8 +28,11 @@ H_theta = H o Phi on the standard side.
 
 from __future__ import annotations
 
+import ast
 import inspect
 import json
+import math
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -61,7 +66,10 @@ DEFAULT_NUMERICS = {
     "integrator_tol": 1e-10,
 }
 
-_ALLOWED_FUNCS = {"sin": sp.sin, "cos": sp.cos, "pi": sp.pi}
+_FUNCS = {"sin": sp.sin, "cos": sp.cos}
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.Div: operator.truediv, ast.Pow: operator.pow}
+_UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
 
 
 def _coords(dim):
@@ -70,15 +78,42 @@ def _coords(dim):
 
 
 def _parse_expr(text, syms):
-    local = dict(_ALLOWED_FUNCS)
-    local.update({str(s): s for s in syms})
+    """Sympy tree of an expression in the README grammar; nothing is evaluated.
+
+    The ast is walked against a whitelist: + - * / ** and unary +/-, int and
+    float literals, pi, the coordinates, and one-argument sin and cos.
+    """
+    names = {str(s): s for s in syms}
+    names["pi"] = sp.pi
+
+    def build(node):
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+            left, right = build(node.left), build(node.right)
+            # sympy evaluates a rational power exactly: 9**9**8 would take minutes
+            if (isinstance(node.op, ast.Pow) and left.is_Rational and left != 0
+                    and right.is_Number and abs(float(right)) * abs(
+                        math.log10(abs(left.p)) - math.log10(left.q)) > 308):
+                raise ValueError(f"expression {text!r}: {ast.unparse(node)!r} "
+                                 "is outside the float range")
+            return _BINARY[type(node.op)](left, right)
+        if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
+            return _UNARY[type(node.op)](build(node.operand))
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            return sp.Integer(node.value) if type(node.value) is int else sp.Float(node.value)
+        if isinstance(node, ast.Name) and node.id in names:
+            return names[node.id]
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in _FUNCS and len(node.args) == 1 and not node.keywords):
+            return _FUNCS[node.func.id](build(node.args[0]))
+        raise ValueError(f"expression {text!r}: {ast.unparse(node)!r} is outside the grammar")
+
     try:
-        expr = sp.sympify(text, locals=local)
-    except (sp.SympifyError, SyntaxError) as exc:
+        expr = build(ast.parse(text, mode="eval").body)
+    except (SyntaxError, RecursionError) as exc:
         raise ValueError(f"cannot parse expression {text!r}: {exc}") from exc
-    extra = expr.free_symbols - set(syms)
-    if extra:
-        raise ValueError(f"expression {text!r} uses unknown symbols {sorted(map(str, extra))}")
+    for sub in sp.preorder_traversal(expr):
+        if sub.is_number and not (sub.is_real and sub.is_finite):
+            raise ValueError(f"expression {text!r}: constant {sub} is not a finite real")
     return expr
 
 
@@ -114,12 +149,16 @@ def _lambdify_batched(syms, expr, out_shape):
 
 
 def parse_scalar_field(torus: TorusSpace, text: str):
-    """Parse a scalar field of q into (value, gradient, hessian) evaluators."""
+    """Parse a lattice-periodic scalar field of q into (value, gradient, hessian)."""
     syms = _coords(torus.dim)
     expr = _parse_expr(text, syms)
+    value = _lambdify_batched(syms, expr, ())
+    bad, size = torus.lattice_defect(value)
+    if not bad <= 1e-12 * (1.0 + size):
+        raise PreconditionViolated(
+            f"field {text!r} is not lattice-periodic (violation {bad:.2e})")
     grad = sp.Matrix([sp.diff(expr, s) for s in syms])
     hess = sp.Matrix([[sp.diff(expr, a, b) for b in syms] for a in syms])
-    value = _lambdify_batched(syms, expr, ())
     gradient = _lambdify_batched(syms, grad.T, (1, torus.dim))
     hessian = _lambdify_batched(syms, hess, (torus.dim, torus.dim))
 
@@ -153,7 +192,7 @@ def one_form_from_expressions(torus: TorusSpace, exprs, validate: bool = True) -
     form = OneForm(torus, components, jac_fn, hessian, name=f"[{', '.join(exprs)}]")
     if validate:
         bad = form.periodicity_violation()
-        if bad > 1e-12:
+        if not bad <= 1e-12:
             raise PreconditionViolated(
                 f"one-form components are not lattice-periodic (violation {bad:.2e})")
     return form

@@ -16,6 +16,7 @@ from brakekit.bangert import (
     segment_action,
     segment_length,
     shortest_geodesic,
+    _half_table,
 )
 from brakekit.errors import EndpointMismatch, PreconditionViolated, TooFar, Unsupported
 from brakekit.loopspace import SymmetricLoop, iterate, mean_action
@@ -187,3 +188,20 @@ def test_loop_action_matches_mean_action(nonneg_pendulum):
     # action carries its O(h^2) velocity bias, which dominates the gap
     assert loop_action(nonneg_pendulum, loop) == pytest.approx(
         mean_action(nonneg_pendulum, loop), abs=2e-4)
+
+
+def test_free_two_constant_closed_form(free_system):
+    # constant loops at 0.5 x: only the geodesic glue carries action, and the
+    # corner-split quadrature must integrate its piecewise-constant speed exactly
+    L = free_system.L_theta
+    fam = LoopFamily.from_map(lambda x: const_loop(0.5 * x), 0.0, 1.0, 33)
+    assert hat_constant(fam, L) == pytest.approx(0.5, abs=1e-12)
+    for w in np.linspace(0.0, 1.0, 17):
+        assert hat_loop(fam, float(w), L)[1] == pytest.approx(0.5, abs=1e-12)
+    for n in (2, 4, 8):
+        for x in np.linspace(0.0, 1.0, 41):
+            l = min(int(np.floor(n * x)), n - 1)
+            u = n * x - l
+            want = (u * (u + 1) * (l <= n - 2) + (1 - u) * (2 - u) * (l >= 1)) / (8 * n)
+            got = segment_action(L, _half_table(fam, n, float(x))) / n
+            assert got == pytest.approx(want, abs=1e-12), (n, x)

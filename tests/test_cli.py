@@ -142,6 +142,56 @@ def test_builtin_rejects_unknown_key_exit_code(tmp_path, capsys):
     assert "'mass'" in capsys.readouterr().err
 
 
+REJECTED_EXPRESSIONS = [
+    # outside the grammar
+    "__import__('os').getpid()*0", "exp(q1)", "sqrt(2)*cos(2*pi*q1)", "2^2*cos(2*pi*q1)",
+    # inside it, but not a finite real field, or too large to build
+    "1/0", "(-1)**0.5*cos(2*pi*q1)", "9**9**8*cos(2*pi*q1)",
+]
+
+
+def find_orbits_exit_code(tmp_path, doc):
+    cfg = write_config(tmp_path, doc)
+    with pytest.raises(SystemExit) as err:
+        main(["--store", str(tmp_path / "s"), "find-orbits", "--config", cfg,
+              "--seeds", "1"])
+    return err.value.code
+
+
+@pytest.mark.parametrize("text", REJECTED_EXPRESSIONS)
+def test_rejected_expression_exit_code(tmp_path, text):
+    as_potential = {"dim": 1, "lagrangian": {"builtin": "kinetic_potential",
+                                             "potential": text}}
+    assert find_orbits_exit_code(tmp_path, as_potential) == 2
+    as_theta = {"dim": 1, "theta": [text],
+                "lagrangian": {"builtin": "kinetic_potential"}}
+    assert find_orbits_exit_code(tmp_path, as_theta) == 2
+
+
+@pytest.mark.parametrize("potential", ["cos(q1)", "q1**2"])
+def test_nonperiodic_potential_exit_code(tmp_path, capsys, potential):
+    doc = {"dim": 1, "lagrangian": {"builtin": "kinetic_potential",
+                                    "potential": potential}}
+    assert find_orbits_exit_code(tmp_path, doc) == 2
+    assert "not lattice-periodic" in capsys.readouterr().err
+
+
+def test_grammar_accepts_workload_documents():
+    from brakekit.systems import load_system
+
+    for kinetic, theta, potential in [
+            ("kinetic_potential", ["0.3"], "1.2*cos(2*pi*q1)"),
+            ("quartic_kinetic", ["0.3"], "0.5*cos(2*pi*q1)"),
+            ("kinetic_potential", ["0.3", "0.1"],
+             "0.7*cos(2*pi*q1) + 0.5*cos(2*pi*q2)"),
+            ("kinetic_potential", ["+0.1*sin(2*pi*q2)**2", "-1.5e-1"],
+             "(cos(2*pi*q1) - 1)/(4*pi**2) * 3"),
+    ]:
+        system = load_system({"dim": len(theta), "theta": theta,
+                              "lagrangian": {"builtin": kinetic, "potential": potential}})
+        assert system.dim == len(theta)
+
+
 def test_modify_check_command(mild_store):
     tmp, cfg, store = mild_store
     assert main(["--store", store, "modify-check", "--config", cfg,

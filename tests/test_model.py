@@ -15,6 +15,8 @@ from brakekit.model import (
     tonelli_certificate,
 )
 from brakekit.systems import (
+    _coords,
+    _parse_expr,
     kinetic_hamiltonian,
     kinetic_potential_lagrangian,
     load_system,
@@ -154,3 +156,46 @@ def test_load_system_validates():
     with pytest.raises(ValueError):
         load_system({"dim": 1, "theta": ["q1 + oops"],
                      "lagrangian": {"builtin": "kinetic_potential"}})
+
+
+def _grammar_node(children):
+    return st.one_of(
+        st.tuples(children, st.sampled_from(["+", "-", "*", "/", "**"]), children)
+        .map(lambda t: f"({t[0]}){t[1]}({t[2]})"),
+        st.tuples(st.sampled_from(["-", "+", "sin", "cos"]), children)
+        .map(lambda t: f"{t[0]}({t[1]})"),
+    )
+
+
+GRAMMAR_STRINGS = st.recursive(
+    st.sampled_from(["0", "1", "2", "9", "0.5", "1.25", "pi", "q1", "q2"]),
+    _grammar_node, max_leaves=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(GRAMMAR_STRINGS)
+def test_grammar_strings_build_the_sympify_tree(text):
+    # the ast walk builds the same tree sympify built, so lambdified fields
+    # and the stores computed from them keep their bits; a grammar string is
+    # only refused for a constant that is not a finite real float
+    import sympy as sp
+
+    syms = _coords(2)
+    try:
+        expr = _parse_expr(text, syms)
+    except ValueError as exc:
+        assert "outside the grammar" not in str(exc)
+        return
+    names = {"sin": sp.sin, "cos": sp.cos, "pi": sp.pi, "q1": syms[0], "q2": syms[1]}
+    assert sp.srepr(expr) == sp.srepr(sp.sympify(text, locals=names))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="q12 +-*/().^_eijnpstcoxabr'", max_size=24))
+def test_any_text_parses_into_the_grammar_or_is_refused(text):
+    syms = _coords(2)
+    try:
+        expr = _parse_expr(text, syms)
+    except ValueError:
+        return
+    assert expr.free_symbols <= set(syms)
