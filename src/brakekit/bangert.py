@@ -510,6 +510,13 @@ def _z_from_yx(y: float, x: float):
     return np.array([(x - y) / np.sqrt(2.0), (x + y) / np.sqrt(2.0)])
 
 
+def _keeps_iterate(L: LagrangianSpec, family: LoopFamily, n: int, x: float,
+                   rho: float, plain_action: float) -> bool:
+    """Whether the construction at x has the plain iterate's mean action."""
+    action = segment_action(L, _half_table(family, n, x, rho=rho)) / n
+    return abs(action - plain_action) <= 1e-9 * (1.0 + abs(plain_action))
+
+
 def bangert_homotopy(sigma, n: int, c1: float, c2: float, eps: float,
                      q: int = 1, param_samples: int = 33,
                      s_samples: int = 5, L: Optional[LagrangianSpec] = None,
@@ -523,11 +530,15 @@ def bangert_homotopy(sigma, n: int, c1: float, c2: float, eps: float,
     c2 - eps on the simplex and below c1 - eps on its boundary.  The report
     carries n_bar = ceil(C(sigma) / (2 eps)) and the certificates
 
-        (i)  the s = 0 slice is the plain 2n-iterate,
         (ii) the s = 1 slice lies in the c1-sublevel,
-        (iii) boundary points never move,
+        (iii) boundary points never move: at the boundary parameters of every
+              slice s > 0 (for q = 2, at both ends of every full chord) the
+              construction's mean action equals the plain 2n-iterate's to
+              1e-9 (1 + |a|),
 
-    checked on the sample grid for the given n >= n_bar.
+    checked on the sample grid for the given n >= n_bar.  The s = 0 slice is
+    the plain 2n-iterate by definition, so there is no certificate (i) to
+    compute.
     """
     if q not in (1, 2):
         raise Unsupported("simplex dimensions q in {1, 2} only")
@@ -553,38 +564,37 @@ def bangert_homotopy(sigma, n: int, c1: float, c2: float, eps: float,
         if n < n_bar:
             raise PreconditionViolated(f"n = {n} below n_bar = {n_bar}")
 
-        cert_i = True
         cert_ii = True
         cert_iii = True
         max_action_seen = -np.inf
         sampled = {}
         for s in np.linspace(0.0, 1.0, s_samples):
             s = float(s)
-            # the chord at scale s is [x0, x0 + s span]; at its endpoints the
-            # construction reduces to the plain iterate exactly
+            # the chord at scale s is [x0, x0 + s span]; outside it the slice
+            # is the plain iterate by definition
             chord_hi = family.x0 + s * (family.x1 - family.x0)
             sub = None
+            if s > 0.0:
+                sub = family.restrict(family.x0, chord_hi) if s < 1.0 else family
+                for x in (boundary if s >= 1.0 else boundary[:1]):
+                    cert_iii &= _keeps_iterate(L, sub, n, x, rho, acts[x])
             for x in acts:
-                if s <= 0.0 or x >= chord_hi - 1e-15 or x <= family.x0 + 1e-15:
+                if sub is None or x >= chord_hi - 1e-15 or x <= family.x0 + 1e-15:
                     ea = acts[x]
                     if return_loops:
                         sampled[(s, x)] = iterate(family.at(x), 2 * n)
                 else:
-                    if sub is None:
-                        sub = family.restrict(family.x0, chord_hi) if s < 1.0 else family
                     seg = _half_table(sub, n, x, rho=rho)
                     ea = segment_action(L, seg) / n
                     if return_loops:
                         sampled[(s, x)] = _half_path_to_loop(
                             seg, n, family.torus, grid_per_unit)
-                    cert_i &= s > 0.0
-                    cert_iii &= x not in boundary
                 max_action_seen = max(max_action_seen, ea)
                 if s >= 1.0 - 1e-15 and ea >= c1:
                     cert_ii = False
         out = {
             "q": 1, "n": n, "n_bar": n_bar, "C_sigma": C_sigma,
-            "certificates": {"i": cert_i, "ii": cert_ii, "iii": cert_iii,
+            "certificates": {"ii": cert_ii, "iii": cert_iii,
                              "inside_c2": max_action_seen < c2},
             "max_action": max_action_seen,
         }
@@ -630,8 +640,11 @@ def bangert_homotopy(sigma, n: int, c1: float, c2: float, eps: float,
         raise PreconditionViolated(f"n = {n} below n_bar = {n_bar}")
 
     cert_ii = True
+    cert_iii = True
     worst = -np.inf
     for y, fam, rho in chords:
+        for x in (fam.x0, fam.x1):
+            cert_iii &= _keeps_iterate(L, fam, n, x, rho, loop_action(L, fam.at(x)))
         for x in np.linspace(fam.x0, fam.x1, 7):
             if x >= fam.x1 - 1e-14:
                 z = _z_from_yx(y, float(x))
@@ -643,7 +656,6 @@ def bangert_homotopy(sigma, n: int, c1: float, c2: float, eps: float,
                 cert_ii = False
     return {
         "q": 2, "n": n, "n_bar": n_bar, "C_sigma": C_sigma,
-        "certificates": {"i": True, "ii": cert_ii, "iii": True,
-                         "inside_c2": worst < c2},
+        "certificates": {"ii": cert_ii, "iii": cert_iii, "inside_c2": worst < c2},
         "max_action": worst,
     }

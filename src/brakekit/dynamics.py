@@ -77,12 +77,11 @@ def el_field(L: LagrangianSpec, t, y):
 
 @dataclass
 class Trajectory:
-    """Sampled solution curve with dense interpolation."""
+    """Sampled solution curve, with dense interpolation when it was built."""
 
     times: np.ndarray
     states: np.ndarray
     dense: Optional[Callable] = None
-    interpolation_order: int = 7  # DOP853 dense output
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -113,11 +112,14 @@ class Trajectory:
 
 
 def integrate(field, state0, t0, t1, tol=1e-10, max_step=np.inf,
-              ceiling=BLOWUP_CEILING, n_out=None) -> Trajectory:
+              ceiling=BLOWUP_CEILING, n_out=None, dense_output=True) -> Trajectory:
     """Adaptive explicit Runge-Kutta (DOP853) integration of a first-order field.
 
     field(t, y) -> dy/dt on flat state vectors.  Raises BlowUp when the state
-    norm reaches the configured ceiling, signalling a non-global flow.
+    norm reaches the configured ceiling, signalling a non-global flow.  With
+    dense_output=False the trajectory has no interpolant, and a step with no
+    sample time of n_out in it skips the three extra field evaluations of
+    DOP853's order-7 interpolant; the steps and their end states are the same.
     """
     if t1 <= t0:
         raise ValueError("t1 must exceed t0")
@@ -133,7 +135,7 @@ def integrate(field, state0, t0, t1, tol=1e-10, max_step=np.inf,
 
     t_eval = np.linspace(t0, t1, n_out) if n_out else None
     sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=tol, atol=tol,
-                    dense_output=True, events=blowup_event, max_step=max_step,
+                    dense_output=dense_output, events=blowup_event, max_step=max_step,
                     t_eval=t_eval)
     if sol.status == 1:
         raise BlowUp(f"state norm reached {ceiling:.1e} at t = {sol.t[-1]:.6g}")
@@ -244,15 +246,11 @@ def brake_shoot(H: HamiltonianSpec, theta: OneForm, q0_guess, tau: float,
     n = torus.dim
     rhs = hamiltonian_rhs(H, theta)
 
-    def half_shot(q0):
-        y0 = np.concatenate([q0, -theta.components(q0)])
-        traj = integrate(rhs, y0, 0.0, 0.5 * tau, tol=tol)
-        end = traj.states[-1]
-        return end[:n], end[n:], traj
-
     def residual(q0):
-        q_half, p_half, _ = half_shot(q0)
-        return p_half + theta.components(q_half)
+        # only the end state is read, so the half shot builds no interpolant
+        y0 = np.concatenate([q0, -theta.components(q0)])
+        end = integrate(rhs, y0, 0.0, 0.5 * tau, tol=tol, dense_output=False).states[-1]
+        return end[n:] + theta.components(end[:n])
 
     q0 = np.asarray(q0_guess, dtype=float).copy()
     F = residual(q0)

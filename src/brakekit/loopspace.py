@@ -617,8 +617,7 @@ def loop_distance(a: SymmetricLoop, b: SymmetricLoop) -> float:
     torus = a.torus
 
     def dist_to(bb):
-        d = np.array([torus.displacement(av, bv)
-                      for av, bv in zip(a.full_values(), bb.full_values())])
+        d = torus.displacement(a.full_values(), bb.full_values())
         t = LoopTangent(a.period, d[: a.n // 2 + 1])
         return float(np.sqrt(max(w12_inner(t, t), 0.0)))
 

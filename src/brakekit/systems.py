@@ -118,10 +118,12 @@ def _parse_expr(text, syms):
 
 
 def _lambdify_batched(syms, expr, out_shape):
-    """Element-wise lambdify that broadcasts constants to the batch shape of q.
+    """Batched evaluator of a scalar field, or of a field of ``out_shape`` arrays.
 
-    Matrix expressions with mixed constant and varying entries do not batch
-    cleanly through a single lambdify call, so each entry gets its own.
+    For an array field, ``expr`` lists its entries in C order.  They are
+    printed into one lambdified function that returns them as a list, and
+    each is written into a preallocated array; the assignment broadcasts the
+    constant entries to the batch shape of q.
     """
     if out_shape == ():
         fn = sp.lambdify(syms, expr, modules="numpy")
@@ -135,15 +137,16 @@ def _lambdify_batched(syms, expr, out_shape):
 
         return wrapped_scalar
 
-    entries = [sp.lambdify(syms, e, modules="numpy") for e in expr]
+    fn = sp.lambdify(syms, list(expr), modules="numpy")
+    n, k = len(syms), len(expr)
 
     def wrapped(q):
         q = np.asarray(q, dtype=float)
-        cols = [q[..., i] for i in range(len(syms))]
         batch = q.shape[:-1]
-        flat = [np.broadcast_to(np.asarray(fn(*cols), dtype=float), batch)
-                for fn in entries]
-        return np.stack(flat, axis=-1).reshape(batch + out_shape)
+        out = np.empty(batch + (k,))
+        for j, val in enumerate(fn(*[q[..., i] for i in range(n)])):
+            out[..., j] = val
+        return out.reshape(batch + out_shape)
 
     return wrapped
 
@@ -157,15 +160,11 @@ def parse_scalar_field(torus: TorusSpace, text: str):
     if not bad <= 1e-12 * (1.0 + size):
         raise PreconditionViolated(
             f"field {text!r} is not lattice-periodic (violation {bad:.2e})")
-    grad = sp.Matrix([sp.diff(expr, s) for s in syms])
-    hess = sp.Matrix([[sp.diff(expr, a, b) for b in syms] for a in syms])
-    gradient = _lambdify_batched(syms, grad.T, (1, torus.dim))
-    hessian = _lambdify_batched(syms, hess, (torus.dim, torus.dim))
-
-    def grad_fn(q):
-        return gradient(q)[..., 0, :]
-
-    return value, grad_fn, hessian
+    n = torus.dim
+    gradient = _lambdify_batched(syms, [sp.diff(expr, a) for a in syms], (n,))
+    hessian = _lambdify_batched(syms, [sp.diff(expr, a, b) for a in syms for b in syms],
+                                (n, n))
+    return value, gradient, hessian
 
 
 def one_form_from_expressions(torus: TorusSpace, exprs, validate: bool = True) -> OneForm:
@@ -174,22 +173,13 @@ def one_form_from_expressions(torus: TorusSpace, exprs, validate: bool = True) -
         raise ValueError("need one component expression per coordinate")
     syms = _coords(torus.dim)
     comps = [_parse_expr(e, syms) for e in exprs]
-    comp_mat = sp.Matrix(comps).T  # row vector
-    jac = sp.Matrix([[sp.diff(c, s) for s in syms] for c in comps])
-    hess_rows = [sp.Matrix([[sp.diff(c, a, b) for b in syms] for a in syms]) for c in comps]
+    n = torus.dim
+    components = _lambdify_batched(syms, comps, (n,))
+    jacobian = _lambdify_batched(syms, [sp.diff(c, a) for c in comps for a in syms], (n, n))
+    hessian = _lambdify_batched(
+        syms, [sp.diff(c, a, b) for c in comps for a in syms for b in syms], (n, n, n))
 
-    comp_fn = _lambdify_batched(syms, comp_mat, (1, torus.dim))
-    jac_fn = _lambdify_batched(syms, jac, (torus.dim, torus.dim))
-    hess_fns = [_lambdify_batched(syms, h, (torus.dim, torus.dim)) for h in hess_rows]
-
-    def components(q):
-        return comp_fn(q)[..., 0, :]
-
-    def hessian(q):
-        q = np.asarray(q, dtype=float)
-        return np.stack([h(q) for h in hess_fns], axis=-3)
-
-    form = OneForm(torus, components, jac_fn, hessian, name=f"[{', '.join(exprs)}]")
+    form = OneForm(torus, components, jacobian, hessian, name=f"[{', '.join(exprs)}]")
     if validate:
         bad = form.periodicity_violation()
         if not bad <= 1e-12:

@@ -181,6 +181,36 @@ def test_homotopy_q2_and_unsupported(free_system):
                          L=free_system.L_theta)
 
 
+@pytest.mark.parametrize("q", [1, 2])
+def test_homotopy_certificate_iii_sees_a_moved_boundary(q, two_constant_family,
+                                                         free_system, monkeypatch):
+    from brakekit import bangert as bg
+
+    if q == 1:
+        sigma, n, c1, c2, eps, extra = two_constant_family, 8, 0.06, 1.0, 0.032, {
+            "param_samples": 17, "s_samples": 4}
+    else:
+        sigma, n, c1, c2, eps, extra = (lambda z: const_loop(0.2 * (z[0] + z[1]),
+                                                             n_per_unit=64),
+                                        4, 0.05, 1.0, 0.03, {"param_samples": 6})
+    rep = bangert_homotopy(sigma, n=n, c1=c1, c2=c2, eps=eps, q=q,
+                           L=free_system.L_theta, **extra)
+    assert set(rep["certificates"]) == {"ii", "iii", "inside_c2"}
+    assert rep["certificates"]["iii"] is True
+    table = bg._half_table
+
+    def moved(family, n, x, rho=None):
+        # the construction at the left end starts from the middle loop instead
+        if x <= family.x0:
+            x = 0.5 * (family.x0 + family.x1)
+        return table(family, n, x, rho=rho)
+
+    monkeypatch.setattr(bg, "_half_table", moved)
+    rep = bangert_homotopy(sigma, n=n, c1=c1, c2=c2, eps=eps, q=q,
+                           L=free_system.L_theta, **extra)
+    assert rep["certificates"]["iii"] is False
+
+
 def test_loop_action_matches_mean_action(nonneg_pendulum):
     loop = SymmetricLoop.from_function(
         lambda t: np.array([0.5 + 0.1 * np.cos(2 * np.pi * t)]), 1)

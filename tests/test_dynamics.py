@@ -90,10 +90,33 @@ def test_pendulum_small_oscillation_linear_oracle(mild_system):
     assert np.max(np.abs(traj.at(ts)[:, 0] - exact)) < 1e-6
 
 
+def test_integrate_without_dense_output_keeps_the_steps(t2_magnetic):
+    # DOP853's interpolant costs three extra field calls per step, which the
+    # step itself never reads: same steps, same end state, fewer calls
+    torus, H, theta = t2_magnetic
+    rhs = hamiltonian_rhs(H, theta)
+    calls = [0]
+
+    def counted(t, y):
+        calls[0] += 1
+        return rhs(t, y)
+
+    y0 = np.array([0.1, 0.2, 0.4, -0.3])
+    dense = integrate(counted, y0, 0.0, 3.0, tol=1e-10)
+    dense_calls, calls[0] = calls[0], 0
+    lean = integrate(counted, y0, 0.0, 3.0, tol=1e-10, dense_output=False)
+    assert lean.dense is None
+    assert np.array_equal(lean.times, dense.times)
+    assert np.array_equal(lean.states, dense.states)
+    assert dense_calls - calls[0] == 3 * (len(dense.times) - 1)
+
+
 def test_blowup_detected():
     rhs = lambda t, y: y  # exponential growth
-    with pytest.raises(BlowUp):
-        integrate(rhs, np.array([1.0]), 0.0, 20.0, tol=1e-8, ceiling=1e6)
+    for dense_output in (True, False):
+        with pytest.raises(BlowUp):
+            integrate(rhs, np.array([1.0]), 0.0, 20.0, tol=1e-8, ceiling=1e6,
+                      dense_output=dense_output)
 
 
 def test_verify_conjugacy_zero_theta(torus1):

@@ -23,6 +23,7 @@ from brakekit.loopspace import (
     time_rescale_loop,
     w12_inner,
 )
+from brakekit.model import TorusSpace
 from brakekit.systems import load_system
 
 
@@ -181,6 +182,35 @@ def test_loop_distance_shift_invariance(libration):
     assert loop_distance(libration, shifted) < 1e-10
     other = libration.with_values(libration.half_values + 0.01)
     assert loop_distance(libration, other) > 1e-3
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("lattice_shift", [False, True])
+def test_loop_distance_equals_per_node_displacements(dim, lattice_shift):
+    # the per-node loop the distance used to run, as the reference: the
+    # displacement is element-wise, so the batched call gives the same floats
+    rng = np.random.default_rng(dim + 2 * lattice_shift)
+    torus = TorusSpace(dim, np.array([1.0, 0.7][:dim]))
+
+    def random_loop():
+        vals = rng.uniform(-0.6, 0.6, (33, dim))
+        if lattice_shift:
+            vals += torus.periods * rng.integers(-3, 4, (33, dim))
+        return SymmetricLoop(1, vals, torus)
+
+    def per_node(a, b):
+        def dist_to(bb):
+            d = np.array([torus.displacement(av, bv)
+                          for av, bv in zip(a.full_values(), bb.full_values())])
+            t = LoopTangent(a.period, d[: a.n // 2 + 1])
+            return float(np.sqrt(max(w12_inner(t, t), 0.0)))
+
+        return min(dist_to(b), dist_to(b.shifted_half_period()))
+
+    for _ in range(5):
+        a, b = random_loop(), random_loop()
+        assert loop_distance(a, b) == per_node(a, b)
+        assert loop_distance(a, a.shifted_half_period()) == per_node(a, a.shifted_half_period())
 
 
 def test_evenness_is_structural(libration):

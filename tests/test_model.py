@@ -16,6 +16,7 @@ from brakekit.model import (
 )
 from brakekit.systems import (
     _coords,
+    _lambdify_batched,
     _parse_expr,
     kinetic_hamiltonian,
     kinetic_potential_lagrangian,
@@ -199,3 +200,80 @@ def test_any_text_parses_into_the_grammar_or_is_refused(text):
     except ValueError:
         return
     assert expr.free_symbols <= set(syms)
+
+
+def _per_entry(syms, entries, out_shape, q):
+    """Reference evaluator: one lambdify per entry, broadcast and stacked."""
+    import sympy as sp
+
+    q = np.asarray(q, dtype=float)
+    cols = [q[..., i] for i in range(len(syms))]
+    batch = q.shape[:-1]
+    flat = [np.broadcast_to(np.asarray(sp.lambdify(syms, e, modules="numpy")(*cols),
+                                       dtype=float), batch) for e in entries]
+    return np.stack(flat, axis=-1).reshape(batch + out_shape)
+
+
+def _field_entries(texts, dim):
+    """(syms, [(entries, out_shape)]) of a scalar field (a str) or a one-form (a list)."""
+    import sympy as sp
+
+    syms = _coords(dim)
+    if isinstance(texts, str):
+        e = _parse_expr(texts, syms)
+        return syms, [([sp.diff(e, a) for a in syms], (dim,)),
+                      ([sp.diff(e, a, b) for a in syms for b in syms], (dim, dim))]
+    exprs = [_parse_expr(t, syms) for t in texts]
+    return syms, [(exprs, (dim,)),
+                  ([sp.diff(c, a) for c in exprs for a in syms], (dim, dim)),
+                  ([sp.diff(c, a, b) for c in exprs for a in syms for b in syms],
+                   (dim, dim, dim))]
+
+
+def _assert_matches_per_entry(syms, entries, out_shape, q):
+    got = _lambdify_batched(syms, entries, out_shape)(q)
+    want = _per_entry(syms, entries, out_shape, q)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+FIELD_CASES = [
+    (1, "0"), (1, "cos(2*pi*q1)"), (1, "0.7*cos(2*pi*q1) + 0.2*sin(4*pi*q1)"),
+    (2, "0"), (2, "cos(2*pi*q1)"),            # Hessian with one varying entry
+    (2, "0.7*cos(2*pi*q1) + 0.5*cos(2*pi*q2)*sin(2*pi*q1)"),
+    (1, ["0.3"]), (2, ["0.3", "0.1"]),         # constant theta: all-zero Jacobian
+    (2, ["0", "sin(2*pi*q1)/(2*pi)"]), (2, ["cos(2*pi*q2)", "sin(2*pi*q1)*cos(2*pi*q2)"]),
+]
+
+
+@pytest.mark.parametrize("batch", [(), (7,), (3, 4)])
+@pytest.mark.parametrize("dim,texts", FIELD_CASES)
+def test_batched_field_matches_per_entry_lambdify(dim, texts, batch):
+    # one lambdified function per field prints each entry as the per-entry
+    # functions did, so the values are the same floats, constants broadcast
+    syms, fields = _field_entries(texts, dim)
+    q = np.random.default_rng(dim).uniform(-1.0, 2.0, batch + (dim,))
+    for entries, out_shape in fields:
+        _assert_matches_per_entry(syms, entries, out_shape, q)
+
+
+@settings(max_examples=80, deadline=None)
+@given(GRAMMAR_STRINGS, st.sampled_from([(), (5,), (2, 3)]))
+def test_batched_grammar_fields_match_per_entry_lambdify(text, batch):
+    import warnings
+
+    try:
+        syms, fields = _field_entries(text, 2)
+    except ValueError:
+        return
+    q = np.random.default_rng(0).uniform(-1.0, 2.0, batch + (2,))
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        for entries, out_shape in fields:
+            try:
+                _per_entry(syms, entries, out_shape, q)
+            except TypeError:  # a complex entry value, refused by both
+                with pytest.raises(TypeError):
+                    _lambdify_batched(syms, entries, out_shape)(q)
+                continue
+            _assert_matches_per_entry(syms, entries, out_shape, q)
