@@ -519,9 +519,7 @@ def _keeps_iterate(L: LagrangianSpec, family: LoopFamily, n: int, x: float,
 
 def bangert_homotopy(sigma, n: int, c1: float, c2: float, eps: float,
                      q: int = 1, param_samples: int = 33,
-                     s_samples: int = 5, L: Optional[LagrangianSpec] = None,
-                     return_loops: bool = False,
-                     grid_per_unit: int = 64) -> dict:
+                     s_samples: int = 5, L: Optional[LagrangianSpec] = None) -> dict:
     """Certified interpolation homotopy over a q-simplex, q in {1, 2}.
 
     sigma is a LoopFamily for q = 1 (the simplex [0, 1]) or a callable
@@ -567,7 +565,6 @@ def bangert_homotopy(sigma, n: int, c1: float, c2: float, eps: float,
         cert_ii = True
         cert_iii = True
         max_action_seen = -np.inf
-        sampled = {}
         for s in np.linspace(0.0, 1.0, s_samples):
             s = float(s)
             # the chord at scale s is [x0, x0 + s span]; outside it the slice
@@ -581,26 +578,17 @@ def bangert_homotopy(sigma, n: int, c1: float, c2: float, eps: float,
             for x in acts:
                 if sub is None or x >= chord_hi - 1e-15 or x <= family.x0 + 1e-15:
                     ea = acts[x]
-                    if return_loops:
-                        sampled[(s, x)] = iterate(family.at(x), 2 * n)
                 else:
-                    seg = _half_table(sub, n, x, rho=rho)
-                    ea = segment_action(L, seg) / n
-                    if return_loops:
-                        sampled[(s, x)] = _half_path_to_loop(
-                            seg, n, family.torus, grid_per_unit)
+                    ea = segment_action(L, _half_table(sub, n, x, rho=rho)) / n
                 max_action_seen = max(max_action_seen, ea)
                 if s >= 1.0 - 1e-15 and ea >= c1:
                     cert_ii = False
-        out = {
+        return {
             "q": 1, "n": n, "n_bar": n_bar, "C_sigma": C_sigma,
             "certificates": {"ii": cert_ii, "iii": cert_iii,
                              "inside_c2": max_action_seen < c2},
             "max_action": max_action_seen,
         }
-        if return_loops:
-            out["loops"] = sampled
-        return out
 
     # q == 2: chords through the barycenter line of the triangle (0, e1, e2)
     sample_zs = []

@@ -73,14 +73,13 @@ def _store_dir(args):
 
 
 def run_orbit_campaign(system: MagneticSystem, period: int, n_seeds: int,
-                       seed: int = 0, grad_tol: float = 1e-10,
-                       dedup_tol: float = 1e-5, grid: int = None,
-                       amplitudes=(0.0, 0.2, 0.4)):
+                       seed: int = 0, grid: int = None, amplitudes=(0.0, 0.2, 0.4)):
     """Brake-orbit search by shooting and by variational descent, deduplicated.
 
-    Every accepted orbit is Newton-polished on the loop grid, then verified
-    dynamically: the twisted flow from its brake start point must track the
-    loop and close with a small brake residual.
+    Every accepted orbit is Newton-polished on the loop grid to a gradient
+    norm of 1e-10, then verified dynamically: the twisted flow from its brake
+    start point must track the loop and close with a small brake residual.
+    Orbits closer than 1e-5 in loop_distance are one orbit.
     """
     rng = np.random.default_rng(seed)
     torus = system.torus
@@ -115,13 +114,13 @@ def run_orbit_campaign(system: MagneticSystem, period: int, n_seeds: int,
 
     records = []
     for loop, method in candidates:
-        polished = find_critical(system.L_theta, loop, grad_tol=grad_tol, max_iter=30)
+        polished = find_critical(system.L_theta, loop, grad_tol=1e-10, max_iter=30)
         if not polished.converged:
             continue
         loop = polished.loop
         matched = None
         for rec in records:
-            if loop_distance(rec["loop"], loop) < dedup_tol:
+            if loop_distance(rec["loop"], loop) < 1e-5:
                 matched = rec
                 break
         if matched is not None:

@@ -92,14 +92,11 @@ class Trajectory:
             raise ValueError("trajectory states must be finite")
 
     def at(self, t):
-        """Interpolated state; vectorized over t."""
-        if self.dense is not None:
-            out = self.dense(np.asarray(t, dtype=float))
-            return out.T if np.ndim(t) > 0 else out
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.stack([np.interp(t_arr, self.times, self.states[:, j])
-                        for j in range(self.states.shape[1])], axis=-1)
-        return out if np.ndim(t) > 0 else out[0]
+        """Interpolated state; vectorized over t.  Needs the dense interpolant."""
+        if self.dense is None:
+            raise ValueError("trajectory was integrated without dense output")
+        out = self.dense(np.asarray(t, dtype=float))
+        return out.T if np.ndim(t) > 0 else out
 
     def to_csv(self, path, labels=None):
         n = self.states.shape[1] // 2
@@ -111,15 +108,16 @@ class Trajectory:
                 writer.writerow([repr(float(t))] + [repr(float(x)) for x in row])
 
 
-def integrate(field, state0, t0, t1, tol=1e-10, max_step=np.inf,
-              ceiling=BLOWUP_CEILING, n_out=None, dense_output=True) -> Trajectory:
+def integrate(field, state0, t0, t1, tol=1e-10, ceiling=BLOWUP_CEILING,
+              n_out=None, dense_output=True) -> Trajectory:
     """Adaptive explicit Runge-Kutta (DOP853) integration of a first-order field.
 
     field(t, y) -> dy/dt on flat state vectors.  Raises BlowUp when the state
     norm reaches the configured ceiling, signalling a non-global flow.  With
     dense_output=False the trajectory has no interpolant, and a step with no
     sample time of n_out in it skips the three extra field evaluations of
-    DOP853's order-7 interpolant; the steps and their end states are the same.
+    DOP853's order-7 interpolant; the steps and their end states are the
+    same, and Trajectory.at refuses to interpolate.
     """
     if t1 <= t0:
         raise ValueError("t1 must exceed t0")
@@ -135,8 +133,7 @@ def integrate(field, state0, t0, t1, tol=1e-10, max_step=np.inf,
 
     t_eval = np.linspace(t0, t1, n_out) if n_out else None
     sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=tol, atol=tol,
-                    dense_output=dense_output, events=blowup_event, max_step=max_step,
-                    t_eval=t_eval)
+                    dense_output=dense_output, events=blowup_event, t_eval=t_eval)
     if sol.status == 1:
         raise BlowUp(f"state norm reached {ceiling:.1e} at t = {sol.t[-1]:.6g}")
     if not sol.success:
@@ -148,7 +145,6 @@ def hamiltonian_rhs(H: HamiltonianSpec, theta: Optional[OneForm]):
     """Flat-vector RHS for the (possibly twisted) Hamiltonian flow."""
 
     def rhs(t, y):
-        n = y.shape[-1] // 2
         qd, pd = twisted_field(H, theta, t, y)
         return np.concatenate([qd, pd])
 
@@ -203,16 +199,6 @@ class BrakeOrbit:
     trajectory: Trajectory
     symmetry_residual: float
     q0: np.ndarray
-
-    def record(self, n_samples=129):
-        ts = np.linspace(0.0, self.period, n_samples)
-        return {
-            "period": self.period,
-            "q0": [float(x) for x in np.atleast_1d(self.q0)],
-            "samples": [[float(t)] + [float(x) for x in row]
-                        for t, row in zip(ts, self.trajectory.at(ts))],
-            "residuals": {"brake": float(self.symmetry_residual)},
-        }
 
 
 def brake_residual(theta: OneForm, traj: Trajectory, tau: float,

@@ -71,12 +71,9 @@ class LinearizedCoefficients:
     def dim(self):
         return self.P.shape[-1]
 
-    def B_nodes(self) -> np.ndarray:
-        return assemble_B(self)
-
     def B_callable(self) -> Callable[[float], np.ndarray]:
         """Periodic cubic interpolation of B(t); exact for constant coefficients."""
-        B = self.B_nodes()
+        B = assemble_B(self)
         if np.max(np.abs(B - B[0])) < 1e-14:
             return constant_coefficients(B[0].copy())
         ts = np.append(self.times, self.period)
@@ -156,7 +153,7 @@ def assemble_B(coeffs: LinearizedCoefficients) -> np.ndarray:
     return 0.5 * (B + np.swapaxes(B, -1, -2))
 
 
-def constant_coefficients(B: np.ndarray, period: float = 1.0) -> Callable:
+def constant_coefficients(B: np.ndarray) -> Callable:
     """B(t) provider for a constant symmetric matrix (test paths)."""
     B = np.asarray(B, dtype=float)
 
@@ -169,22 +166,14 @@ def constant_coefficients(B: np.ndarray, period: float = 1.0) -> Callable:
     return evaluate
 
 
-def _provider(B, period):
-    """(B callable, period) from LinearizedCoefficients or a callable t -> B(t)."""
-    if isinstance(B, LinearizedCoefficients):
-        return B.B_callable(), B.period
-    return B, period
-
-
-def fundamental_solution(B, total_time: float, tol: float = 1e-11,
-                         period: float = 1.0, n_nodes: int = 257) -> SymplecticPath:
+def fundamental_solution(B_fn: Callable, total_time: float, tol: float = 1e-11,
+                         period: float = 1.0) -> SymplecticPath:
     """Integrate Psidot = J B(t) Psi columnwise from Psi(0) = I.
 
-    B may be a LinearizedCoefficients (period taken from it) or a callable
-    t -> (2N, 2N).  The path is integrated over [0, total_time] directly
-    rather than by monodromy powers, keeping symplecticity defects bounded.
+    B_fn maps t to the (2N, 2N) matrix B(t).  The path is integrated over
+    [0, total_time] directly rather than by monodromy powers, keeping
+    symplecticity defects bounded; the defect is sampled at 257 nodes.
     """
-    B_fn, period = _provider(B, period)
     two_n = np.asarray(B_fn(0.0)).shape[0]
     J = _J(two_n // 2)
 
@@ -197,7 +186,7 @@ def fundamental_solution(B, total_time: float, tol: float = 1e-11,
     if not sol.success:
         raise BlowUp(f"fundamental solution integration failed: {sol.message}")
     path = SymplecticPath(two_n // 2, period, total_time, sol.sol, B_fn, 0.0)
-    mats = path.at(np.linspace(0.0, total_time, n_nodes))
+    mats = path.at(np.linspace(0.0, total_time, 257))
     # defect relative to |Psi|^2: hyperbolic paths grow exponentially and an
     # absolute bound would be dominated by float rounding alone
     raw = np.max(np.abs(np.swapaxes(mats, -1, -2) @ J @ mats - J), axis=(1, 2))
@@ -226,11 +215,11 @@ def _hessian_scale(L: LagrangianSpec, loop: SymmetricLoop, k: int) -> float:
 
 
 def morse_index(L: LagrangianSpec, loop: SymmetricLoop, k: int = 1,
-                symmetric: bool = False, null_scale: float = 100.0) -> IndexPair:
+                symmetric: bool = False) -> IndexPair:
     """Morse index and nullity of the discretized action Hessian at the k-iterate.
 
     Counts of generalized eigenvalues of (Hessian, W^{1,2} Gram) below -eps_n
-    and inside [-eps_n, eps_n] with eps_n = null_scale * h^2 * scale, tracking
+    and inside [-eps_n, eps_n] with eps_n = 100 h^2 scale, tracking
     the O(h^2) discretization error of the quadratic form.  Since the Gram is
     positive definite, the counts are Sylvester inertias of H + eps G and
     H - eps G, counted on their block-tridiagonal bands.
@@ -239,7 +228,7 @@ def morse_index(L: LagrangianSpec, loop: SymmetricLoop, k: int = 1,
     H = assemble_hessian(L, loop, k=k, subspace=subspace)
     G = assemble_gram(loop, k=k, subspace=subspace)
     h = loop.h
-    eps = null_scale * h * h * _hessian_scale(L, loop, k)
+    eps = 100.0 * h * h * _hessian_scale(L, loop, k)
     neg = _negative_count(H + eps * G)
     below = _negative_count(H - eps * G)
     return IndexPair(neg, below - neg)
@@ -291,7 +280,7 @@ def _signed_counts(ev, tol):
     return pos, neg, zero
 
 
-def _initial_contribution(B_fn, N, mode, form_tol_rel=1e-7):
+def _initial_contribution(B_fn, N, mode):
     """Half-signature of B(0) on the reference space, left-limit convention.
 
     Zero eigenvalues count as negative: under the monotone perturbation
@@ -299,7 +288,8 @@ def _initial_contribution(B_fn, N, mode, form_tol_rel=1e-7):
     lower-semicontinuous value the Morse identities require.
     """
     B0 = np.asarray(B_fn(0.0))
-    tol = form_tol_rel * (1.0 + float(np.max(np.abs(B0))))
+    # the crossing-form tolerance of _kernel_form, at t = 0
+    tol = 1e-7 * (1.0 + float(np.max(np.abs(B0))))
     if mode == "cz":
         ev = np.linalg.eigvalsh(0.5 * (B0 + B0.T))
         pos, neg, zero = _signed_counts(ev, tol)
@@ -308,6 +298,11 @@ def _initial_contribution(B_fn, N, mode, form_tol_rel=1e-7):
     ev = np.linalg.eigvalsh(0.5 * (D + D.T))
     pos, neg, zero = _signed_counts(ev, tol)
     return 0.5 * ((pos - neg - zero) - N)
+
+
+# relative width of the zone before a window end: crossings inside it belong
+# to the endpoint, so they enter the nullity and not the index
+_ZONE_REL = 2e-3
 
 
 class _CrossingEngine:
@@ -323,7 +318,7 @@ class _CrossingEngine:
     transversal sign change they are unresolvable and raise.
     """
 
-    def __init__(self, B_fn, period, k_max, tol=1e-11, deg_tol=1e-6, zone_rel=2e-3):
+    def __init__(self, B_fn, period, k_max, deg_tol=1e-6):
         self.B_fn = B_fn
         self.period = period
         self.k_max = k_max
@@ -331,12 +326,11 @@ class _CrossingEngine:
         norms = [np.linalg.norm(np.asarray(B_fn(t)), 2) for t in probe]
         self.b_scale = float(np.mean(norms))
         self.deg_tol = deg_tol
-        self.zone_rel = zone_rel
-        self.total = k_max * period * (1.0 + 2.0 * zone_rel) + 1e-6
+        self.total = k_max * period * (1.0 + 2.0 * _ZONE_REL) + 1e-6
         samples_per_unit = 160.0 * (1.0 + 0.5 * self.b_scale)
         self.n_scan = int(min(max(800, samples_per_unit * self.total), 120000))
         self.guard = min(0.02 * period, 0.2 / (1.0 + self.b_scale))
-        self.path = fundamental_solution(B_fn, self.total, tol, period)
+        self.path = fundamental_solution(B_fn, self.total, period=period)
         self.N = self.path.N
         self._events = {}
         self._plateau = {}
@@ -501,7 +495,7 @@ class _CrossingEngine:
 
     def index(self, mode, k):
         window = self._window(mode, k)
-        zone = self.zone_rel * window
+        zone = _ZONE_REL * window
         init = _initial_contribution(self.B_fn, self.N, mode)
         evs = self.events(mode)
         total = init + sum(s for t, s, _ in evs if t <= window - zone)
@@ -521,50 +515,47 @@ class _CrossingEngine:
         if self._plateau.get(mode):
             s = np.linalg.svd(self._target(window, mode)[0], compute_uv=False)
             return int(np.sum(s / (1.0 + s[0]) < self.deg_tol))
-        zone = self.zone_rel * window
+        zone = _ZONE_REL * window
         near = [kdim for t, _, kdim in evs if abs(t - window) <= zone]
         return max(near) if near else 0
 
 
-def _path_pair(path: SymplecticPath, k: Optional[int], deg_tol: float,
-               mode: str) -> IndexPair:
+def _path_pair(path: SymplecticPath, k: Optional[int], mode: str) -> IndexPair:
     """Index pair of the path in the given mode, from an engine covering its window."""
     if path.symplecticity_defect > 1e-8:
         raise ValueError(f"path symplecticity defect {path.symplecticity_defect:.2e}")
     if k is None:
         k = int(round(path.total_time / path.period))
     k_needed = max(1, int(np.ceil(path.total_time / path.period)))
-    eng = _CrossingEngine(path.B, path.period, max(k_needed, k), deg_tol=deg_tol)
+    eng = _CrossingEngine(path.B, path.period, max(k_needed, k))
     return IndexPair(eng.index(mode, k), eng.nullity(mode, k))
 
 
-def cz_index(path: SymplecticPath, k: Optional[int] = None,
-             deg_tol: float = 1e-6) -> IndexPair:
+def cz_index(path: SymplecticPath, k: Optional[int] = None) -> IndexPair:
     """Conley-Zehnder/Long index pair of the path over [0, k * period].
 
     Defaults to the path's own window.  Degenerate endpoints follow the
     left-limit convention: their crossings are excluded from the count and
     recorded in the nullity instead.
     """
-    return _path_pair(path, k, deg_tol, "cz")
+    return _path_pair(path, k, "cz")
 
 
-def l0_index(path: SymplecticPath, k: Optional[int] = None,
-             deg_tol: float = 1e-6) -> IndexPair:
+def l0_index(path: SymplecticPath, k: Optional[int] = None) -> IndexPair:
     """Maslov-type L0-index pair over the brake half window (0, k * period / 2].
 
     Crossings are the zeros of det S12(t); the sign convention and the -N/2
     normalization at t = 0 are the calibrated ones, pinned by the identity
     m^-(EA^{[k]}) = i_L0 + N in the anchor tests.
     """
-    return _path_pair(path, k, deg_tol, "l0")
+    return _path_pair(path, k, "l0")
 
 
 def mean_index(B, period: float = 1.0, k_max: int = 64, deg_tol: float = 1e-6) -> dict:
     """Mean indices by least-squares slope of i(Psi, k) over k in {1, 2, 4, ...}.
 
-    B may be a LinearizedCoefficients, a callable t -> B(t), or a crossing
-    engine already built over the path, whose period and deg_tol then apply.
+    B is a callable t -> B(t), or a crossing engine already built over the
+    path, whose period and deg_tol then apply.
     Returns ihat, ihat_L0, the per-k values, and slope uncertainties from the
     fit residuals.
     """
@@ -578,8 +569,7 @@ def mean_index(B, period: float = 1.0, k_max: int = 64, deg_tol: float = 1e-6) -
         if eng.k_max < ks[-1]:
             raise ValueError(f"engine horizon {eng.k_max} is short of k = {ks[-1]}")
     else:
-        B_fn, period = _provider(B, period)
-        eng = _CrossingEngine(B_fn, period, ks[-1], deg_tol=deg_tol)
+        eng = _CrossingEngine(B, period, ks[-1], deg_tol=deg_tol)
     i_vals = np.array([eng.index("cz", kk) for kk in ks], dtype=float)
     l_vals = np.array([eng.index("l0", kk) for kk in ks], dtype=float)
     karr = np.array(ks, dtype=float)
@@ -609,14 +599,17 @@ def mean_index(B, period: float = 1.0, k_max: int = 64, deg_tol: float = 1e-6) -
 # identity verification
 # ---------------------------------------------------------------------------
 
-def _stabilized_morse(L, loop, k, symmetric, max_rounds=2, max_dof=9000):
-    """Morse pair accepted once two successive grid doublings agree."""
+def _stabilized_morse(L, loop, k, symmetric):
+    """Morse pair accepted once two successive grid doublings agree.
+
+    At most two doublings, and none that would pass 9000 degrees of freedom.
+    """
     from .loopspace import refine
 
     current = loop
     pair = morse_index(L, current, k=k, symmetric=symmetric)
-    for _ in range(max_rounds):
-        if current.n * 2 * k * current.dim > max_dof:
+    for _ in range(2):
+        if current.n * 2 * k * current.dim > 9000:
             break
         finer = refine(current)
         pair_f = morse_index(L, finer, k=k, symmetric=symmetric)
@@ -627,8 +620,7 @@ def _stabilized_morse(L, loop, k, symmetric, max_rounds=2, max_dof=9000):
 
 
 def verify_relations(L: LagrangianSpec, loop: SymmetricLoop, ks=(1, 2, 4),
-                     mean_k_max: int = 32, stabilize: bool = True,
-                     max_n_per_unit: int = 256) -> dict:
+                     mean_k_max: int = 32) -> dict:
     """Check the index identities and inequalities at the given iterates.
 
     Per k: (m^-(A), m^0(A)) = (i, nu), (m^-(EA), m^0(EA)) = (i_L0 + N, nu_L0),
@@ -636,19 +628,19 @@ def verify_relations(L: LagrangianSpec, loop: SymmetricLoop, ks=(1, 2, 4),
     i + nu <= k ihat + N (within the slope-fit uncertainty), and, when the
     mean index vanishes, m^-(EA) + m^0(EA) <= N.
 
-    Loops finer than max_n_per_unit samples per unit period are coarsened
-    first; high iterates on very fine grids cost cubically.
+    Loops finer than 256 samples per unit period are coarsened first; high
+    iterates on very fine grids cost cubically.
     """
     from .loopspace import coarsen
 
-    while loop.n > max_n_per_unit * loop.period and (loop.n // 2) % 2 == 0:
+    while loop.n > 256 * loop.period and (loop.n // 2) % 2 == 0:
         loop = coarsen(loop)
     coeffs = linearize(L, loop)
     N = coeffs.dim
     # degeneracy scale for orbit-derived paths: the coefficients carry the
     # O(h^2) bias of the discrete orbit, amplified by the coefficient size;
     # this mirrors the eps_n null threshold on the Morse side
-    B_nodes = coeffs.B_nodes()
+    B_nodes = assemble_B(coeffs)
     b_scale = float(np.mean(np.linalg.norm(B_nodes, 2, axis=(1, 2))))
     constant_B = float(np.max(np.abs(B_nodes - B_nodes[0]))) < 1e-12
     h = loop.h
@@ -663,12 +655,8 @@ def verify_relations(L: LagrangianSpec, loop: SymmetricLoop, ks=(1, 2, 4),
     report = {"ks": list(ks), "mean_index": mi, "per_k": {}, "all_pass": True,
               "symmetry_residuals": coeffs.symmetry_residuals}
     for k in ks:
-        if stabilize:
-            full, st_f = _stabilized_morse(L, loop, k, symmetric=False)
-            even, st_e = _stabilized_morse(L, loop, k, symmetric=True)
-        else:
-            full, st_f = morse_index(L, loop, k=k, symmetric=False), True
-            even, st_e = morse_index(L, loop, k=k, symmetric=True), True
+        full, st_f = _stabilized_morse(L, loop, k, symmetric=False)
+        even, st_e = _stabilized_morse(L, loop, k, symmetric=True)
         i_k = eng.index("cz", k)
         nu_k = eng.nullity("cz", k)
         il_k = eng.index("l0", k)

@@ -88,18 +88,16 @@ def dual_velocity(L: LagrangianSpec, t, q, p, v0=None,
     return _newton_fiber(L.grad_v, L.hess_vv, t, q, p, v0, tol, maxit, "dual_velocity")
 
 
-def fenchel_L_from_H(H: HamiltonianSpec, t, q, v, p0=None,
-                     tol=DEFAULT_TOL, maxit=DEFAULT_MAXIT):
+def fenchel_L_from_H(H: HamiltonianSpec, t, q, v, p0=None):
     """max_p { p.v - H(t,q,p) }; returns (L value, maximizing p)."""
-    p_star = dual_momentum(H, t, q, v, p0=p0, tol=tol, maxit=maxit)
+    p_star = dual_momentum(H, t, q, v, p0=p0)
     val = float(np.dot(p_star, np.asarray(v, dtype=float)) - H.value(t, q, p_star))
     return val, p_star
 
 
-def fenchel_H_from_L(L: LagrangianSpec, t, q, p, v0=None,
-                     tol=DEFAULT_TOL, maxit=DEFAULT_MAXIT):
+def fenchel_H_from_L(L: LagrangianSpec, t, q, p, v0=None):
     """max_v { p.v - L(t,q,v) }; returns (H value, maximizing v)."""
-    v_star = dual_velocity(L, t, q, p, v0=v0, tol=tol, maxit=maxit)
+    v_star = dual_velocity(L, t, q, p, v0=v0)
     val = float(np.dot(np.asarray(p, dtype=float), v_star) - L.value(t, q, v_star))
     return val, v_star
 
@@ -173,22 +171,19 @@ def _dual_spec(primal, solve, hess_yy, hess_qy, dual_cls):
     return dual_cls(
         primal.torus, partial(value), partial(grad_q), partial(grad_x),
         partial(hess_xx), partial(hess_qx), partial(hess_qq),
-        reversible=primal.reversible, autonomous=primal.autonomous,
-        name=f"dual({primal.name})",
+        reversible=primal.reversible, name=f"dual({primal.name})",
     )
 
 
-def lagrangian_from_hamiltonian(H: HamiltonianSpec, tol=DEFAULT_TOL,
-                                maxit=DEFAULT_MAXIT) -> LagrangianSpec:
+def lagrangian_from_hamiltonian(H: HamiltonianSpec) -> LagrangianSpec:
     """Fenchel-dual LagrangianSpec of H, with p* = dual_momentum(H, t, q, v)."""
-    return _dual_spec(H, lambda t, q, v: dual_momentum(H, t, q, v, tol=tol, maxit=maxit),
+    return _dual_spec(H, lambda t, q, v: dual_momentum(H, t, q, v),
                       H.hess_pp, H.hess_qp, LagrangianSpec)
 
 
-def hamiltonian_from_lagrangian(L: LagrangianSpec, tol=DEFAULT_TOL,
-                                maxit=DEFAULT_MAXIT) -> HamiltonianSpec:
+def hamiltonian_from_lagrangian(L: LagrangianSpec) -> HamiltonianSpec:
     """Fenchel-dual HamiltonianSpec of L, with v* = dual_velocity(L, t, q, p)."""
-    return _dual_spec(L, lambda t, q, p: dual_velocity(L, t, q, p, tol=tol, maxit=maxit),
+    return _dual_spec(L, lambda t, q, p: dual_velocity(L, t, q, p),
                       L.hess_vv, L.hess_qv, HamiltonianSpec)
 
 

@@ -117,18 +117,20 @@ class SymmetricLoop:
         return cls(period, np.tile(q, (n // 2 + 1, 1)), torus)
 
     @classmethod
-    def from_function(cls, fn, period=1, torus=None, n_per_unit=DEFAULT_GRID_PER_UNIT,
-                      check_even=True, tol=1e-12):
-        """Sample an even function fn(t) -> lift point on the half grid."""
+    def from_function(cls, fn, period=1, torus=None, n_per_unit=DEFAULT_GRID_PER_UNIT):
+        """Sample an even function fn(t) -> lift point on the half grid.
+
+        Raises ValueError when fn(-h) or fn(period - h) differs from fn(h)
+        by more than 1e-12.
+        """
         n = n_per_unit * period
         ts = np.arange(n // 2 + 1) * (period / n)
         vals = np.stack([np.atleast_1d(np.asarray(fn(t), dtype=float)) for t in ts])
         torus = torus or TorusSpace(vals.shape[1])
-        if check_even:
-            bad = max(np.max(np.abs(np.asarray(fn(-ts[1]), dtype=float) - vals[1])),
-                      np.max(np.abs(np.asarray(fn(period - ts[1]), dtype=float) - vals[1])))
-            if bad > tol:
-                raise ValueError(f"sampled function is not even (residual {bad:.2e})")
+        bad = max(np.max(np.abs(np.asarray(fn(-ts[1]), dtype=float) - vals[1])),
+                  np.max(np.abs(np.asarray(fn(period - ts[1]), dtype=float) - vals[1])))
+        if bad > 1e-12:
+            raise ValueError(f"sampled function is not even (residual {bad:.2e})")
         return cls(period, vals, torus)
 
 
@@ -168,20 +170,14 @@ class CriticalPointReport:
 # metric and action
 # ---------------------------------------------------------------------------
 
-def _full_tangent(obj):
-    if isinstance(obj, (LoopTangent,)):
-        return obj.full_values(), obj.period
-    raise GridMismatch("expected a LoopTangent")
-
-
-def w12_inner(xi: LoopTangent, zeta: LoopTangent, period=None) -> float:
+def w12_inner(xi: LoopTangent, zeta: LoopTangent) -> float:
     """W^{1,2} inner product: trapezoid of xi.zeta + xi'.zeta' over the period."""
-    a, pa = _full_tangent(xi)
-    b, pb = _full_tangent(zeta)
-    if a.shape != b.shape or pa != pb:
+    if not (isinstance(xi, LoopTangent) and isinstance(zeta, LoopTangent)):
+        raise GridMismatch("expected a LoopTangent")
+    a, b = xi.full_values(), zeta.full_values()
+    if a.shape != b.shape or xi.period != zeta.period:
         raise GridMismatch("tangents live on different grids")
-    m = period if period is not None else pa
-    h = m / a.shape[0]
+    h = xi.period / a.shape[0]
     da = (np.roll(a, -1, axis=0) - np.roll(a, 1, axis=0)) / (2.0 * h)
     db = (np.roll(b, -1, axis=0) - np.roll(b, 1, axis=0)) / (2.0 * h)
     return float(h * (np.sum(a * b) + np.sum(da * db)))
@@ -337,8 +333,7 @@ def time_rescale(L: LagrangianSpec, factor: int) -> LagrangianSpec:
         return L.hess_qq(f * np.asarray(t), q, np.asarray(v) / f)
 
     return LagrangianSpec(L.torus, value, grad_q, grad_v, hess_vv, hess_qv, hess_qq,
-                          reversible=L.reversible, autonomous=L.autonomous,
-                          name=f"rescale[{factor}]({L.name})")
+                          reversible=L.reversible, name=f"rescale[{factor}]({L.name})")
 
 
 def coarsen(loop: SymmetricLoop, factor: int = 2) -> SymmetricLoop:
@@ -533,7 +528,7 @@ def assemble_gram(loop: SymmetricLoop, k: int = 1,
 # ---------------------------------------------------------------------------
 
 def find_critical(L: LagrangianSpec, loop0: SymmetricLoop, grad_tol: float = 1e-9,
-                  max_iter: int = 200, newton_first: bool = True) -> CriticalPointReport:
+                  max_iter: int = 200) -> CriticalPointReport:
     """Critical point search on the even subspace: Newton on the discrete
     gradient with a W^{1,2} gradient-descent fallback.
 
@@ -566,26 +561,25 @@ def find_critical(L: LagrangianSpec, loop0: SymmetricLoop, grad_tol: float = 1e-
             break
         iters += 1
         improved = False
-        if newton_first:
-            # FEM Hessian: same O(h^2) operator, but with a positive kinetic
-            # part on every mode, so steps cannot excite the checkerboard
-            # null direction of a centered-difference Hessian.
-            H = assemble_hessian(L, loop, k=1, subspace="even").dense()
-            try:
-                step = np.linalg.solve(H, -b)
-            except np.linalg.LinAlgError:
-                step, *_ = np.linalg.lstsq(H, -b, rcond=1e-12)
-            if not np.all(np.isfinite(step)):
-                step, *_ = np.linalg.lstsq(H, -b, rcond=1e-12)
-            alpha = 1.0
-            for _ in range(25):
-                trial = loop.with_values(loop.half_values + alpha * step.reshape(-1, loop.dim))
-                b_t, g_t, n_t = grad_and_norm(trial)
-                if n_t < norm:
-                    loop, b, g, norm = trial, b_t, g_t, n_t
-                    improved = True
-                    break
-                alpha *= 0.5
+        # FEM Hessian: same O(h^2) operator, but with a positive kinetic
+        # part on every mode, so steps cannot excite the checkerboard
+        # null direction of a centered-difference Hessian.
+        H = assemble_hessian(L, loop, k=1, subspace="even").dense()
+        try:
+            step = np.linalg.solve(H, -b)
+        except np.linalg.LinAlgError:
+            step, *_ = np.linalg.lstsq(H, -b, rcond=1e-12)
+        if not np.all(np.isfinite(step)):
+            step, *_ = np.linalg.lstsq(H, -b, rcond=1e-12)
+        alpha = 1.0
+        for _ in range(25):
+            trial = loop.with_values(loop.half_values + alpha * step.reshape(-1, loop.dim))
+            b_t, g_t, n_t = grad_and_norm(trial)
+            if n_t < norm:
+                loop, b, g, norm = trial, b_t, g_t, n_t
+                improved = True
+                break
+            alpha *= 0.5
         if not improved:
             # Armijo descent on the action along -grad
             action = mean_action(L, loop)

@@ -107,7 +107,7 @@ class OneForm:
     [i, j, k].  All evaluators are batch-capable over a leading axis.
     """
 
-    def __init__(self, torus: TorusSpace, components, jacobian=None, hessian=None, name="theta"):
+    def __init__(self, torus: TorusSpace, components, jacobian, hessian, name="theta"):
         self.torus = torus
         self.name = name
         self._components = components
@@ -157,13 +157,9 @@ class OneForm:
         return self._components(q)
 
     def jacobian(self, q):
-        if self._jacobian is None:
-            raise NotImplementedError("one-form lacks an analytic jacobian")
         return self._jacobian(q)
 
     def hessian(self, q):
-        if self._hessian is None:
-            raise NotImplementedError("one-form lacks analytic second derivatives")
         return self._hessian(q)
 
     def sigma(self, q):
@@ -191,7 +187,7 @@ class LagrangianSpec:
     """
 
     def __init__(self, torus, value, grad_q, grad_v, hess_vv, hess_qv, hess_qq,
-                 reversible=False, autonomous=True, grad_tv=None, name="L"):
+                 reversible=False, name="L"):
         self.torus = torus
         self.dim = torus.dim
         self.value = value
@@ -201,17 +197,14 @@ class LagrangianSpec:
         self.hess_qv = hess_qv
         self.hess_qq = hess_qq
         self.reversible = reversible
-        self.autonomous = autonomous
-        self._grad_tv = grad_tv
         self.name = name
 
     def grad_tv(self, t, q, v):
-        """d/dt of grad_v at frozen (q, v); zero for autonomous systems."""
-        if self.autonomous:
-            g = np.asarray(self.grad_v(t, q, v))
-            return np.zeros_like(g)
-        if self._grad_tv is not None:
-            return self._grad_tv(t, q, v)
+        """d/dt of grad_v at frozen (q, v), by central difference.
+
+        Both evaluations return the same floats when grad_v does not read t,
+        so the result is exactly zero for time-independent specs.
+        """
         h = 1e-6
         return (np.asarray(self.grad_v(t + h, q, v)) - np.asarray(self.grad_v(t - h, q, v))) / (2 * h)
 
@@ -224,7 +217,7 @@ class HamiltonianSpec:
     """
 
     def __init__(self, torus, value, grad_q, grad_p, hess_pp, hess_qp, hess_qq,
-                 reversible=False, autonomous=True, name="H"):
+                 reversible=False, name="H"):
         self.torus = torus
         self.dim = torus.dim
         self.value = value
@@ -234,7 +227,6 @@ class HamiltonianSpec:
         self.hess_qp = hess_qp
         self.hess_qq = hess_qq
         self.reversible = reversible
-        self.autonomous = autonomous
         self.name = name
 
 
@@ -292,7 +284,6 @@ def magnetic_lagrangian(L: LagrangianSpec, theta: OneForm) -> LagrangianSpec:
     return LagrangianSpec(
         L.torus, value, grad_q, grad_v, L.hess_vv, hess_qv, hess_qq,
         reversible=False,  # reversibility of L + theta[v] is a property of the pair
-        autonomous=L.autonomous,
         name=f"{L.name}+{theta.name}[v]",
     )
 

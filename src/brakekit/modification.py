@@ -18,7 +18,6 @@ orbit preservation and Hessian T-independence round-off statements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -85,7 +84,6 @@ class SmoothCap:
     form.  phi(s) -> 3/2 because the transition integrates to 1/2 by symmetry.
     """
 
-    _grid = None
     _spline = None
 
     def __init__(self):
@@ -97,7 +95,6 @@ class SmoothCap:
             cum = np.zeros_like(s)
             cum[2::2] = np.cumsum((d[0:-2:2] + 4 * d[1:-1:2] + d[2::2]) * h / 3.0)
             cum[1::2] = cum[0:-1:2] + (d[0:-1:2] + d[1::2]) * 0.5 * h
-            SmoothCap._grid = s
             SmoothCap._spline = CubicSpline(s, 1.0 + cum)
             SmoothCap._cap = float(1.0 + cum[-1])
 
@@ -221,28 +218,17 @@ def _sample_grid(L: LagrangianSpec, v_max: float, q_samples: int, n_radii: int,
     return np.concatenate(tt), np.vstack(qq), np.vstack(vv)
 
 
-def build_modification(L_theta: LagrangianSpec, T: float,
-                       constants: Optional[tuple] = None,
-                       H: Optional[HamiltonianSpec] = None,
-                       theta: Optional[OneForm] = None,
-                       q_samples: int = 24, n_dirs: int = 8, rng=None,
+def build_modification(L_theta: LagrangianSpec, T: float, constants: tuple,
                        mu_cap: float = 1e8):
     """Assemble the convex quadratic T-modification of L_theta.
 
-    constants may provide (K, C); otherwise they are computed from (H, theta)
-    when given, and as a sampled Fenchel floor max(|v| - L) otherwise.
+    constants is the pair (K, C) of compute_constants.  The sampled maxima
+    and minima use 24 seeded base points and 8 directions per radius.
     Returns (LagrangianSpec, ModificationParams).
     """
-    rng = np.random.default_rng(0 if rng is None else rng)
-    if constants is not None:
-        K, C = constants
-    elif H is not None and theta is not None:
-        K, C = compute_constants(H, theta, rng=rng)
-    else:
-        tt, qq, vv = _sample_grid(L_theta, 4.0 * T, q_samples, 33, n_dirs, 4, rng)
-        C = max(0.0, float(np.max(np.linalg.norm(vv, axis=-1)
-                                  - L_theta.value(tt, qq, vv)))) * 1.1 + 1e-9
-        K = float("nan")
+    K, C = constants
+    rng = np.random.default_rng(0)
+    q_samples, n_dirs = 24, 8
 
     # lambda >= max of L over |v| <= 2T, with a 10% safety margin
     tt, qq, vv = _sample_grid(L_theta, 2.0 * T, q_samples, 33, n_dirs, 4, rng)
@@ -340,8 +326,7 @@ def _modified_spec(L: LagrangianSpec, lam: float, phi: SmoothCap,
         return np.where(exact[..., None, None], hqq, generic)
 
     return LagrangianSpec(L.torus, value, grad_q, grad_v, hess_vv, hess_qv, hess_qq,
-                          reversible=L.reversible, autonomous=L.autonomous,
-                          name=f"mod[T={T}]({L.name})")
+                          reversible=L.reversible, name=f"mod[T={T}]({L.name})")
 
 
 def check_quadratic_growth(L: LagrangianSpec, v_ref: float = 10.0,
@@ -404,12 +389,10 @@ def verify_orbit_preservation(L_theta: LagrangianSpec, L_T: LagrangianSpec,
 
 
 def hessian_T_independence(L_theta: LagrangianSpec, loop: SymmetricLoop,
-                           T1: float, T2: float, k: int = 1,
-                           constants: Optional[tuple] = None,
-                           H: Optional[HamiltonianSpec] = None,
-                           theta: Optional[OneForm] = None) -> dict:
+                           T1: float, T2: float, constants: tuple, k: int = 1) -> dict:
     """Max entry deviation of the discretized action Hessians under two T's.
 
+    constants is the (K, C) pair both modifications are built with.
     Along an orbit slower than min(T1, T2) the modified integrands coincide
     exactly, so the assembled matrices agree to round-off and index pairs
     transfer verbatim.
@@ -423,7 +406,7 @@ def hessian_T_independence(L_theta: LagrangianSpec, loop: SymmetricLoop,
     ops = {}
     pairs = {}
     for T in (T1, T2):
-        spec, _ = build_modification(L_theta, T, constants=constants, H=H, theta=theta)
+        spec, _ = build_modification(L_theta, T, constants)
         ops[T] = {s: assemble_hessian(spec, loop, k=k, subspace=s) for s in ("full", "even")}
         pairs[T] = {
             "full": morse_index(spec, loop, k=k).as_tuple(),

@@ -151,10 +151,66 @@ def _lambdify_batched(syms, expr, out_shape):
     return wrapped
 
 
+# a larger expansion takes sympy seconds to minutes, so such a base is refused
+_MAX_EXPANDED_TERMS = 2000
+
+
+def _expanded_terms(expr) -> float:
+    """Upper bound on the number of terms of sp.expand(expr); inf past the cap."""
+    if expr.is_Add:
+        return sum(_expanded_terms(a) for a in expr.args)
+    if expr.is_Mul:
+        return math.prod(_expanded_terms(a) for a in expr.args)
+    if expr.is_Pow and expr.exp.is_Integer and expr.exp > 0:
+        k, n = _expanded_terms(expr.base), int(expr.exp)
+        if k == 1:
+            return 1.0
+        if k > _MAX_EXPANDED_TERMS or n > _MAX_EXPANDED_TERMS:
+            return math.inf
+        count = math.comb(n + int(k) - 1, int(k) - 1)
+        return float(count) if count <= _MAX_EXPANDED_TERMS else math.inf
+    return 1.0
+
+
+def _dominated_by_constant(base) -> bool:
+    """Whether |c0| exceeds the summed |coefficients| of the other terms of base,
+    each of them a product of positive integer powers of sin and cos.
+
+    Real sin and cos are bounded by 1, so such a base never vanishes.
+    """
+    if _expanded_terms(base) > _MAX_EXPANDED_TERMS:
+        return False
+    c0, bound = 0.0, 0.0
+    for term in sp.Add.make_args(sp.expand(base)):
+        if term.is_number:
+            c0 += float(term)
+            continue
+        coeff = 1.0
+        for factor in sp.Mul.make_args(term):
+            b, e = factor.as_base_exp()
+            if factor.is_number:
+                coeff *= float(factor)
+            elif not (isinstance(b, (sp.sin, sp.cos)) and e.is_Integer and e > 0):
+                return False
+        bound += abs(coeff)
+    return abs(c0) > bound
+
+
+def _refuse_poles(text, expr):
+    """Refuse a q-dependent base under a negative power that may vanish."""
+    for sub in sp.preorder_traversal(expr):
+        if (sub.is_Pow and sub.exp.is_negative and sub.base.free_symbols
+                and not _dominated_by_constant(sub.base)):
+            raise PreconditionViolated(
+                f"field {text!r}: {sub} may have a pole; a q-dependent base under a "
+                "negative power must expand to a constant that outweighs its sin/cos terms")
+
+
 def parse_scalar_field(torus: TorusSpace, text: str):
     """Parse a lattice-periodic scalar field of q into (value, gradient, hessian)."""
     syms = _coords(torus.dim)
     expr = _parse_expr(text, syms)
+    _refuse_poles(text, expr)
     value = _lambdify_batched(syms, expr, ())
     bad, size = torus.lattice_defect(value)
     if not bad <= 1e-12 * (1.0 + size):
@@ -167,12 +223,14 @@ def parse_scalar_field(torus: TorusSpace, text: str):
     return value, gradient, hessian
 
 
-def one_form_from_expressions(torus: TorusSpace, exprs, validate: bool = True) -> OneForm:
+def one_form_from_expressions(torus: TorusSpace, exprs) -> OneForm:
     """Build a OneForm from one expression string per component."""
     if len(exprs) != torus.dim:
         raise ValueError("need one component expression per coordinate")
     syms = _coords(torus.dim)
     comps = [_parse_expr(e, syms) for e in exprs]
+    for text, comp in zip(exprs, comps):
+        _refuse_poles(text, comp)
     n = torus.dim
     components = _lambdify_batched(syms, comps, (n,))
     jacobian = _lambdify_batched(syms, [sp.diff(c, a) for c in comps for a in syms], (n, n))
@@ -180,11 +238,10 @@ def one_form_from_expressions(torus: TorusSpace, exprs, validate: bool = True) -
         syms, [sp.diff(c, a, b) for c in comps for a in syms for b in syms], (n, n, n))
 
     form = OneForm(torus, components, jacobian, hessian, name=f"[{', '.join(exprs)}]")
-    if validate:
-        bad = form.periodicity_violation()
-        if not bad <= 1e-12:
-            raise PreconditionViolated(
-                f"one-form components are not lattice-periodic (violation {bad:.2e})")
+    bad = form.periodicity_violation()
+    if not bad <= 1e-12:
+        raise PreconditionViolated(
+            f"one-form components are not lattice-periodic (violation {bad:.2e})")
     return form
 
 
@@ -217,8 +274,7 @@ def kinetic_potential_lagrangian(torus: TorusSpace, potential: str = "0",
         return -vhess(q)
 
     return LagrangianSpec(torus, value, grad_q, grad_v, hess_vv, hess_qv, hess_qq,
-                          reversible=True, autonomous=True,
-                          name=f"m|v|^2/2 - ({potential})")
+                          reversible=True, name=f"m|v|^2/2 - ({potential})")
 
 
 def quartic_kinetic_lagrangian(torus: TorusSpace, potential: str = "0") -> LagrangianSpec:
@@ -258,8 +314,7 @@ def quartic_kinetic_lagrangian(torus: TorusSpace, potential: str = "0") -> Lagra
         return -vhess(q)
 
     return LagrangianSpec(torus, value, grad_q, grad_v, hess_vv, hess_qv, hess_qq,
-                          reversible=True, autonomous=True,
-                          name=f"|v|^4/4 + |v|^2/2 - ({potential})")
+                          reversible=True, name=f"|v|^4/4 + |v|^2/2 - ({potential})")
 
 
 def kinetic_hamiltonian(torus: TorusSpace, potential: str = "0",
@@ -291,8 +346,7 @@ def kinetic_hamiltonian(torus: TorusSpace, potential: str = "0",
         return vhess(q)
 
     return HamiltonianSpec(torus, value, grad_q, grad_p, hess_pp, hess_qp, hess_qq,
-                           reversible=True, autonomous=True,
-                           name=f"|p|^2/{2 * mass} + ({potential})")
+                           reversible=True, name=f"|p|^2/{2 * mass} + ({potential})")
 
 
 def magnetic_kinetic_hamiltonian(torus: TorusSpace, theta: OneForm,
@@ -339,8 +393,7 @@ def magnetic_kinetic_hamiltonian(torus: TorusSpace, theta: OneForm,
         return quad + curv + vhess(q)
 
     return HamiltonianSpec(torus, value, grad_q, grad_p, hess_pp, hess_qp, hess_qq,
-                           reversible=True, autonomous=True,
-                           name=f"|p+theta|^2/{2 * mass} + ({potential})")
+                           reversible=True, name=f"|p+theta|^2/{2 * mass} + ({potential})")
 
 
 def shifted_hamiltonian(H: HamiltonianSpec, theta: OneForm) -> HamiltonianSpec:
@@ -384,8 +437,7 @@ def shifted_hamiltonian(H: HamiltonianSpec, theta: OneForm) -> HamiltonianSpec:
         return term1 + term2 + term3 + term4 + term5
 
     return HamiltonianSpec(H.torus, value, grad_q, grad_p, hess_pp, hess_qp, hess_qq,
-                           reversible=False, autonomous=H.autonomous,
-                           name=f"{H.name} o Phi")
+                           reversible=False, name=f"{H.name} o Phi")
 
 
 @dataclass
@@ -446,7 +498,6 @@ def load_system(doc) -> MagneticSystem:
         name=f"-{theta.name}",
     )
     L = magnetic_lagrangian(L_theta, minus_theta)
-    L.reversible = False
 
     if builtin == "kinetic_potential":
         H = magnetic_kinetic_hamiltonian(torus, theta,

@@ -176,6 +176,40 @@ def test_nonperiodic_potential_exit_code(tmp_path, capsys, potential):
     assert "not lattice-periodic" in capsys.readouterr().err
 
 
+# lattice-periodic, inside the grammar, and each with a pole on the torus
+SINGULAR_FIELDS = ["cos(2*pi*q1)**-1", "1/cos(2*pi*q1)", "sin(2*pi*q1)**(-2)",
+                   "1/(1+cos(2*pi*q1))"]
+
+
+@pytest.mark.parametrize("text", SINGULAR_FIELDS)
+def test_singular_field_exit_code(tmp_path, capsys, text):
+    as_potential = {"dim": 1, "lagrangian": {"builtin": "kinetic_potential",
+                                             "potential": text}}
+    assert find_orbits_exit_code(tmp_path, as_potential) == 2
+    assert "pole" in capsys.readouterr().err
+    as_theta = {"dim": 1, "theta": [text],
+                "lagrangian": {"builtin": "kinetic_potential"}}
+    assert find_orbits_exit_code(tmp_path, as_theta) == 2
+    assert "pole" in capsys.readouterr().err
+
+
+def test_pole_rule_refuses_a_base_too_large_to_expand(tmp_path):
+    # expanded, this base has about 4.5 million terms; it is refused unexpanded
+    text = "1/(1+(2+cos(2*pi*q1)+sin(2*pi*q1))**3000)"
+    doc = {"dim": 1, "lagrangian": {"builtin": "kinetic_potential", "potential": text}}
+    assert find_orbits_exit_code(tmp_path, doc) == 2
+
+
+def test_denominator_dominated_by_its_constant_loads():
+    from brakekit.systems import load_system
+
+    text = "1/(2+cos(2*pi*q1))"
+    system = load_system({"dim": 1, "theta": [text],
+                          "lagrangian": {"builtin": "kinetic_potential",
+                                         "potential": text}})
+    assert np.isfinite(system.L_theta.value(0.0, np.array([0.5]), np.array([0.1])))
+
+
 def test_grammar_accepts_workload_documents():
     from brakekit.systems import load_system
 

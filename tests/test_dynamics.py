@@ -12,8 +12,11 @@ from brakekit.dynamics import (
     verify_conjugacy,
 )
 from brakekit.errors import BlowUp
-from brakekit.model import OneForm
-from brakekit.systems import kinetic_hamiltonian, shifted_hamiltonian
+from brakekit.legendre import lagrangian_from_hamiltonian
+from brakekit.loopspace import time_rescale
+from brakekit.model import LagrangianSpec, OneForm, TorusSpace
+from brakekit.modification import build_modification, compute_constants
+from brakekit.systems import kinetic_hamiltonian, load_system, shifted_hamiltonian
 
 
 def test_twisted_field_reduces_to_standard(torus1, mild_system):
@@ -50,6 +53,59 @@ def test_el_field_free_and_pendulum(free_system, mild_system):
     lq_fd = (float(mild_system.L_theta.value(0, np.array([q + h]), np.array([0.1])))
              - float(mild_system.L_theta.value(0, np.array([q - h]), np.array([0.1])))) / (2 * h)
     assert vd[0] == pytest.approx(lq_fd, abs=1e-9)
+
+
+def test_el_field_time_dependent_mass():
+    # L = a(t)|v|^2/2 with a = 1 + 0.1 cos(2 pi t): d/dt (a v) = 0 gives
+    # vdot = -a' v / a = 0.2 pi sin(2 pi t) v / a
+    torus = TorusSpace(2)
+
+    def a(t):
+        return 1.0 + 0.1 * np.cos(2 * np.pi * np.asarray(t, dtype=float))
+
+    def zeros(t, q, v):
+        return np.zeros(np.shape(v) + (2,))
+
+    L = LagrangianSpec(
+        torus,
+        lambda t, q, v: 0.5 * a(t) * np.sum(np.asarray(v) ** 2, axis=-1),
+        lambda t, q, v: np.zeros(np.shape(v)),
+        lambda t, q, v: a(t)[..., None] * np.asarray(v),
+        lambda t, q, v: a(t)[..., None, None] * np.eye(2),
+        zeros, zeros, name="a(t)|v|^2/2")
+    v = np.array([0.7, -1.3])
+    for t in (0.0, 0.1, 0.25, 0.6, 0.9):
+        qd, vd = el_field(L, t, np.concatenate([[0.2, 0.4], v]))
+        want = 0.2 * np.pi * np.sin(2 * np.pi * t) * v / a(t)
+        assert np.array_equal(qd, v)
+        assert np.max(np.abs(vd - want)) < 1e-8
+
+
+def test_grad_tv_is_exactly_zero_without_time_dependence():
+    rng = np.random.default_rng(5)
+    docs = [("kinetic_potential", ["0.3"], "1.2*cos(2*pi*q1)"),
+            ("quartic_kinetic", ["0.3"], "0.5*cos(2*pi*q1)"),
+            ("kinetic_potential", ["0.3", "0.1"], "0.7*cos(2*pi*q1) + 0.5*cos(2*pi*q2)")]
+    for kinetic, theta, potential in docs:
+        system = load_system({"dim": len(theta), "theta": theta,
+                              "lagrangian": {"builtin": kinetic, "potential": potential}})
+        KC = compute_constants(system.H, system.theta, q_samples=32, p_dirs=8, t_samples=2)
+        specs = [system.L_theta, system.L, lagrangian_from_hamiltonian(system.H),
+                 build_modification(system.L_theta, 2.0, constants=KC)[0],
+                 time_rescale(system.L_theta, 4)]
+        n = system.dim
+        # speeds on both sides of the modification's core |v| <= T
+        t = rng.uniform(0, 1, 16)
+        q = rng.uniform(0, 1, (16, n))
+        v = rng.normal(size=(16, n)) * np.linspace(0.1, 6.0, 16)[:, None]
+        for spec in specs:
+            assert np.array_equal(spec.grad_tv(t, q, v), np.zeros((16, n))), spec.name
+
+
+def test_trajectory_without_dense_output_refuses_to_interpolate():
+    traj = integrate(lambda t, y: -y, np.array([1.0]), 0.0, 1.0, dense_output=False)
+    with pytest.raises(ValueError, match="dense output"):
+        traj.at(0.5)
 
 
 def test_el_twisted_conjugacy(stiff_system):

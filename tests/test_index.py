@@ -95,7 +95,7 @@ def test_verify_relations_mean_index_matches_standalone(stiff_system):
     L, loop = stiff_system.L_theta, SymmetricLoop.constant([0.5], 1)
     report = verify_relations(L, loop, ks=(1, 2, 4), mean_k_max=16)
     # B is constant here, so both sides run with deg_tol = 1e-6
-    assert report["mean_index"] == mean_index(linearize(L, loop), k_max=16)
+    assert report["mean_index"] == mean_index(linearize(L, loop).B_callable(), 1.0, k_max=16)
 
 
 def test_mean_index_rejects_short_engine():
