@@ -234,11 +234,9 @@ def cmd_modify_check(args):
     rows = []
     ok = True
 
-    growth_targets = {}
     for T in t_list:
         spec, params = modification.build_modification(
             system.L_theta, T, constants=(K, C))
-        growth_targets[T] = (spec, params)
         cert = modification.check_quadratic_growth(spec, v_ref=max(10.0, 3 * T),
                                                    v_hi=max(40.0, 10 * T))
         # (M1): exact coincidence on a sampled core region
@@ -267,7 +265,7 @@ def cmd_modify_check(args):
         if len(usable) < 2:
             continue
         T1, T2 = usable[0], usable[1]
-        spec1, _ = growth_targets[T1]
+        spec1, _ = modification.build_modification(system.L_theta, T1, constants=(K, C))
         pres = modification.verify_orbit_preservation(system.L_theta, spec1, loop, T1)
         ind = modification.hessian_T_independence(system.L_theta, loop, T1, T2,
                                                   constants=(K, C))

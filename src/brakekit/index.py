@@ -71,9 +71,12 @@ class LinearizedCoefficients:
     def dim(self):
         return self.P.shape[-1]
 
-    def B_callable(self) -> Callable[[float], np.ndarray]:
-        """Periodic cubic interpolation of B(t); exact for constant coefficients."""
-        B = assemble_B(self)
+    def B_callable(self, B_nodes: Optional[np.ndarray] = None) -> Callable[[float], np.ndarray]:
+        """Periodic cubic interpolation of B(t); exact for constant coefficients.
+
+        B_nodes, when given, is assemble_B(self), which is then not redone.
+        """
+        B = assemble_B(self) if B_nodes is None else B_nodes
         if np.max(np.abs(B - B[0])) < 1e-14:
             return constant_coefficients(B[0].copy())
         ts = np.append(self.times, self.period)
@@ -646,7 +649,7 @@ def verify_relations(L: LagrangianSpec, loop: SymmetricLoop, ks=(1, 2, 4),
     h = loop.h
     deg = 1e-6 if constant_B else min(0.05, max(1e-6, 50.0 * h * h * (1.0 + b_scale)))
     # one engine for the per-k pairs and the mean index
-    eng = _CrossingEngine(coeffs.B_callable(), coeffs.period, max(max(ks), mean_k_max),
+    eng = _CrossingEngine(coeffs.B_callable(B_nodes), coeffs.period, max(max(ks), mean_k_max),
                           deg_tol=deg)
     mi = mean_index(eng, k_max=mean_k_max)
     ihat = mi["ihat"]

@@ -12,14 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergence
-from .model import HamiltonianSpec, LagrangianSpec, PhasePoint, TangentPoint
+from .model import HamiltonianSpec, LagrangianSpec
 
 __all__ = [
     "dual_momentum",
     "dual_velocity",
     "fenchel_L_from_H",
     "fenchel_H_from_L",
-    "legendre_map",
     "lagrangian_from_hamiltonian",
     "hamiltonian_from_lagrangian",
     "DualPair",
@@ -100,11 +99,6 @@ def fenchel_H_from_L(L: LagrangianSpec, t, q, p, v0=None):
     v_star = dual_velocity(L, t, q, p, v0=v0)
     val = float(np.dot(np.asarray(p, dtype=float), v_star) - L.value(t, q, v_star))
     return val, v_star
-
-
-def legendre_map(H: HamiltonianSpec, x: PhasePoint, t=0.0) -> TangentPoint:
-    """(q, p) -> (q, H_p(t, q, p))."""
-    return TangentPoint(x.q, np.asarray(H.grad_p(t, x.q, x.p)), x.torus)
 
 
 def _dual_spec(primal, solve, hess_yy, hess_qy, dual_cls):

@@ -20,7 +20,6 @@ __all__ = [
     "LagrangianSpec",
     "HamiltonianSpec",
     "PhasePoint",
-    "TangentPoint",
     "involution_R1",
     "momentum_shift",
     "fixed_set_point",
@@ -86,17 +85,30 @@ class PhasePoint:
         object.__setattr__(self, "p", np.asarray(self.p, dtype=float))
 
 
-@dataclass(frozen=True)
-class TangentPoint:
-    """Point (q, v) of TT^N with q reduced to the fundamental domain."""
+class _LastValue:
+    """fn(q) with a one-slot memo keyed on the exact shape and bytes of q.
 
-    q: np.ndarray
-    v: np.ndarray
-    torus: TorusSpace
+    The value is returned as a read-only view, so a caller cannot alter what
+    the next caller gets, while fn's own array keeps its flags.  The key and
+    the value are one tuple replaced in a single assignment, so a concurrent
+    caller sees either the old pair or the new one, never a mix.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "q", self.torus.wrap(np.asarray(self.q, dtype=float)))
-        object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
+    __slots__ = ("fn", "slot")
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.slot = (None, None)
+
+    def __call__(self, q):
+        q = np.asarray(q, dtype=float)
+        key = (q.shape, q.tobytes())
+        cached, out = self.slot
+        if cached != key:
+            out = np.asarray(self.fn(q)).view()
+            out.setflags(write=False)
+            self.slot = (key, out)
+        return out
 
 
 class OneForm:
@@ -105,13 +117,17 @@ class OneForm:
     components(q) returns theta_i, jacobian(q) the matrix d theta_i / d q_j
     indexed [i, j], hessian(q) the array d^2 theta_i / (d q_j d q_k) indexed
     [i, j, k].  All evaluators are batch-capable over a leading axis.
+
+    A field evaluation asks for theta and its Jacobian at the same point more
+    than once, so components and jacobian remember their last point and
+    return their arrays read-only (_LastValue).
     """
 
     def __init__(self, torus: TorusSpace, components, jacobian, hessian, name="theta"):
         self.torus = torus
         self.name = name
-        self._components = components
-        self._jacobian = jacobian
+        self._components = _LastValue(components)
+        self._jacobian = _LastValue(jacobian)
         self._hessian = hessian
 
     @classmethod

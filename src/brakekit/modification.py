@@ -17,6 +17,7 @@ orbit preservation and Hessian T-independence round-off statements.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,7 +155,7 @@ class QuinticRamp:
         return np.where((s <= self.lo) | (s >= self.hi), 0.0, blend)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModificationParams:
     T: float
     lam: float
@@ -225,7 +226,21 @@ def build_modification(L_theta: LagrangianSpec, T: float, constants: tuple,
     constants is the pair (K, C) of compute_constants.  The sampled maxima
     and minima use 24 seeded base points and 8 directions per radius.
     Returns (LagrangianSpec, ModificationParams).
+
+    A call with the same L_theta object and equal T, (K, C) and mu_cap
+    returns the pair an earlier call built, so both are shared: params is
+    frozen, and the spec must not be altered.
     """
+    return _build_modification(L_theta, float(T), tuple(float(c) for c in constants),
+                               float(mu_cap))
+
+
+# A modify-check pass builds each (L, T, K, C) once for its certificates and
+# again for every orbit it checks, over the two or three T it is given; eight
+# entries hold them all, and few enough L_theta objects stay referenced.
+@functools.lru_cache(maxsize=8)
+def _build_modification(L_theta: LagrangianSpec, T: float, constants: tuple,
+                        mu_cap: float):
     K, C = constants
     rng = np.random.default_rng(0)
     q_samples, n_dirs = 24, 8
@@ -236,10 +251,6 @@ def build_modification(L_theta: LagrangianSpec, T: float, constants: tuple,
     lam = max(1.1 * mx, 1.0)
 
     phi = SmoothCap()
-
-    def make_spec(mu):
-        psi = QuinticRamp(T, mu)
-        return _modified_spec(L_theta, lam, phi, psi, T), psi
 
     # min of L_1T for the mu inequality (sampled over a generous ball)
     tt2, qq2, vv2 = _sample_grid(L_theta, 6.0 * T, q_samples, 49, n_dirs, 4, rng)
@@ -252,10 +263,12 @@ def build_modification(L_theta: LagrangianSpec, T: float, constants: tuple,
     if mu > mu_cap:
         raise InfeasibleParams(
             f"mu lower bound {mu:.3e} already exceeds the cap {mu_cap:.1e}")
+    # only psi depends on mu: the rest of the fiber Hessian is sampled once
+    fixed = _fiber_hessian_fixed(L_theta, lam, phi, T, tt2, qq2, vv2)
     doublings = 0
     while True:
-        spec, psi = make_spec(mu)
-        hv = spec.hess_vv(tt2, qq2, vv2)
+        psi = QuinticRamp(T, mu)
+        hv = _fiber_hessian(fixed, psi)
         min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (hv + np.swapaxes(hv, -1, -2)))))
         if min_eig > 0.0:
             break
@@ -267,21 +280,49 @@ def build_modification(L_theta: LagrangianSpec, T: float, constants: tuple,
     params = ModificationParams(T, lam, mu, K, C, phi, psi,
                                 min_L1T=min_L1T, convexity_min_eig=min_eig,
                                 mu_doublings=doublings)
-    return spec, params
+    return _modified_spec(L_theta, lam, phi, psi, T), params
+
+
+def _core_parts(L: LagrangianSpec, lam: float, T: float, t, q, v):
+    """(v, L, L / lam, |v|^2, mask of the core where L_T returns L verbatim)."""
+    v = np.asarray(v, dtype=float)
+    base = np.asarray(L.value(t, q, v))
+    s = base / lam
+    w = np.sum(v * v, axis=-1)
+    exact = (s <= 1.0) & (w <= T * T)
+    return v, base, s, w, exact
+
+
+def _fiber_hessian_fixed(L: LagrangianSpec, lam: float, phi: SmoothCap, T: float,
+                         t, q, v):
+    """The mu-independent part of the fiber Hessian of L_T at (t, q, v).
+
+    Returns (v, |v|^2, core mask, L_vv, phi' L_vv + (phi'' / lam) L_v L_v^T),
+    which _fiber_hessian completes with the psi terms.
+    """
+    v, _, s, w, exact = _core_parts(L, lam, T, t, q, v)
+    gv = np.asarray(L.grad_v(t, q, v))
+    hvv = np.asarray(L.hess_vv(t, q, v))
+    cap = (phi.d1(s)[..., None, None] * hvv
+           + (phi.d2(s) / lam)[..., None, None] * (gv[..., :, None] * gv[..., None, :]))
+    return v, w, exact, hvv, cap
+
+
+def _fiber_hessian(fixed, psi: QuinticRamp):
+    """L_T's fiber Hessian from _fiber_hessian_fixed's parts and the ramp psi."""
+    v, w, exact, hvv, cap = fixed
+    generic = (cap
+               + 2.0 * psi.d1(w)[..., None, None] * np.eye(v.shape[-1])
+               + 4.0 * psi.d2(w)[..., None, None] * (v[..., :, None] * v[..., None, :]))
+    return np.where(exact[..., None, None], hvv, generic)
 
 
 def _modified_spec(L: LagrangianSpec, lam: float, phi: SmoothCap,
                    psi: QuinticRamp, T: float) -> LagrangianSpec:
     """L_T = lam phi(L / lam) + psi(|v|^2), exact passthrough in the core."""
-    T2 = T * T
 
     def parts(t, q, v):
-        v = np.asarray(v, dtype=float)
-        base = np.asarray(L.value(t, q, v))
-        s = base / lam
-        w = np.sum(v * v, axis=-1)
-        exact = (s <= 1.0) & (w <= T2)
-        return v, base, s, w, exact
+        return _core_parts(L, lam, T, t, q, v)
 
     def value(t, q, v):
         v, base, s, w, exact = parts(t, q, v)
@@ -299,14 +340,7 @@ def _modified_spec(L: LagrangianSpec, lam: float, phi: SmoothCap,
         return np.where(exact[..., None], gv, generic)
 
     def hess_vv(t, q, v):
-        v, base, s, w, exact = parts(t, q, v)
-        gv = np.asarray(L.grad_v(t, q, v))
-        hvv = np.asarray(L.hess_vv(t, q, v))
-        generic = (phi.d1(s)[..., None, None] * hvv
-                   + (phi.d2(s) / lam)[..., None, None] * (gv[..., :, None] * gv[..., None, :])
-                   + 2.0 * psi.d1(w)[..., None, None] * np.eye(v.shape[-1])
-                   + 4.0 * psi.d2(w)[..., None, None] * (v[..., :, None] * v[..., None, :]))
-        return np.where(exact[..., None, None], hvv, generic)
+        return _fiber_hessian(_fiber_hessian_fixed(L, lam, phi, T, t, q, v), psi)
 
     def hess_qv(t, q, v):
         v, base, s, w, exact = parts(t, q, v)

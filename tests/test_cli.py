@@ -1,5 +1,6 @@
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,7 +73,7 @@ def test_index_command(mild_store):
     oid = records[0]["id"]
     assert main(["--store", store, "index", "--config", cfg,
                  "--orbit", oid, "--k", "1,2"]) == 0
-    report = json.load(open(f"{store}/reports/index_{oid}.json"))
+    report = json.loads(Path(f"{store}/reports/index_{oid}.json").read_text())
     assert report["all_pass"]
 
 
@@ -230,7 +231,7 @@ def test_modify_check_command(mild_store):
     tmp, cfg, store = mild_store
     assert main(["--store", store, "modify-check", "--config", cfg,
                  "--T", "2,4"]) == 0
-    report = json.load(open(f"{store}/reports/modification.json"))
+    report = json.loads(Path(f"{store}/reports/modification.json").read_text())
     assert report["all_pass"]
 
 
@@ -241,7 +242,7 @@ def test_bangert_command(tmp_path):
                  "--family", "two-constant", "--n", "2,8",
                  "--c1", "0.06", "--c2", "1.0", "--eps", "0.032"])
     assert code == 0
-    report = json.load(open(f"{store}/reports/bangert_two-constant.json"))
+    report = json.loads(Path(f"{store}/reports/bangert_two-constant.json").read_text())
     assert report["passed"]
     assert report["homotopy"]["certificates"]["ii"]
 
@@ -257,7 +258,7 @@ def test_determinism_byte_identical(tmp_path):
         import glob
 
         for p in sorted(glob.glob(f"{store}/orbits/*")):
-            recs[p.split("/")[-1]] = open(p, "rb").read()
+            recs[p.split("/")[-1]] = Path(p).read_bytes()
         outs.append(recs)
     assert outs[0] == outs[1]
 

@@ -91,6 +91,24 @@ def test_verify_relations_integrates_once(stiff_system, monkeypatch):
     assert len(calls) == 1, calls
 
 
+def test_verify_relations_assembles_B_once(stiff_system, libration, monkeypatch):
+    import brakekit.index as index_mod
+
+    calls = []
+
+    def counting(coeffs):
+        calls.append(coeffs)
+        return assemble_B(coeffs)
+
+    monkeypatch.setattr(index_mod, "assemble_B", counting)
+    verify_relations(stiff_system.L_theta, libration, ks=(1,), mean_k_max=4)
+    assert len(calls) == 1
+    # the spline on the nodes passed in is the spline B_callable builds itself
+    co = linearize(stiff_system.L_theta, libration)
+    ts = np.linspace(-1.0, 3.0, 41)
+    assert np.array_equal(co.B_callable(assemble_B(co))(ts), co.B_callable()(ts))
+
+
 def test_verify_relations_mean_index_matches_standalone(stiff_system):
     L, loop = stiff_system.L_theta, SymmetricLoop.constant([0.5], 1)
     report = verify_relations(L, loop, ks=(1, 2, 4), mean_k_max=16)

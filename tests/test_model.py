@@ -136,6 +136,36 @@ def test_one_form_periodicity_and_sigma():
         one_form_from_expressions(torus, ["q1", "0"])  # not lattice periodic
 
 
+def test_one_form_memo_returns_read_only_last_result():
+    torus = TorusSpace(2)
+    theta = one_form_from_expressions(torus, ["0.3*cos(2*pi*q2)", "sin(2*pi*q1)/(2*pi)"])
+    calls = []
+    raw = theta._components.fn
+
+    def counting(q):
+        calls.append(q.shape)
+        return raw(q)
+
+    theta._components.fn = counting
+    q = np.array([0.2, 0.7])
+    first = theta.components(q)
+    assert theta.components(q.copy()) is first and calls == [(2,)]
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0] = 1.0
+    assert np.array_equal(first, raw(q))
+    # the same bytes in another shape, and another point, are evaluated afresh
+    assert theta.components(q[None]).shape == (1, 2) and len(calls) == 2
+    assert np.array_equal(theta.components(q + 0.1), raw(q + 0.1)) and len(calls) == 3
+    jac = theta.jacobian(q)
+    assert theta.jacobian(q) is jac and not jac.flags.writeable
+    assert np.array_equal(jac, theta._jacobian.fn(q))
+    # the evaluator's own array is left writeable
+    const = OneForm.constant(torus, [0.3, 0.1])
+    out = const.components(q)
+    assert not out.flags.writeable and out.base.flags.writeable
+
+
 def test_lattice_periodic_evaluations(stiff_system):
     rng = np.random.default_rng(3)
     q = rng.uniform(0, 1, (64, 1))

@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from brakekit.errors import SpeedTooHigh
+from brakekit.errors import InfeasibleParams, SpeedTooHigh
 from brakekit.loopspace import SymmetricLoop
-from brakekit.model import OneForm
+from brakekit.model import LagrangianSpec, OneForm
 from brakekit.modification import (
+    _sample_grid,
     build_modification,
     check_quadratic_growth,
     compute_constants,
@@ -134,11 +137,10 @@ def test_hessian_T_independence(stiff_system, libration):
 
 
 def test_infeasible_mu_raises(stiff_system):
-    from brakekit.errors import InfeasibleParams
-
-    with pytest.raises(InfeasibleParams):
-        build_modification(stiff_system.L_theta, 4.0, constants=(0.3, 2.3),
-                           mu_cap=1e-9)
+    for _ in range(2):  # a failed build is not cached: the repeat raises too
+        with pytest.raises(InfeasibleParams):
+            build_modification(stiff_system.L_theta, 4.0, constants=(0.3, 2.3),
+                               mu_cap=1e-9)
 
 
 def test_speed_bound_report():
@@ -149,3 +151,86 @@ def test_speed_bound_report():
     rep2 = speed_bound_report(batch, alpha=1.0, m=2)
     assert rep2["T_tilde"] == 1.7 >= rep["T_tilde"]
     assert rep2["flag"]({"period": 2, "mean_action": 0.2, "max_speed": 2.0})
+
+
+@pytest.fixture(scope="module")
+def torus2_system():
+    from brakekit.systems import load_system
+
+    return load_system({
+        "dim": 2, "theta": ["0.3", "0.1"],
+        "lagrangian": {"builtin": "kinetic_potential",
+                       "potential": "0.7*cos(2*pi*q1) + 0.5*cos(2*pi*q2)"},
+    })
+
+
+def test_build_modification_is_shared(stiff_mod):
+    system, _, params = stiff_mod
+    L = system.L_theta
+    K, C = params.K, params.C
+    spec, prm = build_modification(L, 5.0, constants=(K, C))
+    # positional constants, an int T and numpy scalars find the same build
+    for again in (build_modification(L, 5.0, (K, C)),
+                  build_modification(L, 5, [np.float64(K), np.float64(C)], 1e8)):
+        assert again[0] is spec and again[1] is prm
+    # an equal copy of L is another object, so it gets its own build
+    copy = LagrangianSpec(L.torus, L.value, L.grad_q, L.grad_v, L.hess_vv, L.hess_qv,
+                          L.hess_qq, reversible=L.reversible, name=L.name)
+    other = build_modification(copy, 5.0, (K, C))
+    assert other[0] is not spec and other[1] is not prm
+    assert other[1].record() == prm.record()
+    for args in ((L, 4.5, (K, C)), (L, 5.0, (K + 0.01, C)), (L, 5.0, (K, C + 0.01)),
+                 (L, 5.0, (K, C), 1e9)):
+        spec2, prm2 = build_modification(*args)
+        assert spec2 is not spec and prm2 is not prm
+
+
+def test_params_are_frozen(stiff_mod):
+    _, _, params = stiff_mod
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        params.mu = 1.0
+
+
+def _inline_hess_vv(L, params, t, q, v):
+    """The fiber Hessian of L_T written out in one expression."""
+    lam, phi, psi, T = params.lam, params.phi, params.psi, params.T
+    v = np.asarray(v, dtype=float)
+    s = np.asarray(L.value(t, q, v)) / lam
+    w = np.sum(v * v, axis=-1)
+    exact = (s <= 1.0) & (w <= T * T)
+    gv = np.asarray(L.grad_v(t, q, v))
+    hvv = np.asarray(L.hess_vv(t, q, v))
+    generic = (phi.d1(s)[..., None, None] * hvv
+               + (phi.d2(s) / lam)[..., None, None] * (gv[..., :, None] * gv[..., None, :])
+               + 2.0 * psi.d1(w)[..., None, None] * np.eye(v.shape[-1])
+               + 4.0 * psi.d2(w)[..., None, None] * (v[..., :, None] * v[..., None, :]))
+    return np.where(exact[..., None, None], hvv, generic)
+
+
+@pytest.mark.parametrize("which", ["stiff", "torus2"])
+def test_hess_vv_matches_inline_formula(which, stiff_system, torus2_system):
+    system = stiff_system if which == "stiff" else torus2_system
+    L = system.L_theta
+    KC = compute_constants(system.H, system.theta, q_samples=32, p_dirs=8, t_samples=2)
+    spec, params = build_modification(L, 2.0, KC)
+    T, n = params.T, system.dim
+    rng = np.random.default_rng(3)
+    dirs = rng.normal(size=(600, n))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    # a third each in the core |v| < T, the blend band and past |v| = 2T
+    speed = np.concatenate([rng.uniform(0, T, 200), rng.uniform(T, 2 * T, 200),
+                            rng.uniform(2 * T, 6 * T, 200)])
+    t = rng.uniform(0, 1, 600)
+    q = rng.uniform(0, 1, (600, n))
+    v = speed[:, None] * dirs
+    assert np.array_equal(spec.hess_vv(t, q, v), _inline_hess_vv(L, params, t, q, v))
+    for j in (0, 300, 599):  # single points
+        assert np.array_equal(spec.hess_vv(t[j], q[j], v[j]),
+                              _inline_hess_vv(L, params, t[j], q[j], v[j]))
+    # the certificate inside build_modification saw the same matrices
+    rng = np.random.default_rng(0)
+    _sample_grid(L, 2.0 * T, 24, 33, 8, 4, rng)
+    tt, qq, vv = _sample_grid(L, 6.0 * T, 24, 49, 8, 4, rng)
+    hv = _inline_hess_vv(L, params, tt, qq, vv)
+    assert float(np.min(np.linalg.eigvalsh(0.5 * (hv + np.swapaxes(hv, -1, -2))))) \
+        == params.convexity_min_eig
