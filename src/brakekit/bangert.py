@@ -25,8 +25,9 @@ barycenter line and certifies the homotopy properties on sample grids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional
+from dataclasses import dataclass, replace
+from functools import partial, reduce
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
@@ -54,57 +55,97 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class PathSegment:
-    """Path on a bounded interval [a, b] with a continuous lift.
+    """Path on [a, b] with a continuous lift, as a flat piecewise table.
 
-    eval_fn maps a 1-d array of times to (values, velocities), exact on each
-    smooth span; corner times (junctions of concatenations) split the action
-    quadrature.
+    Piece i spans the times breaks[i] .. breaks[i + 1]: its leaf runs the
+    source curve sources[i] = (q(s), dq/ds), qa + s disp for a geodesic and
+    the loop's periodic spline (a PPoly) for a loop, from windows[i, 0] to
+    windows[i, 1], translated by the lattice vector shifts[i].  The interior
+    breaks are the corners, which split the action quadrature.
     """
 
-    a: float
-    b: float
-    eval_fn: Callable
-    corners: tuple = ()
+    breaks: np.ndarray  # (P + 1,) sorted times
+    sources: tuple  # P (curve, derivative) pairs
+    windows: np.ndarray  # (P, 2)
+    shifts: np.ndarray  # (P, N)
+
+    @property
+    def a(self) -> float:
+        return float(self.breaks[0])
+
+    @property
+    def b(self) -> float:
+        return float(self.breaks[-1])
+
+    @property
+    def corners(self) -> np.ndarray:
+        return self.breaks[1:-1]
 
     @property
     def start(self):
-        return self.at(self.a)[0][0]
+        return self.sources[0][0](self.windows[0, :1])[0] + self.shifts[0]
 
     @property
     def end(self):
-        return self.at(self.b)[0][0]
+        return self.sources[-1][0](self.windows[-1, 1:])[0] + self.shifts[-1]
 
     def at(self, ts):
-        return self.eval_fn(np.atleast_1d(np.asarray(ts, dtype=float)))
+        """(values, velocities) at the times ts, one call per touched leaf.
+
+        A junction time belongs to the piece on its left, so a piece of zero
+        length is never selected; times at or before a go to the first piece
+        of positive length.
+        """
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        br = self.breaks
+        first = int(np.argmax(br[1:] > br[0]))
+        idx = np.minimum(np.maximum(np.searchsorted(br, ts) - 1, first), len(self.sources) - 1)
+        s0, s1 = self.windows[idx].T
+        scale = (s1 - s0) / (br[idx + 1] - br[idx])
+        s = s0 + (ts - br[idx]) * scale
+        q, v = self.shifts[idx], np.empty((len(ts), self.shifts.shape[1]))
+        for i in np.flatnonzero(np.bincount(idx)):
+            m = idx == i
+            curve, dcurve = self.sources[i]
+            q[m] += curve(s[m])
+            v[m] = dcurve(s[m]) * scale[m, None]
+        return q, v
+
+
+class _Chord(NamedTuple):
+    """The curve s -> qa + s disp, called like a PPoly."""
+
+    qa: np.ndarray
+    disp: np.ndarray
+
+    def __call__(self, s):
+        return self.qa + s[:, None] * self.disp
+
+
+def _piece(curve, dcurve, t0, t1, s0, s1, dim: int) -> PathSegment:
+    """The single leaf running (curve, dcurve) from s0 to s1 over the times [t0, t1]."""
+    return PathSegment(np.array([t0, t1]), ((curve, dcurve),), np.array([[s0, s1]]),
+                       np.zeros((1, dim)))
 
 
 def reparametrize(seg: PathSegment, a: float, b: float) -> PathSegment:
     """Affine time change onto [a, b]; the image set is unchanged."""
     if b <= a:
         raise ValueError("target interval must have positive length")
-    len_old = seg.b - seg.a
-    scale = len_old / (b - a)
-
-    def eval_fn(ts):
-        src = (ts - a) * scale + seg.a
-        q, v = seg.at(src)
-        return q, v * scale
-
-    corners = tuple(a + (c - seg.a) / scale for c in seg.corners)
-    return PathSegment(a, b, eval_fn, corners)
+    scale = (seg.b - seg.a) / (b - a)
+    # the clip keeps rounding from unsorting the breaks of a piece under an ulp
+    inner = np.clip(a + (seg.corners - seg.a) / scale, a, b)
+    return replace(seg, breaks=np.concatenate([[a], inner, [b]]))
 
 
 def reverse_segment(seg: PathSegment) -> PathSegment:
     """The inverse path, traversed from seg(b) back to seg(a) on [a, b]."""
     a, b = seg.a, seg.b
-
-    def eval_fn(ts):
-        q, v = seg.at(a + b - ts)
-        return q, -v
-
-    return PathSegment(a, b, eval_fn, tuple(sorted(a + b - c for c in seg.corners)))
+    inner = np.clip(a + b - seg.corners[::-1], a, b)  # as in reparametrize
+    return PathSegment(np.concatenate([[a], inner, [b]]), seg.sources[::-1],
+                       seg.windows[::-1, ::-1], seg.shifts[::-1])
 
 
 def concatenate(s1: PathSegment, s2: PathSegment, torus: Optional[TorusSpace] = None,
@@ -115,29 +156,14 @@ def concatenate(s1: PathSegment, s2: PathSegment, torus: Optional[TorusSpace] = 
     the lattice vector that makes the concatenation continuous.
     """
     gap = s1.end - s2.start
-    if torus is not None:
-        lattice = torus.periods * np.round(gap / torus.periods)
-        resid = np.linalg.norm(gap - lattice)
-    else:
-        lattice = np.zeros_like(gap)
-        resid = np.linalg.norm(gap)
+    lattice = (np.zeros_like(gap) if torus is None
+               else torus.periods * np.round(gap / torus.periods))
+    resid = np.linalg.norm(gap - lattice)
     if resid > tol:
         raise EndpointMismatch(f"segment endpoints differ by {resid:.3e}")
-    shift = s1.b - s2.a
-
-    def eval_fn(ts):
-        q = np.empty((len(ts), gap.size))
-        v = np.empty_like(q)
-        first = ts <= s1.b
-        if np.any(first):
-            q[first], v[first] = s1.at(ts[first])
-        if np.any(~first):
-            q2, v2 = s2.at(ts[~first] - shift)
-            q[~first], v[~first] = q2 + lattice, v2
-        return q, v
-
-    corners = tuple(s1.corners) + (s1.b,) + tuple(c + shift for c in s2.corners)
-    return PathSegment(s1.a, s1.b + (s2.b - s2.a), eval_fn, corners)
+    return PathSegment(np.concatenate([s1.breaks, s2.breaks[1:] + (s1.b - s2.a)]),
+                       s1.sources + s2.sources, np.concatenate([s1.windows, s2.windows]),
+                       np.concatenate([s1.shifts, s2.shifts + lattice]))
 
 
 def shortest_geodesic(torus: TorusSpace, qa, qb, a: float = 0.0,
@@ -149,21 +175,12 @@ def shortest_geodesic(torus: TorusSpace, qa, qb, a: float = 0.0,
     if dist >= torus.injectivity_radius:
         raise TooFar(f"distance {dist:.4g} >= injectivity radius "
                      f"{torus.injectivity_radius:.4g}")
-    span = b - a
-
-    def eval_fn(ts):
-        u = (ts - a) / span
-        q = qa[None, :] + u[:, None] * disp[None, :]
-        v = np.broadcast_to(disp / span, q.shape).copy()
-        return q, v
-
-    return PathSegment(a, b, eval_fn)
+    return _piece(_Chord(qa, disp), _Chord(disp, 0.0 * disp), a, b, 0.0, 1.0, qa.size)
 
 
-def segment_length(seg: PathSegment, n: int = 512) -> float:
-    ts = np.linspace(seg.a, seg.b, n)
-    q, v = seg.at(ts)
-    return float(np.trapezoid(np.linalg.norm(v, axis=1), ts))
+def segment_length(seg: PathSegment) -> float:
+    """Integral of |qdot| through the action quadrature."""
+    return _integrate(seg, lambda ts, q, v: np.linalg.norm(v, axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -204,17 +221,21 @@ class LoopFamily:
         xs = np.linspace(x0, x1, nodes)
         return cls(xs, [fn(x) for x in xs])
 
-    def at(self, x: float) -> SymmetricLoop:
+    def _blend(self, x: float, rows) -> np.ndarray:
+        """The given rows of the half-grid values, interpolated at x."""
         x = float(np.clip(x, self.x0, self.x1))
         i = int(np.searchsorted(self.xs, x, side="right") - 1)
         i = min(max(i, 0), len(self.xs) - 2)
         t = (x - self.xs[i]) / (self.xs[i + 1] - self.xs[i])
-        vals = (1.0 - t) * self.loops[i].half_values + t * self.loops[i + 1].half_values
-        return SymmetricLoop(1, vals, self.torus)
+        return ((1.0 - t) * self.loops[i].half_values[rows]
+                + t * self.loops[i + 1].half_values[rows])
+
+    def at(self, x: float) -> SymmetricLoop:
+        return SymmetricLoop(1, self._blend(x, slice(None)), self.torus)
 
     def ev(self, x: float) -> np.ndarray:
         """Evaluation map: the loop's base point at t = 0."""
-        return self.at(x).half_values[0]
+        return self._blend(x, 0)
 
     def restrict(self, lo: float, hi: float) -> "LoopFamily":
         if hi <= lo:
@@ -254,35 +275,25 @@ def broken_geodesic(family: LoopFamily, xa: float, xb: float,
     if xb <= xa:
         raise ValueError("need xb > xa")
     rho = family.modulus_rho() if rho is None else rho
-    knots = list(np.arange(xa, xb, rho)) + [xb]
-    torus = family.torus
-    seg = None
-    for lo, hi in zip(knots[:-1], knots[1:]):
-        leg = shortest_geodesic(torus, family.ev(lo), family.ev(hi), lo, hi)
-        seg = leg if seg is None else concatenate(seg, leg, torus=torus)
-    return seg
+    grid = np.arange(xa, xb, rho)
+    knots = list(grid[grid < xb]) + [xb]  # rounding can put the last step at or past xb
+    pts = [family.ev(x) for x in knots]
+    legs = [shortest_geodesic(family.torus, qa, qb, lo, hi)
+            for lo, hi, qa, qb in zip(knots[:-1], knots[1:], pts[:-1], pts[1:])]
+    return reduce(partial(concatenate, torus=family.torus), legs)
 
 
 def _loop_segment(family: LoopFamily, x: float, t0: float, t1: float,
                   src0: float = 0.0, src1: float = 1.0) -> PathSegment:
     """The loop at parameter x, source window [src0, src1], mapped onto [t0, t1]."""
     sp = family.spline(x)
-    dsp = sp.derivative()
-    scale = (src1 - src0) / (t1 - t0)
-
-    def eval_fn(ts):
-        s = src0 + (ts - t0) * scale
-        return sp(np.mod(s, 1.0)), dsp(np.mod(s, 1.0)) * scale
-
-    return PathSegment(t0, t1, eval_fn)
+    return _piece(sp, sp.derivative(), t0, t1, src0, src1, family.torus.dim)
 
 
 def loop_action(L: LagrangianSpec, loop: SymmetricLoop) -> float:
     """Mean action of a loop through the quadrature used for glued paths."""
-    sp = loop.spline()
-    dsp = sp.derivative()
-    seg = PathSegment(0.0, float(loop.period), lambda ts: (sp(ts), dsp(ts)))
-    return segment_action(L, seg) / loop.period
+    p, sp = float(loop.period), loop.spline()
+    return segment_action(L, _piece(sp, sp.derivative(), 0.0, p, 0.0, p, loop.dim)) / p
 
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(4)
@@ -290,24 +301,34 @@ _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(4)
 
 def segment_action(L: LagrangianSpec, seg: PathSegment, pts_per_unit: int = 192,
                    min_pts: int = 17) -> float:
-    """Integral of L(t, q, qdot) over the segment, split at corner times.
+    """Integral of L(t, q, qdot) over the segment, split at corner times."""
+    return _integrate(seg, L.value, pts_per_unit, min_pts)
+
+
+def _integrate(seg: PathSegment, integrand, pts_per_unit: int = 192,
+               min_pts: int = 17) -> float:
+    """Integral of integrand(t, q, qdot) over the segment, split at its breaks.
 
     Composite 4-point Gauss-Legendre on each smooth span, about pts_per_unit
-    nodes per unit time.  The nodes are interior, so no span samples the
-    velocity of the piece across a corner.
+    nodes per unit time, with one evaluation for the nodes of all spans.
+    The nodes are interior, so no span samples the velocity across a corner.
     """
-    cuts = sorted({seg.a, seg.b, *[c for c in seg.corners if seg.a < c < seg.b]})
-    total = 0.0
+    cuts = np.unique(seg.breaks)
+    halves, nodes = [], [np.empty(0)]  # a segment without spans integrates to 0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         if hi - lo < 1e-15:
             continue
         panels = -(-max(min_pts, int(pts_per_unit * (hi - lo)) + 1) // 4)
         edges = np.linspace(lo, hi, panels + 1)
         half = 0.5 * np.diff(edges)
-        ts = ((edges[:-1] + half)[:, None] + half[:, None] * _GAUSS_NODES).ravel()
-        q, v = seg.at(ts)
-        vals = np.asarray(L.value(ts, q, v)).reshape(panels, 4)
-        total += float(np.sum(half * (vals @ _GAUSS_WEIGHTS)))
+        halves.append(half)
+        nodes.append(((edges[:-1] + half)[:, None] + half[:, None] * _GAUSS_NODES).ravel())
+    ts = np.concatenate(nodes)
+    vals = np.split(np.asarray(integrand(ts, *seg.at(ts))).reshape(-1, 4),
+                    np.cumsum([len(half) for half in halves[:-1]]))
+    total = 0.0
+    for half, rows in zip(halves, vals):
+        total += float(np.sum(half * (rows @ _GAUSS_WEIGHTS)))
     return total
 
 
@@ -341,36 +362,28 @@ def _half_table(family: LoopFamily, n: int, x: float,
     w = x0 + n * y
     z = span - n * y
 
-    def geo(xa, xb, t0, t1):
-        return reparametrize(broken_geodesic(family, xa, xb, rho=rho), t0, t1)
-
     pieces = []
     t, f1 = 0.0, 0.0
     if l <= n - 2:
         # n - l - 1 copies of the left loop, then the geodesic out to w; for
         # l = n - 1 the moving loop comes first
-        pieces.append(_loop_segment(family, x0, t, t + (n - l - 1), 0.0,
-                                    float(n - l - 1)))
+        pieces.append(_loop_segment(family, x0, t, t + (n - l - 1), 0.0, float(n - l - 1)))
         t += n - l - 1
         f1 = n * y / (n * y + 1.0)
         if y > 1e-14:
-            pieces.append(geo(x0, w, t, t + f1))
+            pieces.append(reparametrize(broken_geodesic(family, x0, w, rho=rho), t, t + f1))
     pieces.append(_loop_segment(family, w, t + f1, t + 1.0))
     t += 1.0
     if l >= 1:
         # geodesic to x1, one compressed and l - 1 full copies of the right loop
         f2 = z / (z + 1.0)
         if z > 1e-14:
-            pieces.append(geo(w, x1, t, t + f2))
+            pieces.append(reparametrize(broken_geodesic(family, w, x1, rho=rho), t, t + f2))
         pieces.append(_loop_segment(family, x1, t + f2, t + 1.0))
         t += 1.0
         if l - 1 > 0:
-            pieces.append(_loop_segment(family, x1, t, t + (l - 1), 0.0,
-                                        float(l - 1)))
-    seg = pieces[0]
-    for p in pieces[1:]:
-        seg = concatenate(seg, p, torus=family.torus)
-    return seg
+            pieces.append(_loop_segment(family, x1, t, t + (l - 1), 0.0, float(l - 1)))
+    return reduce(partial(concatenate, torus=family.torus), pieces)
 
 
 def _half_path_to_loop(seg: PathSegment, n: int, torus: TorusSpace,
@@ -408,33 +421,23 @@ def build_theta_2n(family: LoopFamily, n: int, xs: Optional[np.ndarray] = None,
 
 
 def _hat_segment(family: LoopFamily, w: float, rho: Optional[float] = None):
-    """The glue content at moving parameter w, reparametrized on [0, 2].
+    """The glue content at moving parameter w, parametrized on [0, 2].
 
     Full middle-regime glue: geodesic out, moving loop, geodesic to the
-    right base point and back, moving loop again, geodesic home.  The
-    content is palindromic, so it samples to an even period-2 loop; its
-    total action is the integrand of the constant C.
+    right base point, each for its natural length and together compressed
+    onto [0, 1], then the reverse of that half on [1, 2].  The content is
+    palindromic by construction, so it samples to an even period-2 loop;
+    its total action is the integrand of the constant C.
     """
     x0, x1 = family.x0, family.x1
     rho = family.modulus_rho() if rho is None else rho
-    # (geodesic or None for the moving loop, natural length) of the first half
-    half = [(None, 1.0)]
+    torus, half = family.torus, _loop_segment(family, w, 0.0, 1.0)
     if w - x0 > 1e-14:
-        half.insert(0, (broken_geodesic(family, x0, w, rho=rho), w - x0))
+        half = concatenate(broken_geodesic(family, x0, w, rho=rho), half, torus=torus)
     if x1 - w > 1e-14:
-        half.append((broken_geodesic(family, w, x1, rho=rho), x1 - w))
-    parts = half + [(g if g is None else reverse_segment(g), nat)
-                    for g, nat in half[::-1]]
-    total_nat = sum(nat for _, nat in parts)
-    seg = None
-    t = 0.0
-    for g, nat in parts:
-        dur = 2.0 * nat / total_nat
-        piece = (_loop_segment(family, w, t, t + dur) if g is None
-                 else reparametrize(g, t, t + dur))
-        seg = piece if seg is None else concatenate(seg, piece, torus=family.torus)
-        t += dur
-    return seg
+        half = concatenate(half, broken_geodesic(family, w, x1, rho=rho), torus=torus)
+    half = reparametrize(half, 0.0, 1.0)
+    return concatenate(half, reparametrize(reverse_segment(half), 1.0, 2.0), torus=torus)
 
 
 def hat_loop(family: LoopFamily, w: float, L: Optional[LagrangianSpec] = None,
@@ -445,11 +448,8 @@ def hat_loop(family: LoopFamily, w: float, L: Optional[LagrangianSpec] = None,
     (loop, None).  The action over [0, 2] is what the constant C maximizes.
     """
     seg = _hat_segment(family, w, rho=rho)
-    ts = np.arange(grid_per_unit + 1) / grid_per_unit
-    q, _ = seg.at(ts)
-    loop = SymmetricLoop(2, q, family.torus)
-    action = segment_action(L, seg) if L is not None else None
-    return loop, action
+    return (_half_path_to_loop(seg, 1, family.torus, grid_per_unit),
+            segment_action(L, seg) if L is not None else None)
 
 
 def hat_constant(family: LoopFamily, L: LagrangianSpec, n_w: int = 33,
@@ -502,8 +502,7 @@ def _chord_q2(y: float, s: float):
 
     Coordinates: x = (z1 + z2)/sqrt(2) along the line, y = (z2 - z1)/sqrt(2).
     """
-    lo, hi = abs(y), s / np.sqrt(2.0)
-    return lo, hi
+    return abs(y), s / np.sqrt(2.0)
 
 
 def _z_from_yx(y: float, x: float):

@@ -258,8 +258,12 @@ def cmd_modify_check(args):
         rows.append(row)
 
     orbit_rows = []
+    stored = []
     for orbit_id in store.orbit_ids():
         loop, record = store.load_orbit(orbit_id)
+        stored.append({"period": record.get("period", 1),
+                       "mean_action": record.get("mean_action", 0.0),
+                       "max_speed": record.get("max_speed", 0.0)})
         speed = loop.max_speed()
         usable = [T for T in t_list if T > speed]
         if len(usable) < 2:
@@ -277,12 +281,6 @@ def cmd_modify_check(args):
         ok &= pres["preserved"] and ind["max_entry_deviation"] < 1e-12 \
             and ind["index_pairs_equal"]
 
-    stored = []
-    for orbit_id in store.orbit_ids():
-        _, record = store.load_orbit(orbit_id)
-        stored.append({"period": record.get("period", 1),
-                       "mean_action": record.get("mean_action", 0.0),
-                       "max_speed": record.get("max_speed", 0.0)})
     speed_table = modification.speed_bound_report(
         stored, alpha=max((r["mean_action"] for r in stored), default=0.0) + 1.0,
         m=max((r["period"] for r in stored), default=1))

@@ -209,12 +209,21 @@ def _negative_count(A: BlockTridiagonal) -> int:
     return int(np.sum(ev < 0.0))
 
 
-def _hessian_scale(L: LagrangianSpec, loop: SymmetricLoop, k: int) -> float:
-    """Upper estimate of the largest |generalized eigenvalue| of (Hess, Gram)."""
+def _nullity_eps(L: LagrangianSpec, loop: SymmetricLoop, k: int) -> float:
+    """eps_n = 100 h^2 scale, scale an upper estimate of the largest
+    |generalized eigenvalue| of (Hess, Gram)."""
     _, _, P, Q, R = _coefficients_along(L, loop, k)
     norms = (np.linalg.norm(P, 2, axis=(1, 2)) + np.linalg.norm(R, 2, axis=(1, 2))
              + 2.0 * np.linalg.norm(Q, 2, axis=(1, 2)))
-    return float(np.mean(norms)) / (k * loop.period)
+    h = loop.h
+    return 100.0 * h * h * (float(np.mean(norms)) / (k * loop.period))
+
+
+def _morse_pair(H: BlockTridiagonal, G: BlockTridiagonal, eps: float) -> IndexPair:
+    """(index, nullity): negatives of H + eps G, and those of H - eps G beyond them."""
+    neg = _negative_count(H + eps * G)
+    below = _negative_count(H - eps * G)
+    return IndexPair(neg, below - neg)
 
 
 def morse_index(L: LagrangianSpec, loop: SymmetricLoop, k: int = 1,
@@ -230,11 +239,7 @@ def morse_index(L: LagrangianSpec, loop: SymmetricLoop, k: int = 1,
     subspace = "even" if symmetric else "full"
     H = assemble_hessian(L, loop, k=k, subspace=subspace)
     G = assemble_gram(loop, k=k, subspace=subspace)
-    h = loop.h
-    eps = 100.0 * h * h * _hessian_scale(L, loop, k)
-    neg = _negative_count(H + eps * G)
-    below = _negative_count(H - eps * G)
-    return IndexPair(neg, below - neg)
+    return _morse_pair(H, G, _nullity_eps(L, loop, k))
 
 
 def fourier_morse_index(P, Q, R, k: int = 1, period: int = 1,

@@ -26,6 +26,8 @@ from scipy.interpolate import CubicSpline
 from .errors import InfeasibleParams, SpeedTooHigh
 from .loopspace import (
     SymmetricLoop,
+    _on_subspace,
+    assemble_gram,
     assemble_hessian,
     gradient_norm_w12,
     mean_action,
@@ -434,18 +436,20 @@ def hessian_T_independence(L_theta: LagrangianSpec, loop: SymmetricLoop,
     speed = loop.max_speed()
     if speed >= min(T1, T2):
         raise SpeedTooHigh(f"orbit speed {speed:.3g} >= min(T1, T2)")
-    from .index import morse_index
+    from .index import _morse_pair, _nullity_eps
 
     out = {}
     ops = {}
     pairs = {}
+    grams = {s: assemble_gram(loop, k=k, subspace=s) for s in ("full", "even")}
     for T in (T1, T2):
         spec, _ = build_modification(L_theta, T, constants)
-        ops[T] = {s: assemble_hessian(spec, loop, k=k, subspace=s) for s in ("full", "even")}
-        pairs[T] = {
-            "full": morse_index(spec, loop, k=k).as_tuple(),
-            "even": morse_index(spec, loop, k=k, symmetric=True).as_tuple(),
-        }
+        # assemble_hessian folds its full operator the same way, so these are
+        # the operators morse_index counts, to the bit
+        full = assemble_hessian(spec, loop, k=k)
+        ops[T] = {"full": full, "even": _on_subspace(full, "even")}
+        eps = _nullity_eps(spec, loop, k)
+        pairs[T] = {s: _morse_pair(ops[T][s], grams[s], eps).as_tuple() for s in grams}
     # the blocks hold every nonzero entry of the assembled matrices
     out["max_entry_deviation"] = max(
         float(np.max(np.abs(getattr(ops[T1][s], part) - getattr(ops[T2][s], part))))

@@ -227,12 +227,23 @@ def test_grammar_accepts_workload_documents():
         assert system.dim == len(theta)
 
 
-def test_modify_check_command(mild_store):
+def test_modify_check_command(mild_store, monkeypatch):
+    from brakekit.store import OrbitStore
+
     tmp, cfg, store = mild_store
+    loads = []
+    load_orbit = OrbitStore.load_orbit
+
+    def counted(self, orbit_id):
+        loads.append(orbit_id)
+        return load_orbit(self, orbit_id)
+
+    monkeypatch.setattr(OrbitStore, "load_orbit", counted)
     assert main(["--store", store, "modify-check", "--config", cfg,
                  "--T", "2,4"]) == 0
     report = json.loads(Path(f"{store}/reports/modification.json").read_text())
     assert report["all_pass"]
+    assert sorted(loads) == sorted(OrbitStore(store).orbit_ids())  # each read once
 
 
 def test_bangert_command(tmp_path):

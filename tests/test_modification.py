@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from brakekit.errors import InfeasibleParams, SpeedTooHigh
+from brakekit.index import morse_index
 from brakekit.loopspace import SymmetricLoop
 from brakekit.model import LagrangianSpec, OneForm
 from brakekit.modification import (
@@ -134,6 +135,29 @@ def test_hessian_T_independence(stiff_system, libration):
                                  constants=KC)
     assert out["max_entry_deviation"] < 1e-13
     assert out["index_pairs_equal"]
+
+
+def test_hessian_T_independence_counts_the_operators_it_compares(stiff_system,
+                                                                  libration, monkeypatch):
+    from brakekit import loopspace, modification
+
+    KC = compute_constants(stiff_system.H, stiff_system.theta)
+    want = {}
+    for T in (4.0, 8.0):
+        spec, _ = build_modification(stiff_system.L_theta, T, constants=KC)
+        want[str(T)] = {"full": morse_index(spec, libration, k=2).as_tuple(),
+                        "even": morse_index(spec, libration, k=2, symmetric=True).as_tuple()}
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("subspace", "full"))
+        return loopspace.assemble_hessian(*args, **kwargs)
+
+    monkeypatch.setattr(modification, "assemble_hessian", counted)
+    out = hessian_T_independence(stiff_system.L_theta, libration, 4.0, 8.0,
+                                 constants=KC, k=2)
+    assert out["index_pairs"] == want
+    assert calls == ["full", "full"]  # one assembly per T; the even one is its fold
 
 
 def test_infeasible_mu_raises(stiff_system):
