@@ -207,6 +207,7 @@ class LoopFamily:
         self.loops = list(loops)
         self.torus = base.torus
         self._spline_cache = {}
+        self._hat_constants = {}  # (L, n_w, rho) -> C, filled by hat_constant
 
     @property
     def x0(self):
@@ -454,10 +455,19 @@ def hat_loop(family: LoopFamily, w: float, L: Optional[LagrangianSpec] = None,
 
 def hat_constant(family: LoopFamily, L: LagrangianSpec, n_w: int = 33,
                  rho: Optional[float] = None) -> float:
-    """C = max over the moving parameter of the glue loop's total action."""
+    """C = max over the moving parameter of the glue loop's total action.
+
+    The family keeps each C computed on it: a call with the same L object
+    and equal n_w and rho returns it again (`brakekit bangert` asks twice,
+    in the action bound check and for the homotopy's n_bar).
+    """
     rho = family.modulus_rho() if rho is None else rho
-    ws = np.linspace(family.x0, family.x1, n_w)
-    return max(segment_action(L, _hat_segment(family, float(w), rho=rho)) for w in ws)
+    key = (L, n_w, rho)
+    if key not in family._hat_constants:
+        ws = np.linspace(family.x0, family.x1, n_w)
+        family._hat_constants[key] = max(
+            segment_action(L, _hat_segment(family, float(w), rho=rho)) for w in ws)
+    return family._hat_constants[key]
 
 
 def action_bound_check(family: LoopFamily, L: LagrangianSpec, ns=(2, 4, 8),

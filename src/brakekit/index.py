@@ -21,7 +21,7 @@ the anchor tests pin it through the Morse index identities.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -33,9 +33,11 @@ from .errors import BlowUp, IllConditionedCrossing, SingularP
 from .loopspace import (
     BlockTridiagonal,
     SymmetricLoop,
-    _coefficients_along,
     assemble_gram,
     assemble_hessian,
+    coarsen,
+    coefficients_along,
+    refine,
 )
 from .model import LagrangianSpec
 
@@ -89,13 +91,14 @@ class LinearizedCoefficients:
         return evaluate
 
 
-@dataclass(frozen=True)
-class IndexPair:
+class IndexPair(NamedTuple):
+    """(index, nullity) of a Morse form or a symplectic path."""
+
     index: int
     nullity: int
 
-    def as_tuple(self):
-        return (self.index, self.nullity)
+    # printed as the plain tuple, so report lines read (i, nu)
+    __repr__ = tuple.__repr__
 
 
 @dataclass
@@ -124,7 +127,7 @@ def _J(n):
 
 def linearize(L: LagrangianSpec, loop: SymmetricLoop) -> LinearizedCoefficients:
     """Second partials of L along the lifted curve, in the global flat chart."""
-    _, ts, P, Q, R = _coefficients_along(L, loop)
+    _, ts, P, Q, R = coefficients_along(L, loop)
     # brake symmetry pattern: P(-t) = P(t), Q(-t) = -Q(t), R(-t) = R(t)
     rev = lambda A: A[np.r_[0, np.arange(len(ts) - 1, 0, -1)]]
     residuals = {
@@ -169,13 +172,14 @@ def constant_coefficients(B: np.ndarray) -> Callable:
     return evaluate
 
 
-def fundamental_solution(B_fn: Callable, total_time: float, tol: float = 1e-11,
+def fundamental_solution(B_fn: Callable, total_time: float,
                          period: float = 1.0) -> SymplecticPath:
     """Integrate Psidot = J B(t) Psi columnwise from Psi(0) = I.
 
     B_fn maps t to the (2N, 2N) matrix B(t).  The path is integrated over
-    [0, total_time] directly rather than by monodromy powers, keeping
-    symplecticity defects bounded; the defect is sampled at 257 nodes.
+    [0, total_time] directly rather than by monodromy powers, with DOP853 at
+    rtol = atol = 1e-11, keeping symplecticity defects bounded; the defect is
+    sampled at 257 nodes.
     """
     two_n = np.asarray(B_fn(0.0)).shape[0]
     J = _J(two_n // 2)
@@ -185,7 +189,7 @@ def fundamental_solution(B_fn: Callable, total_time: float, tol: float = 1e-11,
         return (J @ B_fn(t) @ Psi).ravel()
 
     sol = solve_ivp(rhs, (0.0, total_time), np.eye(two_n).ravel(), method="DOP853",
-                    rtol=tol, atol=tol, dense_output=True)
+                    rtol=1e-11, atol=1e-11, dense_output=True)
     if not sol.success:
         raise BlowUp(f"fundamental solution integration failed: {sol.message}")
     path = SymplecticPath(two_n // 2, period, total_time, sol.sol, B_fn, 0.0)
@@ -212,57 +216,55 @@ def _negative_count(A: BlockTridiagonal) -> int:
 def _nullity_eps(L: LagrangianSpec, loop: SymmetricLoop, k: int) -> float:
     """eps_n = 100 h^2 scale, scale an upper estimate of the largest
     |generalized eigenvalue| of (Hess, Gram)."""
-    _, _, P, Q, R = _coefficients_along(L, loop, k)
+    _, _, P, Q, R = coefficients_along(L, loop, k)
     norms = (np.linalg.norm(P, 2, axis=(1, 2)) + np.linalg.norm(R, 2, axis=(1, 2))
              + 2.0 * np.linalg.norm(Q, 2, axis=(1, 2)))
     h = loop.h
     return 100.0 * h * h * (float(np.mean(norms)) / (k * loop.period))
 
 
-def _morse_pair(H: BlockTridiagonal, G: BlockTridiagonal, eps: float) -> IndexPair:
-    """(index, nullity): negatives of H + eps G, and those of H - eps G beyond them."""
-    neg = _negative_count(H + eps * G)
-    below = _negative_count(H - eps * G)
-    return IndexPair(neg, below - neg)
-
-
-def morse_index(L: LagrangianSpec, loop: SymmetricLoop, k: int = 1,
-                symmetric: bool = False) -> IndexPair:
-    """Morse index and nullity of the discretized action Hessian at the k-iterate.
+def morse_index(L: LagrangianSpec, loop: SymmetricLoop,
+                k: int = 1) -> Tuple[IndexPair, IndexPair]:
+    """Morse index and nullity of the discretized action Hessian at the k-iterate,
+    as (full, even): on the full loop space and on the even subspace.
 
     Counts of generalized eigenvalues of (Hessian, W^{1,2} Gram) below -eps_n
     and inside [-eps_n, eps_n] with eps_n = 100 h^2 scale, tracking
     the O(h^2) discretization error of the quadratic form.  Since the Gram is
     positive definite, the counts are Sylvester inertias of H + eps G and
-    H - eps G, counted on their block-tridiagonal bands.
+    H - eps G, counted on their block-tridiagonal bands.  The even pair is
+    counted on the even folds of the same H and G, with the same eps_n.
     """
-    subspace = "even" if symmetric else "full"
-    H = assemble_hessian(L, loop, k=k, subspace=subspace)
-    G = assemble_gram(loop, k=k, subspace=subspace)
-    return _morse_pair(H, G, _nullity_eps(L, loop, k))
+    H = assemble_hessian(L, loop, k)
+    G = assemble_gram(loop, k)
+    eps = _nullity_eps(L, loop, k)
+
+    def pair(H, G):
+        neg = _negative_count(H + eps * G)
+        return IndexPair(neg, _negative_count(H - eps * G) - neg)
+
+    return pair(H, G), pair(H.even_fold(), G.even_fold())
 
 
-def fourier_morse_index(P, Q, R, k: int = 1, period: int = 1,
-                        symmetric: bool = False, tol: float = 1e-9,
-                        max_modes: int = 100000) -> IndexPair:
+def fourier_morse_index(P, Q, R, k: int = 1, symmetric: bool = False) -> IndexPair:
     """Closed-form Morse counts for constant coefficients via Fourier modes.
 
     Full space: mode 0 contributes eig(R); each j >= 1 contributes the block
-    [[K, wA],[wA^T, K]]/1 with K = w^2 P + R, A = Q - Q^T, w = 2 pi j / (k m).
-    Even subspace: cosine modes only, blocks K alone.
+    [[K, wA],[wA^T, K]]/1 with K = w^2 P + R, A = Q - Q^T, w = 2 pi j / k,
+    for the 1-periodic loop iterated k times.  Even subspace: cosine modes
+    only, blocks K alone.  Eigenvalues within 1e-9 of zero are null.
     """
     P = np.atleast_2d(np.asarray(P, dtype=float))
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     R = np.atleast_2d(np.asarray(R, dtype=float))
-    n = P.shape[0]
-    tau = k * period
+    tol = 1e-9
     neg = int(np.sum(np.linalg.eigvalsh(R) < -tol))
     null = int(np.sum(np.abs(np.linalg.eigvalsh(R)) <= tol))
     A = Q - Q.T
     pmin = float(np.min(np.linalg.eigvalsh(P)))
     j = 1
-    while j < max_modes:
-        w = 2.0 * np.pi * j / tau
+    while j < 100000:
+        w = 2.0 * np.pi * j / k
         if w * w * pmin > np.linalg.norm(R, 2) + 2.0 * w * np.linalg.norm(Q, 2) + 1.0:
             break
         K = w * w * P + R
@@ -559,11 +561,12 @@ def l0_index(path: SymplecticPath, k: Optional[int] = None) -> IndexPair:
     return _path_pair(path, k, "l0")
 
 
-def mean_index(B, period: float = 1.0, k_max: int = 64, deg_tol: float = 1e-6) -> dict:
+def mean_index(B, k_max: int = 64) -> dict:
     """Mean indices by least-squares slope of i(Psi, k) over k in {1, 2, 4, ...}.
 
-    B is a callable t -> B(t), or a crossing engine already built over the
-    path, whose period and deg_tol then apply.
+    B is a 1-periodic callable t -> B(t), whose engine then uses deg_tol
+    1e-6, or a crossing engine already built over the path, whose period and
+    deg_tol then apply.
     Returns ihat, ihat_L0, the per-k values, and slope uncertainties from the
     fit residuals.
     """
@@ -577,7 +580,7 @@ def mean_index(B, period: float = 1.0, k_max: int = 64, deg_tol: float = 1e-6) -
         if eng.k_max < ks[-1]:
             raise ValueError(f"engine horizon {eng.k_max} is short of k = {ks[-1]}")
     else:
-        eng = _CrossingEngine(B, period, ks[-1], deg_tol=deg_tol)
+        eng = _CrossingEngine(B, 1.0, ks[-1])
     i_vals = np.array([eng.index("cz", kk) for kk in ks], dtype=float)
     l_vals = np.array([eng.index("l0", kk) for kk in ks], dtype=float)
     karr = np.array(ks, dtype=float)
@@ -607,24 +610,28 @@ def mean_index(B, period: float = 1.0, k_max: int = 64, deg_tol: float = 1e-6) -
 # identity verification
 # ---------------------------------------------------------------------------
 
-def _stabilized_morse(L, loop, k, symmetric):
-    """Morse pair accepted once two successive grid doublings agree.
+def _stabilized_morse(L, loop, k):
+    """Full and even Morse pairs, each with whether two successive grids agreed on it.
 
-    At most two doublings, and none that would pass 9000 degrees of freedom.
+    Both pairs come from one morse_index call per grid.  The grid is doubled
+    at most twice, never past 9000 degrees of freedom, and only while a pair
+    is still unsettled; a settled pair keeps the value it settled at.
+    Returns ((full, stable), (even, stable)).
     """
-    from .loopspace import refine
-
-    current = loop
-    pair = morse_index(L, current, k=k, symmetric=symmetric)
+    pairs = morse_index(L, loop, k)
+    settled = [None, None]
     for _ in range(2):
-        if current.n * 2 * k * current.dim > 9000:
+        if loop.n * 2 * k * loop.dim > 9000:
             break
-        finer = refine(current)
-        pair_f = morse_index(L, finer, k=k, symmetric=symmetric)
-        if pair_f == pair:
-            return pair_f, True
-        current, pair = finer, pair_f
-    return pair, False
+        loop = refine(loop)
+        finer = morse_index(L, loop, k)
+        for s in (0, 1):
+            if settled[s] is None and finer[s] == pairs[s]:
+                settled[s] = (finer[s], True)
+        if all(settled):
+            break
+        pairs = finer
+    return tuple(got or (pair, False) for got, pair in zip(settled, pairs))
 
 
 def verify_relations(L: LagrangianSpec, loop: SymmetricLoop, ks=(1, 2, 4),
@@ -639,8 +646,6 @@ def verify_relations(L: LagrangianSpec, loop: SymmetricLoop, ks=(1, 2, 4),
     Loops finer than 256 samples per unit period are coarsened first; high
     iterates on very fine grids cost cubically.
     """
-    from .loopspace import coarsen
-
     while loop.n > 256 * loop.period and (loop.n // 2) % 2 == 0:
         loop = coarsen(loop)
     coeffs = linearize(L, loop)
@@ -663,29 +668,26 @@ def verify_relations(L: LagrangianSpec, loop: SymmetricLoop, ks=(1, 2, 4),
     report = {"ks": list(ks), "mean_index": mi, "per_k": {}, "all_pass": True,
               "symmetry_residuals": coeffs.symmetry_residuals}
     for k in ks:
-        full, st_f = _stabilized_morse(L, loop, k, symmetric=False)
-        even, st_e = _stabilized_morse(L, loop, k, symmetric=True)
-        i_k = eng.index("cz", k)
-        nu_k = eng.nullity("cz", k)
-        il_k = eng.index("l0", k)
-        nul_k = eng.nullity("l0", k)
+        (full, st_f), (even, st_e) = _stabilized_morse(L, loop, k)
+        cz = IndexPair(eng.index("cz", k), eng.nullity("cz", k))
+        l0 = IndexPair(eng.index("l0", k), eng.nullity("l0", k))
         checks = {
-            "morse_full_equals_cz": full.as_tuple() == (i_k, nu_k),
-            "morse_even_equals_l0_plus_N": even.as_tuple() == (il_k + N, nul_k),
+            "morse_full_equals_cz": full == cz,
+            "morse_even_equals_l0_plus_N": even == (l0.index + N, l0.nullity),
             "0_le_even_le_full_index": 0 <= even.index <= full.index,
             "even_nullity_le_full": even.nullity <= full.nullity,
             "full_nullity_le_2N": full.nullity <= 2 * N,
-            "iteration_bound": i_k + nu_k
+            "iteration_bound": cz.index + cz.nullity
             <= k * (ihat + 3 * ihat_unc) + N + 1e-9,
             "grid_stable": st_f and st_e,
         }
         if abs(ihat) <= max(3 * ihat_unc, 1e-6):
             checks["zero_mean_index_bound"] = even.index + even.nullity <= N
         report["per_k"][k] = {
-            "morse_full": full.as_tuple(),
-            "morse_even": even.as_tuple(),
-            "cz": (i_k, nu_k),
-            "l0": (il_k, nul_k),
+            "morse_full": full,
+            "morse_even": even,
+            "cz": cz,
+            "l0": l0,
             "checks": checks,
         }
         report["all_pass"] &= all(checks.values())

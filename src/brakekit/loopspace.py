@@ -37,6 +37,7 @@ __all__ = [
     "find_critical",
     "full_gradient_check",
     "BlockTridiagonal",
+    "coefficients_along",
     "assemble_hessian",
     "assemble_gram",
     "loop_distance",
@@ -336,20 +337,20 @@ def time_rescale(L: LagrangianSpec, factor: int) -> LagrangianSpec:
                           reversible=L.reversible, name=f"rescale[{factor}]({L.name})")
 
 
-def coarsen(loop: SymmetricLoop, factor: int = 2) -> SymmetricLoop:
-    """Drop samples to a grid coarser by the factor (must divide n/2)."""
-    if (loop.n // 2) % factor:
-        raise GridMismatch("coarsening factor must divide half the grid size")
-    return SymmetricLoop(loop.period, loop.half_values[::factor], loop.torus)
+def coarsen(loop: SymmetricLoop) -> SymmetricLoop:
+    """Drop every other sample (n/2 must be even)."""
+    if (loop.n // 2) % 2:
+        raise GridMismatch("coarsening needs an even half grid size")
+    return SymmetricLoop(loop.period, loop.half_values[::2], loop.torus)
 
 
-def refine(loop: SymmetricLoop, factor: int = 2) -> SymmetricLoop:
-    """Resample on a grid refined by the factor via the periodic cubic spline.
+def refine(loop: SymmetricLoop) -> SymmetricLoop:
+    """Resample on the doubled grid via the periodic cubic spline.
 
     The spline of even data is even, so evenness survives exactly.
     """
     sp = loop.spline()
-    n_new = loop.n * factor
+    n_new = loop.n * 2
     ts = np.arange(n_new // 2 + 1) * (loop.period / n_new)
     return SymmetricLoop(loop.period, sp(ts), loop.torus)
 
@@ -369,8 +370,11 @@ def time_rescale_loop(loop: SymmetricLoop, factor: int) -> SymmetricLoop:
 # Hessian assembly (shared with the index machinery)
 # ---------------------------------------------------------------------------
 
-def _coefficients_along(L: LagrangianSpec, loop: SymmetricLoop, k: int = 1):
-    """P, Q, R along the k-iterated lifted curve, sampled on the iterate grid."""
+def coefficients_along(L: LagrangianSpec, loop: SymmetricLoop, k: int = 1):
+    """P, Q, R along the k-iterated lifted curve, sampled on the iterate grid.
+
+    Returns (iterate, times, P, Q, R).
+    """
     it = iterate(loop, k)
     ts, g, v = _eval_along(L, it)
     P = np.asarray(L.hess_vv(ts, g, v))
@@ -456,34 +460,28 @@ class BlockTridiagonal:
                         ab[s * N + a - b, b: (M - s) * N: N] = B[:, a, b]
         return ab
 
+    def even_fold(self) -> "BlockTridiagonal":
+        """The restriction E^T A E of a cyclic operator to the even subspace.
 
-def _on_subspace(A: BlockTridiagonal, subspace: str) -> BlockTridiagonal:
-    """A cyclic operator on M nodes, or its restriction E^T A E to the even subspace.
-
-    Half-grid node p carries the full-grid nodes p and M - p, so the even
-    restriction is open on M/2 + 1 nodes, with blocks D_p + D_{M-p} and
-    couplings U_p + U_{M-p-1}^T.
-    """
-    if subspace == "full":
-        return A
-    if subspace == "even":
-        M = A.nodes
-        upper = A.upper[: M // 2] + np.swapaxes(A.upper[M // 2:][::-1], -1, -2)
-        return BlockTridiagonal(_fold_nodes(A.diag), upper, cyclic=False)
-    raise ValueError("subspace must be 'full' or 'even'")
+        Half-grid node p carries the full-grid nodes p and M - p, so the even
+        restriction is open on M/2 + 1 nodes, with blocks D_p + D_{M-p} and
+        couplings U_p + U_{M-p-1}^T.
+        """
+        M = self.nodes
+        upper = self.upper[: M // 2] + np.swapaxes(self.upper[M // 2:][::-1], -1, -2)
+        return BlockTridiagonal(_fold_nodes(self.diag), upper, cyclic=False)
 
 
-def assemble_hessian(L: LagrangianSpec, loop: SymmetricLoop, k: int = 1,
-                     subspace: str = "full") -> BlockTridiagonal:
+def assemble_hessian(L: LagrangianSpec, loop: SymmetricLoop, k: int = 1) -> BlockTridiagonal:
     """P1 (FEM) Hessian of the mean action EA^{[k m]} at the iterated loop.
 
-    The kinetic part is positive on every mode.  Returns the block-tridiagonal
-    operator on the requested subspace: cyclic on the full grid, open on the
-    even half grid.  Each block adds up the element contributions in the
-    order of an element-by-element dense assembly, so dense() equals that
-    matrix to the last bit.
+    The kinetic part is positive on every mode.  Returns the cyclic
+    block-tridiagonal operator on the full grid; its even_fold() is the
+    Hessian on the even subspace.  Each block adds up the element
+    contributions in the order of an element-by-element dense assembly, so
+    dense() equals that matrix to the last bit.
     """
-    it, ts, P, Q, R = _coefficients_along(L, loop, k)
+    it, ts, P, Q, R = coefficients_along(L, loop, k)
     M = it.n
     h = it.h
     c = 1.0 / (k * loop.period)
@@ -506,21 +504,20 @@ def assemble_hessian(L: LagrangianSpec, loop: SymmetricLoop, k: int = 1,
     diag = ((((same + prev(same)) - mix) - mixT) + prev(mix)) + prev(mixT)
     upper = (cross + mix) - mixT
     lower = (cross + mixT) - mix
-    A = BlockTridiagonal(0.5 * (diag + np.swapaxes(diag, -1, -2)),
-                         0.5 * (upper + np.swapaxes(lower, -1, -2)), cyclic=True)
-    return _on_subspace(A, subspace)
+    return BlockTridiagonal(0.5 * (diag + np.swapaxes(diag, -1, -2)),
+                            0.5 * (upper + np.swapaxes(lower, -1, -2)), cyclic=True)
 
 
-def assemble_gram(loop: SymmetricLoop, k: int = 1,
-                  subspace: str = "full") -> BlockTridiagonal:
-    """Exact P1 W^{1,2} Gram (mass plus stiffness) on the iterated grid."""
+def assemble_gram(loop: SymmetricLoop, k: int = 1) -> BlockTridiagonal:
+    """Exact P1 W^{1,2} Gram (mass plus stiffness) on the iterated full grid,
+    cyclic; its even_fold() is the Gram on the even subspace."""
     it = iterate(loop, k)
     M, dim = it.n, it.dim
     h = it.h
     eye = np.eye(dim)
     diag = np.broadcast_to((2.0 * h / 3.0 + 2.0 / h) * eye, (M, dim, dim))
     upper = np.broadcast_to((h / 6.0 - 1.0 / h) * eye, (M, dim, dim))
-    return _on_subspace(BlockTridiagonal(diag, upper, cyclic=True), subspace)
+    return BlockTridiagonal(diag, upper, cyclic=True)
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +561,7 @@ def find_critical(L: LagrangianSpec, loop0: SymmetricLoop, grad_tol: float = 1e-
         # FEM Hessian: same O(h^2) operator, but with a positive kinetic
         # part on every mode, so steps cannot excite the checkerboard
         # null direction of a centered-difference Hessian.
-        H = assemble_hessian(L, loop, k=1, subspace="even").dense()
+        H = assemble_hessian(L, loop).even_fold().dense()
         try:
             step = np.linalg.solve(H, -b)
         except np.linalg.LinAlgError:

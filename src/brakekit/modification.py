@@ -24,14 +24,8 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import InfeasibleParams, SpeedTooHigh
-from .loopspace import (
-    SymmetricLoop,
-    _on_subspace,
-    assemble_gram,
-    assemble_hessian,
-    gradient_norm_w12,
-    mean_action,
-)
+from .index import morse_index
+from .loopspace import SymmetricLoop, assemble_hessian, gradient_norm_w12, mean_action
 from .model import HamiltonianSpec, LagrangianSpec, OneForm
 
 __all__ = [
@@ -436,27 +430,21 @@ def hessian_T_independence(L_theta: LagrangianSpec, loop: SymmetricLoop,
     speed = loop.max_speed()
     if speed >= min(T1, T2):
         raise SpeedTooHigh(f"orbit speed {speed:.3g} >= min(T1, T2)")
-    from .index import _morse_pair, _nullity_eps
-
-    out = {}
     ops = {}
     pairs = {}
-    grams = {s: assemble_gram(loop, k=k, subspace=s) for s in ("full", "even")}
     for T in (T1, T2):
         spec, _ = build_modification(L_theta, T, constants)
-        # assemble_hessian folds its full operator the same way, so these are
-        # the operators morse_index counts, to the bit
-        full = assemble_hessian(spec, loop, k=k)
-        ops[T] = {"full": full, "even": _on_subspace(full, "even")}
-        eps = _nullity_eps(spec, loop, k)
-        pairs[T] = {s: _morse_pair(ops[T][s], grams[s], eps).as_tuple() for s in grams}
+        full, even = morse_index(spec, loop, k)
+        pairs[T] = {"full": full, "even": even}
+        # the operators morse_index counts on, to the bit
+        H = assemble_hessian(spec, loop, k)
+        ops[T] = (H, H.even_fold())
     # the blocks hold every nonzero entry of the assembled matrices
-    out["max_entry_deviation"] = max(
-        float(np.max(np.abs(getattr(ops[T1][s], part) - getattr(ops[T2][s], part))))
-        for s in ("full", "even") for part in ("diag", "upper"))
-    out["index_pairs"] = {str(T): pairs[T] for T in (T1, T2)}
-    out["index_pairs_equal"] = pairs[T1] == pairs[T2]
-    return out
+    deviation = max(float(np.max(np.abs(getattr(a, part) - getattr(b, part))))
+                    for a, b in zip(ops[T1], ops[T2]) for part in ("diag", "upper"))
+    return {"max_entry_deviation": deviation,
+            "index_pairs": {str(T): pairs[T] for T in (T1, T2)},
+            "index_pairs_equal": pairs[T1] == pairs[T2]}
 
 
 def speed_bound_report(orbits, alpha: float, m: int) -> dict:

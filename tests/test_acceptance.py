@@ -171,9 +171,8 @@ def test_criterion_4_index_identities(anchor_reports):
     unstable = reports["unstable"]["per_k"]
     ok &= unstable[1]["morse_full"] == (1, 2) and unstable[1]["morse_even"] == (1, 1)
     for k in (1, 2, 4):
-        want_full = fourier_morse_index(1.0, 0.0, -4 * np.pi ** 2, k=k).as_tuple()
-        want_even = fourier_morse_index(1.0, 0.0, -4 * np.pi ** 2, k=k,
-                                        symmetric=True).as_tuple()
+        want_full = fourier_morse_index(1.0, 0.0, -4 * np.pi ** 2, k=k)
+        want_even = fourier_morse_index(1.0, 0.0, -4 * np.pi ** 2, k=k, symmetric=True)
         ok &= unstable[k]["morse_full"] == want_full
         ok &= unstable[k]["morse_even"] == want_even
         ok &= unstable[k]["checks"]["morse_full_equals_cz"]
@@ -329,7 +328,7 @@ def test_criterion_9_convergence_order(free_system, stiff_system,
     exact_h = ((4 * np.pi) ** 2 - 4 * np.pi ** 2) / 2.0
 
     def hess_value(lp):
-        H = assemble_hessian(stiff_system.L_theta, lp, k=1, subspace="full").dense()
+        H = assemble_hessian(stiff_system.L_theta, lp, k=1).dense()
         ts = lp.full_times()
         xi = np.cos(4 * np.pi * ts)[:, None].ravel()
         return float(xi @ H @ xi)

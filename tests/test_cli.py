@@ -258,6 +258,25 @@ def test_bangert_command(tmp_path):
     assert report["homotopy"]["certificates"]["ii"]
 
 
+def test_bangert_command_computes_the_glue_constant_once(tmp_path, monkeypatch):
+    from brakekit import bangert
+
+    built = []
+    hat_segment = bangert._hat_segment
+
+    def counted(family, w, rho=None):
+        built.append(w)
+        return hat_segment(family, w, rho=rho)
+
+    monkeypatch.setattr(bangert, "_hat_segment", counted)
+    cfg = write_config(tmp_path, FREE_CONFIG)
+    assert main(["--store", str(tmp_path / "store"), "bangert", "--config", cfg,
+                 "--family", "two-constant", "--n", "2,4,8",
+                 "--c1", "0.06", "--c2", "1.0", "--eps", "0.032"]) == 0
+    # the action bound check and the homotopy share one set of 33 glue segments
+    assert len(built) == 33
+
+
 def test_determinism_byte_identical(tmp_path):
     cfg = write_config(tmp_path, MILD_CONFIG)
     outs = []

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -19,7 +21,7 @@ from brakekit.index import (
     verify_relations,
 )
 from brakekit.loopspace import SymmetricLoop, assemble_gram, assemble_hessian
-from brakekit.model import OneForm
+from brakekit.model import LagrangianSpec, OneForm
 from brakekit.systems import kinetic_potential_lagrangian
 
 FREE_B = np.diag([1.0, 0.0])
@@ -113,7 +115,47 @@ def test_verify_relations_mean_index_matches_standalone(stiff_system):
     L, loop = stiff_system.L_theta, SymmetricLoop.constant([0.5], 1)
     report = verify_relations(L, loop, ks=(1, 2, 4), mean_k_max=16)
     # B is constant here, so both sides run with deg_tol = 1e-6
-    assert report["mean_index"] == mean_index(linearize(L, loop).B_callable(), 1.0, k_max=16)
+    assert report["mean_index"] == mean_index(linearize(L, loop).B_callable(), k_max=16)
+
+
+def test_verify_relations_walks_each_grid_once(stiff_system, monkeypatch):
+    import brakekit.index as index_mod
+
+    base = stiff_system.L_theta
+    sampled = []
+
+    def hess_vv(t, q, v):
+        sampled.append(len(t))
+        return base.hess_vv(t, q, v)
+
+    L = LagrangianSpec(base.torus, base.value, base.grad_q, base.grad_v, hess_vv,
+                       base.hess_qv, base.hess_qq, reversible=True, name=base.name)
+    logs = {"assemble_hessian": [], "_nullity_eps": [], "refine": []}
+
+    def logged(name):
+        original = getattr(index_mod, name)
+        sig = inspect.signature(original)
+
+        def wrapper(*args, **kwargs):
+            call = sig.bind(*args, **kwargs)
+            call.apply_defaults()
+            n, k = call.arguments["loop"].n, call.arguments.get("k")
+            logs[name].append(n if name == "refine" else (n, k))
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in logs:
+        monkeypatch.setattr(index_mod, name, logged(name))
+    report = verify_relations(L, SymmetricLoop.constant([0.5], 1), ks=(1, 2), mean_k_max=4)
+    assert report["all_pass"]
+    # both pairs settle on the first doubling: grids 256 and 512, for k = 1, 2
+    visited = [(256, 1), (512, 1), (256, 2), (512, 2)]
+    assert logs["assemble_hessian"] == logs["_nullity_eps"] == visited
+    assert logs["refine"] == [256, 256]
+    # after linearize's, P, Q, R are sampled twice per (grid, k): for the
+    # Hessian and for eps_n
+    assert sampled == [256] + [n * k for n, k in visited for _ in range(2)]
 
 
 def test_mean_index_rejects_short_engine():
@@ -136,21 +178,20 @@ def test_morse_indices_match_fourier_oracle(free_system, stiff_system):
     ]
     for L, loop, (P, Q, R) in cases:
         for k in (1, 2, 4, 8):
-            for sym in (False, True):
-                got = morse_index(L, loop, k=k, symmetric=sym)
-                want = fourier_morse_index(P, Q, R, k=k, symmetric=sym)
-                assert got == want, (L.name, k, sym, got, want)
+            got = morse_index(L, loop, k=k)
+            want = (fourier_morse_index(P, Q, R, k=k),
+                    fourier_morse_index(P, Q, R, k=k, symmetric=True))
+            assert got == want, (L.name, k, got, want)
 
 
 def test_morse_specific_values(stiff_system, free_system):
     unstable = SymmetricLoop.constant([0.5], 1)
-    assert morse_index(stiff_system.L_theta, unstable, 1).as_tuple() == (1, 2)
-    assert morse_index(stiff_system.L_theta, unstable, 1, symmetric=True).as_tuple() == (1, 1)
+    full, even = morse_index(stiff_system.L_theta, unstable, 1)
+    assert full == (1, 2) and even == (1, 1)
     stable = SymmetricLoop.constant([0.0], 1)
-    assert morse_index(stiff_system.L_theta, stable, 1).as_tuple() == (0, 0)
+    assert morse_index(stiff_system.L_theta, stable, 1)[0] == (0, 0)
     free_loop = SymmetricLoop.constant([0.3], 1)
-    assert morse_index(free_system.L_theta, free_loop, 1).as_tuple() == (0, 1)
-    assert morse_index(free_system.L_theta, free_loop, 1, symmetric=True).as_tuple() == (0, 1)
+    assert morse_index(free_system.L_theta, free_loop, 1) == ((0, 1), (0, 1))
 
 
 CZ_TABLE = {
@@ -166,8 +207,8 @@ def test_cz_and_l0_anchor_paths(name):
     B, expected = CZ_TABLE[name]
     for k, (cz_want, l0_want) in expected.items():
         path = fundamental_solution(constant_coefficients(B), float(k))
-        assert cz_index(path, k).as_tuple() == cz_want
-        assert l0_index(path, k).as_tuple() == l0_want
+        assert cz_index(path, k) == cz_want
+        assert l0_index(path, k) == l0_want
 
 
 def test_mean_index_relations():
@@ -239,9 +280,10 @@ def test_banded_negative_count_matches_dense_ldl(mild_system, twisted_t2, seed, 
     n = 8 * period
     loop = SymmetricLoop(period, rng.uniform(-1.0, 1.0, size=(n // 2 + 1, dim)),
                          system.torus)
-    subspace = "even" if symmetric else "full"
-    A = (assemble_hessian(system.L, loop, k=k, subspace=subspace)
-         + shift * assemble_gram(loop, k=k, subspace=subspace))
+    H, G = assemble_hessian(system.L, loop, k=k), assemble_gram(loop, k=k)
+    if symmetric:
+        H, G = H.even_fold(), G.even_fold()
+    A = H + shift * G
     dense = A.dense()
     ev = np.linalg.eigvalsh(dense)
     # the count is only defined when no eigenvalue sits at round-off from zero

@@ -137,27 +137,30 @@ def test_hessian_T_independence(stiff_system, libration):
     assert out["index_pairs_equal"]
 
 
-def test_hessian_T_independence_counts_the_operators_it_compares(stiff_system,
-                                                                  libration, monkeypatch):
+def test_hessian_T_independence_takes_morse_index_pairs_and_one_assembly_per_T(
+        stiff_system, libration, monkeypatch):
     from brakekit import loopspace, modification
 
     KC = compute_constants(stiff_system.H, stiff_system.theta)
-    want = {}
+    want, specs = {}, []
     for T in (4.0, 8.0):
         spec, _ = build_modification(stiff_system.L_theta, T, constants=KC)
-        want[str(T)] = {"full": morse_index(spec, libration, k=2).as_tuple(),
-                        "even": morse_index(spec, libration, k=2, symmetric=True).as_tuple()}
+        full, even = morse_index(spec, libration, k=2)
+        want[str(T)] = {"full": full, "even": even}
+        specs.append(spec)
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(kwargs.get("subspace", "full"))
+        calls.append(args[0])
         return loopspace.assemble_hessian(*args, **kwargs)
 
     monkeypatch.setattr(modification, "assemble_hessian", counted)
     out = hessian_T_independence(stiff_system.L_theta, libration, 4.0, 8.0,
                                  constants=KC, k=2)
     assert out["index_pairs"] == want
-    assert calls == ["full", "full"]  # one assembly per T; the even one is its fold
+    # one deviation assembly per T, folded for the even part; morse_index
+    # assembles its own through the index module
+    assert calls == specs
 
 
 def test_infeasible_mu_raises(stiff_system):

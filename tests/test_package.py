@@ -88,3 +88,18 @@ def test_every_boolean_switch_is_set_somewhere():
     unused = [f"{fn}({arg})" for fn, arg, default, index in _bool_parameters()
               if not any(_sets_other_value(c, arg, default, index) for c in calls.get(fn, []))]
     assert not unused, f"boolean parameters no call sets: {unused}"
+
+
+def test_no_module_imports_a_private_name_from_another():
+    # a private name belongs to its module; another module that needs it
+    # should get a public one
+    found = []
+    for path in sorted((ROOT / "src" / "brakekit").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if not (node.level or (node.module or "").split(".")[0] == "brakekit"):
+                continue
+            found += [f"{path.stem}: {alias.name}" for alias in node.names
+                      if alias.name.startswith("_")]
+    assert not found, f"private names imported across modules: {found}"
