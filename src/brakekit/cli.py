@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
+import shutil
 import sys
 
 import numpy as np
@@ -195,11 +197,10 @@ def cmd_index(args):
         print(f"error: stored loop is not critical (gradient residual {grad:.3e}); "
               "the record may be tampered or belong to another system", file=sys.stderr)
         return 2
-    ks = tuple(int(k) for k in args.k.split(","))
-    report = verify_relations(system.L_theta, loop, ks=ks)
+    report = verify_relations(system.L_theta, loop, ks=args.k)
     payload = {
         "orbit": args.orbit,
-        "ks": list(ks),
+        "ks": list(args.k),
         "mean_index": {k: v for k, v in report["mean_index"].items()},
         "per_k": {
             str(k): {
@@ -225,7 +226,7 @@ def cmd_index(args):
 def cmd_modify_check(args):
     system = _load_config(args.config)
     store = OrbitStore(_store_dir(args))
-    t_list = [float(t) for t in args.T.split(",")]
+    t_list = args.T
     if len(t_list) < 2:
         print("error: need at least two T values", file=sys.stderr)
         return 2
@@ -321,22 +322,31 @@ def cmd_bangert(args):
             return 2
         loops = []
         for oid in ids:
-            loop, _ = store.load_orbit(oid)
-            if loop.period != 1:
-                print("error: orbit families need period-1 loops", file=sys.stderr)
+            try:
+                loop, _ = store.load_orbit(oid)
+            except OSError as exc:
+                print(f"error: orbit not found: {exc}", file=sys.stderr)
                 return 2
             loops.append(loop)
+        if any(lp.period != 1 or lp.dim != system.dim or lp.n != loops[0].n for lp in loops):
+            print("error: an orbit family needs two period-1 loops on one grid, in the "
+                  "system's dimension", file=sys.stderr)
+            return 2
         xs = np.linspace(0.0, 1.0, 17)
         family = bg.LoopFamily(xs, [
             SymmetricLoop(1, (1 - x) * loops[0].half_values + x * loops[1].half_values,
                           system.torus) for x in xs])
     elif args.family in _BUILTIN_FAMILIES:
+        if system.dim != 1:
+            print(f"error: the builtin family {args.family!r} is a family of loops in "
+                  f"T^1; the system is on T^{system.dim}", file=sys.stderr)
+            return 2
         family = _BUILTIN_FAMILIES[args.family]()
     else:
         print(f"error: unknown family {args.family!r}", file=sys.stderr)
         return 2
 
-    ns = tuple(int(v) for v in args.n.split(","))
+    ns = args.n
     L = system.L_theta
     report = bg.action_bound_check(family, L, ns=ns)
     homotopy = None
@@ -384,16 +394,34 @@ def cmd_bangert(args):
 
 def cmd_export(args):
     store = OrbitStore(_store_dir(args))
+    ids = args.orbit.split(",") if args.orbit else store.orbit_ids()
+    missing = [oid for oid in ids if not (store.root / "orbits" / f"{oid}.json").exists()]
+    if missing:
+        print(f"error: orbit not found: {', '.join(missing)}", file=sys.stderr)
+        return 2
     os.makedirs(args.out, exist_ok=True)
-    import shutil
-
-    for oid in (args.orbit.split(",") if args.orbit else store.orbit_ids()):
+    for oid in ids:
         for ext in (".json", ".csv"):
             src = store.root / "orbits" / f"{oid}{ext}"
             if src.exists():
                 shutil.copy(src, os.path.join(args.out, src.name))
                 print(f"exported {src.name}")
     return 0
+
+
+def _comma_list(cast, ok, what):
+    """argparse type: a comma-separated list of cast(item) values that pass ok."""
+
+    def parse(text):
+        try:
+            values = tuple(cast(v) for v in text.split(","))
+        except ValueError:
+            values = ()
+        if not values or not all(ok(v) for v in values):
+            raise argparse.ArgumentTypeError(f"{text!r} is not a comma list of {what}")
+        return values
+
+    return parse
 
 
 def build_parser():
@@ -417,19 +445,22 @@ def build_parser():
     p = sub.add_parser("index", help="index identities for a stored orbit")
     p.add_argument("--config", required=True)
     p.add_argument("--orbit", required=True)
-    p.add_argument("--k", default="1,2,4")
+    p.add_argument("--k", type=_comma_list(int, lambda k: k >= 1, "positive integers"),
+                   default="1,2,4")
     p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("modify-check", help="convex quadratic modification certificates")
     p.add_argument("--config", required=True)
-    p.add_argument("--T", default="4,8")
+    p.add_argument("--T", type=_comma_list(float, lambda T: 0 < T < math.inf,
+                                           "positive numbers"), default="4,8")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_modify_check)
 
     p = sub.add_parser("bangert", help="iteration homotopy demonstration")
     p.add_argument("--config", required=True)
     p.add_argument("--family", default="two-constant")
-    p.add_argument("--n", default="2,4,8")
+    p.add_argument("--n", type=_comma_list(int, lambda n: n >= 2, "integers >= 2"),
+                   default="2,4,8")
     p.add_argument("--c1", type=float, default=None)
     p.add_argument("--c2", type=float, default=None)
     p.add_argument("--eps", type=float, default=None)

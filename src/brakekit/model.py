@@ -169,6 +169,9 @@ class OneForm:
 
         return cls(torus, comp, jac, hess, name=f"const{tuple(vals)}")
 
+    def __neg__(self) -> "OneForm":
+        return _NegatedOneForm(self)
+
     def components(self, q):
         return self._components(q)
 
@@ -189,6 +192,25 @@ class OneForm:
     def periodicity_violation(self, samples=64, rng=None) -> float:
         """Max |theta(q + e_i period_i) - theta(q)| on a seeded sample set."""
         return self.torus.lattice_defect(self.components, samples, rng)[0]
+
+
+class _NegatedOneForm(OneForm):
+    """-theta: its evaluators negate theta's memoized arrays and keep no memo,
+    so a field that uses both forms at one point evaluates theta once."""
+
+    def __init__(self, theta: OneForm):
+        self.torus = theta.torus
+        self.name = f"-{theta.name}"
+        self.theta = theta
+
+    def components(self, q):
+        return -self.theta.components(q)
+
+    def jacobian(self, q):
+        return -self.theta.jacobian(q)
+
+    def hessian(self, q):
+        return -self.theta.hessian(q)
 
 
 class LagrangianSpec:

@@ -20,10 +20,11 @@ outside the grammar is a ValueError.  Every expression must be
 lattice-periodic; this is validated by sampling at load time.
 
 The "lagrangian" entry defines the reversible mechanical Lagrangian
-L_theta(t, q, v) (even in v).  The loader derives the companions:
-L = L_theta - theta[v], its dual Hamiltonian H on the twisted side
-(which satisfies the R1 symmetry by construction), and the shifted dual
-H_theta = H o Phi on the standard side.
+L_theta(t, q, v) (even in v), and each builtin its dual H_theta on the
+standard side (a closed form for kinetic_potential, the Fenchel dual for
+quartic_kinetic).  For every builtin the loader derives L = L_theta - theta[v]
+and its dual H = H_theta o Phi^-1, H(t, q, p) = H_theta(t, q, p + theta(q)), on
+the twisted side; H is R1-symmetric because H_theta is even in p.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import inspect
 import json
 import math
 import operator
+import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -40,6 +42,7 @@ import numpy as np
 import sympy as sp
 
 from .errors import PreconditionViolated
+from .legendre import hamiltonian_from_lagrangian
 from .model import (
     HamiltonianSpec,
     LagrangianSpec,
@@ -54,7 +57,6 @@ __all__ = [
     "kinetic_potential_lagrangian",
     "quartic_kinetic_lagrangian",
     "kinetic_hamiltonian",
-    "magnetic_kinetic_hamiltonian",
     "shifted_hamiltonian",
     "MagneticSystem",
     "load_system",
@@ -108,7 +110,10 @@ def _parse_expr(text, syms):
         raise ValueError(f"expression {text!r}: {ast.unparse(node)!r} is outside the grammar")
 
     try:
-        expr = build(ast.parse(text, mode="eval").body)
+        with warnings.catch_warnings():  # "1or q1" warns; as an error it is a SyntaxError
+            warnings.simplefilter("error", SyntaxWarning)
+            tree = ast.parse(text, mode="eval")
+        expr = build(tree.body)
     except (SyntaxError, RecursionError) as exc:
         raise ValueError(f"cannot parse expression {text!r}: {exc}") from exc
     for sub in sp.preorder_traversal(expr):
@@ -349,55 +354,9 @@ def kinetic_hamiltonian(torus: TorusSpace, potential: str = "0",
                            reversible=True, name=f"|p|^2/{2 * mass} + ({potential})")
 
 
-def magnetic_kinetic_hamiltonian(torus: TorusSpace, theta: OneForm,
-                                 potential: str = "0", mass: float = 1.0) -> HamiltonianSpec:
-    """H = |p + theta(q)|^2/(2m) + V(q), the dual of L_theta - theta[v].
-
-    This is the closed-form Hamiltonian whose twisted flow corresponds to the
-    mechanical Lagrangian m|v|^2/2 - V; it satisfies H(-t, R1(q,p)) = H(t,q,p).
-    """
-    vval, vgrad, vhess = parse_scalar_field(torus, potential)
-    n = torus.dim
-    eye = np.eye(n)
-
-    def shifted(q, p):
-        return np.asarray(p, dtype=float) + theta.components(q)
-
-    def value(t, q, p):
-        u = shifted(q, p)
-        return np.sum(u * u, axis=-1) / (2.0 * mass) + vval(q)
-
-    def grad_q(t, q, p):
-        u = shifted(q, p)
-        jac = theta.jacobian(q)  # [i, j] = d theta_i / d q_j
-        return np.einsum("...i,...ij->...j", u, jac) / mass + vgrad(q)
-
-    def grad_p(t, q, p):
-        return shifted(q, p) / mass
-
-    def hess_pp(t, q, p):
-        q = np.asarray(q, dtype=float)
-        return np.broadcast_to(eye / mass, q.shape[:-1] + (n, n)).copy()
-
-    def hess_qp(t, q, p):
-        # d2H/dq_i dp_j = jac[j, i] / m
-        jac = theta.jacobian(q)
-        return np.swapaxes(jac, -1, -2) / mass
-
-    def hess_qq(t, q, p):
-        u = shifted(q, p)
-        jac = theta.jacobian(q)
-        hs = theta.hessian(q)
-        quad = np.einsum("...ki,...kj->...ij", jac, jac) / mass
-        curv = np.einsum("...k,...kij->...ij", u, hs) / mass
-        return quad + curv + vhess(q)
-
-    return HamiltonianSpec(torus, value, grad_q, grad_p, hess_pp, hess_qp, hess_qq,
-                           reversible=True, name=f"|p+theta|^2/{2 * mass} + ({potential})")
-
-
 def shifted_hamiltonian(H: HamiltonianSpec, theta: OneForm) -> HamiltonianSpec:
-    """H_theta = H o Phi, i.e. H_theta(t, q, p) = H(t, q, p - theta(q))."""
+    """H o Phi, i.e. (t, q, p) -> H(t, q, p - theta(q)); given -theta, H o Phi^-1,
+    which is how load_system builds the twisted H from H_theta."""
 
     def sh(q, p):
         return np.asarray(p, dtype=float) - theta.components(q)
@@ -437,7 +396,7 @@ def shifted_hamiltonian(H: HamiltonianSpec, theta: OneForm) -> HamiltonianSpec:
         return term1 + term2 + term3 + term4 + term5
 
     return HamiltonianSpec(H.torus, value, grad_q, grad_p, hess_pp, hess_qp, hess_qq,
-                           reversible=False, name=f"{H.name} o Phi")
+                           reversible=False, name=f"{H.name} o Phi[{theta.name}]")
 
 
 @dataclass
@@ -448,8 +407,8 @@ class MagneticSystem:
     theta: OneForm
     L_theta: LagrangianSpec      # reversible mechanical Lagrangian on M
     L: LagrangianSpec            # L = L_theta - theta[v], dual of H
-    H: HamiltonianSpec           # Hamiltonian on the twisted side, R1-symmetric
-    H_theta: HamiltonianSpec     # H o Phi on the standard side, dual of L_theta
+    H: HamiltonianSpec           # H_theta o Phi^-1 on the twisted side, R1-symmetric
+    H_theta: HamiltonianSpec     # dual of L_theta on the standard side
     numerics: dict = field(default_factory=lambda: dict(DEFAULT_NUMERICS))
     config: Optional[dict] = None
 
@@ -458,9 +417,10 @@ class MagneticSystem:
         return self.torus.dim
 
 
+# each builtin's L_theta, and the closed form of its dual H_theta where there is one
 _BUILTINS = {
-    "kinetic_potential": kinetic_potential_lagrangian,
-    "quartic_kinetic": quartic_kinetic_lagrangian,
+    "kinetic_potential": (kinetic_potential_lagrangian, kinetic_hamiltonian),
+    "quartic_kinetic": (quartic_kinetic_lagrangian, None),
 }
 
 
@@ -482,7 +442,7 @@ def load_system(doc) -> MagneticSystem:
     if builtin not in _BUILTINS:
         raise ValueError(f"unknown lagrangian builtin {builtin!r}; "
                          f"available: {sorted(_BUILTINS)}")
-    make = _BUILTINS[builtin]
+    make, dual = _BUILTINS[builtin]
     accepted = list(inspect.signature(make).parameters)[1:]  # the first is the torus
     unknown = sorted(set(lag) - set(accepted))
     if unknown:
@@ -490,26 +450,9 @@ def load_system(doc) -> MagneticSystem:
                          f"it accepts {accepted}")
     L_theta = make(torus, **lag)
 
-    minus_theta = OneForm(
-        torus,
-        lambda q: -theta.components(q),
-        lambda q: -theta.jacobian(q),
-        lambda q: -theta.hessian(q),
-        name=f"-{theta.name}",
-    )
-    L = magnetic_lagrangian(L_theta, minus_theta)
-
-    if builtin == "kinetic_potential":
-        H = magnetic_kinetic_hamiltonian(torus, theta,
-                                         potential=lag.get("potential", "0"),
-                                         mass=lag.get("mass", 1.0))
-        H_theta = kinetic_hamiltonian(torus, potential=lag.get("potential", "0"),
-                                      mass=lag.get("mass", 1.0))
-    else:
-        from .legendre import hamiltonian_from_lagrangian
-
-        H = hamiltonian_from_lagrangian(L)
-        H_theta = hamiltonian_from_lagrangian(L_theta)
+    H_theta = hamiltonian_from_lagrangian(L_theta) if dual is None else dual(torus, **lag)
+    L = magnetic_lagrangian(L_theta, -theta)
+    H = shifted_hamiltonian(H_theta, -theta)
 
     numerics = dict(DEFAULT_NUMERICS)
     numerics.update(doc.get("numerics", {}))

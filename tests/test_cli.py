@@ -107,6 +107,22 @@ def test_unmapped_brakekit_error_exit_code(mild_store, monkeypatch, capsys):
     assert "crossing form singular" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["index", "--orbit", "x", "--k", "0"],
+    ["index", "--orbit", "x", "--k", "x"],
+    ["modify-check", "--T", "4,x"],
+    ["bangert", "--n", "1"],
+    ["bangert", "--n", "0,2"],
+])
+def test_bad_numbers_exit_code(tmp_path, capsys, argv):
+    cfg = write_config(tmp_path, MILD_CONFIG)
+    with pytest.raises(SystemExit) as err:
+        main(["--store", str(tmp_path / "s"), argv[0], "--config", cfg, *argv[1:]])
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert f"error: argument {argv[-2]}" in stderr and "Traceback" not in stderr
+
+
 def test_no_convergence_exit_code(tmp_path):
     cfg = write_config(tmp_path, MILD_CONFIG)
     code = main(["--store", str(tmp_path / "s"), "find-orbits", "--config", cfg,
@@ -277,6 +293,31 @@ def test_bangert_command_computes_the_glue_constant_once(tmp_path, monkeypatch):
     assert len(built) == 33
 
 
+def test_bangert_refuses_an_unusable_orbit_family(tmp_path, capsys):
+    from brakekit.loopspace import SymmetricLoop
+    from brakekit.store import OrbitStore
+
+    store = OrbitStore(tmp_path / "store")
+    coarse, fine = (store.save_orbit(SymmetricLoop.constant([0.5], n_per_unit=n), {}, {})
+                    for n in (64, 128))
+    cfg = write_config(tmp_path, MILD_CONFIG)
+    for ids, why in ((f"000000000000,{fine}", "orbit not found"),
+                     (f"{coarse},{fine}", "on one grid")):
+        assert main(["--store", str(store.root), "bangert", "--config", cfg,
+                     "--family", f"orbits:{ids}"]) == 2
+        assert why in capsys.readouterr().err
+
+
+def test_bangert_refuses_a_builtin_family_off_the_circle(tmp_path, capsys):
+    # the builtin families are loops in T^1
+    cfg = write_config(tmp_path, {"dim": 2, "theta": ["0.3", "0.1"],
+                                  "lagrangian": {"builtin": "kinetic_potential",
+                                                 "potential": "cos(2*pi*q1) + cos(2*pi*q2)"}})
+    assert main(["--store", str(tmp_path / "store"), "bangert", "--config", cfg,
+                 "--family", "two-constant"]) == 2
+    assert "T^2" in capsys.readouterr().err
+
+
 def test_determinism_byte_identical(tmp_path):
     cfg = write_config(tmp_path, MILD_CONFIG)
     outs = []
@@ -300,3 +341,12 @@ def test_export_command(mild_store, tmp_path):
     import glob
 
     assert glob.glob(f"{out}/*.csv") and glob.glob(f"{out}/*.json")
+
+
+def test_export_refuses_a_missing_orbit(mild_store, tmp_path, capsys):
+    _, _, store = mild_store
+    oid = load_records(store)[0]["id"]
+    out = tmp_path / "exported"
+    assert main(["--store", store, "export", "--orbit", f"{oid},000000000000",
+                 "--out", str(out)]) == 2
+    assert "000000000000" in capsys.readouterr().err and not out.exists()

@@ -164,6 +164,69 @@ def test_gradient_duality(stiff_system):
         assert np.max(np.abs(v_back - v)) < 1e-12
 
 
+MAGNETIC_DOCS = {
+    1: (["0.3*sin(2*pi*q1)"], "cos(2*pi*q1)/(4*pi**2)"),
+    2: (["0.3*cos(2*pi*q2) + 0.1", "0.2*sin(2*pi*q1)*cos(2*pi*q2)"],
+        "0.7*cos(2*pi*q1) + 0.5*cos(2*pi*q2)"),
+}
+
+
+@pytest.mark.parametrize("dim", sorted(MAGNETIC_DOCS))
+def test_twisted_hamiltonian_matches_closed_form(dim):
+    # independent oracle: H = |p + theta(q)|^2/(2m) + V(q) differentiated by sympy
+    import sympy as sp
+
+    theta, potential = MAGNETIC_DOCS[dim]
+    mass = 0.7
+    system = load_system({"dim": dim, "theta": theta,
+                          "lagrangian": {"builtin": "kinetic_potential", "mass": mass,
+                                         "potential": potential}})
+    q = sp.symbols(" ".join(f"q{i + 1}" for i in range(dim)), real=True, seq=True)
+    p = sp.symbols(" ".join(f"p{i + 1}" for i in range(dim)), real=True, seq=True)
+    names = {"sin": sp.sin, "cos": sp.cos, "pi": sp.pi, **{str(a): a for a in q}}
+    th = [sp.sympify(e, locals=names) for e in theta]
+    H = (sum((p[i] + th[i]) ** 2 for i in range(dim)) / (2 * sp.Float(mass))
+         + sp.sympify(potential, locals=names))
+    closed = {
+        "value": H,
+        "grad_q": [sp.diff(H, a) for a in q],
+        "grad_p": [sp.diff(H, a) for a in p],
+        "hess_pp": [[sp.diff(H, a, b) for b in p] for a in p],
+        "hess_qp": [[sp.diff(H, a, b) for b in p] for a in q],
+        "hess_qq": [[sp.diff(H, a, b) for b in q] for a in q],
+    }
+    rng = np.random.default_rng(4)
+    qs = rng.uniform(0, 1, (64, dim))
+    ps = rng.normal(size=(64, dim)) * 2
+    for name, expr in closed.items():
+        fn = sp.lambdify([*q, *p], expr, modules="numpy")
+        want = np.array([fn(*a, *b) for a, b in zip(qs, ps)], dtype=float)
+        got = getattr(system.H, name)(0.0, qs, ps)
+        assert np.max(np.abs(got - want)) < 1e-12, name
+
+
+def test_quartic_load_builds_one_fenchel_dual(monkeypatch):
+    import brakekit.legendre as legendre
+    import brakekit.systems as systems
+
+    duals, built = [], []
+    dual_spec, from_lagrangian = legendre._dual_spec, systems.hamiltonian_from_lagrangian
+
+    def counting_dual_spec(primal, *args):
+        built.append(primal)
+        return dual_spec(primal, *args)
+
+    def counting_from_lagrangian(L):
+        duals.append(L)
+        return from_lagrangian(L)
+
+    monkeypatch.setattr(legendre, "_dual_spec", counting_dual_spec)
+    monkeypatch.setattr(systems, "hamiltonian_from_lagrangian", counting_from_lagrangian)
+    system = load_system({"dim": 1, "theta": ["0.3 + 0.1*sin(2*pi*q1)"],
+                          "lagrangian": {"builtin": "quartic_kinetic"}})
+    assert duals == [system.L_theta] and built == [system.L_theta]
+
+
 THETA = "0.3 + 0.1*sin(2*pi*q1)"
 
 
@@ -206,12 +269,16 @@ def test_batched_dual_equals_pointwise(quartic_twisted):
 
 
 def test_dual_memo_is_never_stale(quartic_twisted):
-    H, L = quartic_twisted.H, quartic_twisted.L
+    H, L_theta, theta = quartic_twisted.H, quartic_twisted.L_theta, quartic_twisted.theta
+
+    def reference(t, q, p):  # H = H_theta o Phi^-1, H_theta the dual of L_theta
+        return dual_velocity(L_theta, t, q, p + theta.components(q))
+
     t, q, p = quartic_batch()
     first = H.grad_p(t, q, p)
     p[3, 0] += 1.0  # the caller's array changes in place between two calls
     second = H.grad_p(t, q, p)
-    assert np.array_equal(second, dual_velocity(L, t, q, p))
+    assert np.array_equal(second, reference(t, q, p))
     assert not np.array_equal(first[3], second[3])
     second[:] = 0.0  # nor may a caller's write to a result reach the memo
-    assert np.array_equal(H.grad_p(t, q, p), dual_velocity(L, t, q, p))
+    assert np.array_equal(H.grad_p(t, q, p), reference(t, q, p))

@@ -1,9 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brakekit.dynamics import twisted_field
 from brakekit.model import (
+    _LastValue,
     OneForm,
     PhasePoint,
     TorusSpace,
@@ -166,6 +170,30 @@ def test_one_form_memo_returns_read_only_last_result():
     assert not out.flags.writeable and out.base.flags.writeable
 
 
+def test_twisted_field_evaluates_theta_once():
+    # H reaches theta through -theta, which negates theta's memoized arrays, so
+    # one field call runs theta's raw components and Jacobian once each
+    system = load_system({"dim": 2, "theta": ["0.3*cos(2*pi*q2)", "sin(2*pi*q1)/(2*pi)"],
+                          "lagrangian": {"builtin": "kinetic_potential", "mass": 0.7,
+                                         "potential": "cos(2*pi*q1)"}})
+    theta, calls = system.theta, []
+    for memo in (theta._components, theta._jacobian):
+        def counting(q, raw=memo.fn, label=memo):
+            calls.append(label)
+            return raw(q)
+        memo.fn = counting
+    twisted_field(system.H, theta, 0.0, np.array([0.2, 0.7, 0.4, -0.3]))
+    assert calls == [theta._components, theta._jacobian]
+
+    neg, q = -theta, np.array([0.1, 0.9])
+    assert not any(isinstance(v, _LastValue) for v in vars(neg).values())
+    first, second = neg.components(q), neg.components(q)
+    assert first is not second and np.array_equal(first, -theta.components(q))
+    assert np.array_equal(neg.jacobian(q), -theta.jacobian(q))
+    assert np.array_equal(neg.hessian(q), -theta.hessian(q))
+    assert len(calls) == 4  # q was evaluated once for each memo of theta
+
+
 def test_lattice_periodic_evaluations(stiff_system):
     rng = np.random.default_rng(3)
     q = rng.uniform(0, 1, (64, 1))
@@ -230,6 +258,15 @@ def test_any_text_parses_into_the_grammar_or_is_refused(text):
     except ValueError:
         return
     assert expr.free_symbols <= set(syms)
+
+
+@pytest.mark.parametrize("text", ["1or q1", "2in q1"])
+def test_text_the_tokenizer_warns_about_is_refused_without_a_warning(text):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="cannot parse"):
+            _parse_expr(text, _coords(2))
+    assert not caught
 
 
 def _per_entry(syms, entries, out_shape, q):
