@@ -86,7 +86,7 @@ def run_orbit_campaign(system: MagneticSystem, period: int, n_seeds: int,
     rng = np.random.default_rng(seed)
     torus = system.torus
     n = torus.dim
-    grid = grid or system.numerics.get("grid", 256)
+    grid = grid if grid is not None else system.numerics.get("grid", 256)
     tol_int = system.numerics.get("integrator_tol", 1e-10)
     q_seeds = [torus.periods * rng.uniform(0, 1, n) for _ in range(n_seeds)]
 
@@ -230,6 +230,10 @@ def cmd_modify_check(args):
     if len(t_list) < 2:
         print("error: need at least two T values", file=sys.stderr)
         return 2
+    if len(set(t_list)) < len(t_list):
+        print(f"error: --T {','.join(map(str, t_list))} repeats a value; the "
+              "T-independence check compares distinct T", file=sys.stderr)
+        return 2
     rng = np.random.default_rng(args.seed)
     K, C = modification.compute_constants(system.H, system.theta, rng=rng)
     rows = []
@@ -313,6 +317,10 @@ _BUILTIN_FAMILIES = {
 
 
 def cmd_bangert(args):
+    given = [a is not None for a in (args.c1, args.c2, args.eps)]
+    if any(given) and not all(given):
+        print("error: the homotopy needs all of --c1, --c2 and --eps", file=sys.stderr)
+        return 2
     system = _load_config(args.config)
     store = OrbitStore(_store_dir(args))
     if args.family.startswith("orbits:"):
@@ -350,7 +358,7 @@ def cmd_bangert(args):
     L = system.L_theta
     report = bg.action_bound_check(family, L, ns=ns)
     homotopy = None
-    if args.c1 is not None and args.c2 is not None and args.eps is not None:
+    if all(given):
         try:
             homotopy = bg.bangert_homotopy(family, max(ns), args.c1, args.c2,
                                            args.eps, q=1, L=L)
@@ -409,6 +417,21 @@ def cmd_export(args):
     return 0
 
 
+def _int_at_least(low, what):
+    """argparse type: one integer >= low."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+
+    return parse
+
+
 def _comma_list(cast, ok, what):
     """argparse type: a comma-separated list of cast(item) values that pass ok."""
 
@@ -436,10 +459,11 @@ def build_parser():
 
     p = sub.add_parser("find-orbits", help="run a brake-orbit search campaign")
     p.add_argument("--config", required=True)
-    p.add_argument("--period", type=int, default=1)
+    p.add_argument("--period", type=_int_at_least(1, "a positive integer"), default=1)
     p.add_argument("--seeds", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--grid", type=int, default=None)
+    # the same minimum as the document's numerics.grid
+    p.add_argument("--grid", type=_int_at_least(2, "an integer >= 2"), default=None)
     p.set_defaults(func=cmd_find_orbits)
 
     p = sub.add_parser("index", help="index identities for a stored orbit")

@@ -3,6 +3,10 @@
 The fiberwise conjugates are computed by a batched damped Newton iteration;
 the Tonelli conditions make the fiber maps p = L_v and v = H_p mutually
 inverse diffeomorphisms, so Newton with backtracking converges globally.
+A solve at one point (as every twisted-field evaluation makes) runs the same
+iteration without the batch's masks, and a 1x1 Newton step is one division,
+the bits LAPACK's solve returns for it; results are equal to the last bit
+to those of the same point solved inside a batch.
 """
 
 from __future__ import annotations
@@ -28,39 +32,85 @@ DEFAULT_TOL = 1e-12
 DEFAULT_MAXIT = 50
 
 
+def _residual_norm(r):
+    """Euclidean norm over the last axis, computed as np.linalg.norm(r, axis=-1) does."""
+    return np.sqrt(np.add.reduce(r * r, axis=-1))
+
+
 def _newton_fiber(grad, hess, t, q, target, x0, tol, maxit, label):
     """Solve grad(t, q, x) = target by damped Newton with monotone backtracking.
 
     Works at one point or a batch (leading axis M).  Every point keeps its own
     step length (the line search halves only for points not yet accepted) and
     its own stop flag (a converged point leaves the batch), so its iterates are
-    exactly those of a solve at that point alone.
+    exactly those of a solve at that point alone.  A single point, given 1-D
+    or as a batch of one row, runs the same iteration without masks.
     """
     target = np.asarray(target, dtype=float)
     y = np.atleast_2d(target)
     t = np.broadcast_to(np.asarray(t, dtype=float), y.shape[:1])
     q = np.broadcast_to(np.asarray(q, dtype=float), y.shape)
     x = np.zeros_like(y) if x0 is None else np.array(np.broadcast_to(x0, y.shape), dtype=float)
+    solve = _newton_point if len(y) == 1 else _newton_batch
+    out = solve(grad, hess, t, q, y, x, tol, maxit, label)
+    return out if target.ndim > 1 else out[0]
+
+
+def _newton_step(h, r):
+    """The Newton step solving h step = -r; a 1x1 system is one division,
+    which is what LAPACK's LU solve computes for it, bit for bit."""
+    if h.shape[-1] == 1:
+        return -r / h[..., 0]
+    return np.linalg.solve(h, -r[..., None])[..., 0]
+
+
+def _newton_point(grad, hess, t, q, y, x, tol, maxit, label):
+    """_newton_fiber at one point: y, x of shape (1, N), t of shape (1,)."""
+    r = np.asarray(grad(t, q, x)) - y
+    norm = _residual_norm(r)
+    for it in range(maxit + 1):
+        if norm[0] <= tol:
+            return x
+        if it == maxit:
+            raise NonConvergence(f"{label}: residual {norm[0]:.3e} "
+                                 f"after {maxit} iterations")
+        step = _newton_step(np.asarray(hess(t, q, x)), r)
+        alpha = 1.0
+        for _ in range(40):
+            trial = x + alpha * step
+            r_trial = np.asarray(grad(t, q, trial)) - y
+            n_trial = _residual_norm(r_trial)
+            if n_trial[0] < norm[0]:
+                x, r, norm = trial, r_trial, n_trial
+                break
+            alpha *= 0.5
+        else:
+            raise NonConvergence(f"{label}: line search stalled at residual "
+                                 f"{norm[0]:.3e}")
+
+
+def _newton_batch(grad, hess, t, q, y, x, tol, maxit, label):
+    """_newton_fiber on a batch of M points: y, x of shape (M, N), t of shape (M,)."""
     out, rows = x, np.arange(len(y))
     r = np.asarray(grad(t, q, x)) - y
-    norm = np.linalg.norm(r, axis=-1)
+    norm = _residual_norm(r)
     for it in range(maxit + 1):
         done = norm <= tol
         if done.all():
             out[rows] = x
-            return out if target.ndim > 1 else out[0]
+            return out
         if done.any():
             out[rows[done]] = x[done]
             rows, t, q, y, x, r, norm = (a[~done] for a in (rows, t, q, y, x, r, norm))
         if it == maxit:
             raise NonConvergence(f"{label}: residual {np.max(norm):.3e} "
                                  f"after {maxit} iterations")
-        step = np.linalg.solve(np.asarray(hess(t, q, x)), -r[..., None])[..., 0]
+        step = _newton_step(np.asarray(hess(t, q, x)), r)
         alpha, pending = 1.0, np.ones(len(x), dtype=bool)
         for _ in range(40):
             trial = x + alpha * step
             r_trial = np.asarray(grad(t, q, trial)) - y
-            n_trial = np.linalg.norm(r_trial, axis=-1)
+            n_trial = _residual_norm(r_trial)
             ok = pending & (n_trial < norm)
             if ok.all():  # the common case, taken without masked copies
                 x, r, norm = trial, r_trial, n_trial
@@ -132,11 +182,13 @@ def _dual_spec(primal, solve, hess_yy, hess_qy, dual_cls):
     def partial(fn):
         def inner(t, q, x):
             q = np.asarray(q, dtype=float)
-            q2 = np.atleast_2d(q)
-            x2 = np.atleast_2d(np.asarray(x, dtype=float))
-            tt = np.broadcast_to(np.asarray(t, dtype=float), (q2.shape[0],))
-            out = fn(tt, q2, x2, fiber(tt, q2, x2))
-            return out if q.ndim > 1 else out[0]
+            x = np.asarray(x, dtype=float)
+            t = np.asarray(t, dtype=float)
+            if q.ndim == 1:  # one point: a batch of one row
+                q, x, t = q[None], x.reshape(1, -1), t.reshape(1)
+                return fn(t, q, x, fiber(t, q, x))[0]
+            x, t = np.atleast_2d(x), np.broadcast_to(t, q.shape[:1])
+            return fn(t, q, x, fiber(t, q, x))
 
         return inner
 

@@ -113,6 +113,11 @@ def test_unmapped_brakekit_error_exit_code(mild_store, monkeypatch, capsys):
     ["modify-check", "--T", "4,x"],
     ["bangert", "--n", "1"],
     ["bangert", "--n", "0,2"],
+    ["find-orbits", "--period", "0"],
+    ["find-orbits", "--period", "-1"],
+    ["find-orbits", "--grid", "1"],
+    ["find-orbits", "--grid", "-4"],
+    ["find-orbits", "--grid", "0"],  # once silently replaced by the document's grid
 ])
 def test_bad_numbers_exit_code(tmp_path, capsys, argv):
     cfg = write_config(tmp_path, MILD_CONFIG)
@@ -121,6 +126,24 @@ def test_bad_numbers_exit_code(tmp_path, capsys, argv):
     assert err.value.code == 2
     stderr = capsys.readouterr().err
     assert f"error: argument {argv[-2]}" in stderr and "Traceback" not in stderr
+
+
+def test_modify_check_refuses_a_repeated_T(tmp_path, capsys):
+    # T = 4 against itself would certify T-independence vacuously
+    cfg = write_config(tmp_path, MILD_CONFIG)
+    for t_list in ("4,4", "4,8,4.0"):
+        assert main(["--store", str(tmp_path / "s"), "modify-check", "--config", cfg,
+                     "--T", t_list]) == 2
+        assert "repeats a value" in capsys.readouterr().err
+
+
+def test_bangert_refuses_a_partial_homotopy_request(tmp_path, capsys):
+    cfg = write_config(tmp_path, FREE_CONFIG)
+    for extra in (["--c1", "0.5"], ["--c1", "0.06", "--c2", "1.0"], ["--eps", "0.032"]):
+        assert main(["--store", str(tmp_path / "s"), "bangert", "--config", cfg,
+                     "--family", "two-constant", "--n", "2", *extra]) == 2
+        assert "needs all of --c1, --c2 and --eps" in capsys.readouterr().err
+    assert not (tmp_path / "s" / "reports").exists()
 
 
 def test_no_convergence_exit_code(tmp_path):

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from brakekit.errors import NonConvergence
 from brakekit.legendre import (
     DualPair,
+    _newton_step,
     dual_momentum,
     dual_velocity,
     fenchel_H_from_L,
@@ -228,20 +230,35 @@ def test_quartic_load_builds_one_fenchel_dual(monkeypatch):
 
 
 THETA = "0.3 + 0.1*sin(2*pi*q1)"
+QUARTIC_DOCS = {
+    1: {"dim": 1, "theta": [THETA], "lagrangian": {"builtin": "quartic_kinetic"}},
+    2: {"dim": 2, "theta": MAGNETIC_DOCS[2][0],
+        "lagrangian": {"builtin": "quartic_kinetic", "potential": MAGNETIC_DOCS[2][1]}},
+}
 
 
 @pytest.fixture(scope="module")
 def quartic_twisted():
     """Quartic kinetic energy with a q-dependent theta: H = dual of L_theta - theta[v]."""
-    return load_system({"dim": 1, "theta": [THETA],
-                        "lagrangian": {"builtin": "quartic_kinetic"}})
+    return load_system(QUARTIC_DOCS[1])
 
 
-def quartic_batch():
+@pytest.fixture(scope="module")
+def quartic_t2():
+    """The quartic twisted system on T^2, where fiber Hessians are 2x2."""
+    return load_system(QUARTIC_DOCS[2])
+
+
+@pytest.fixture(params=["quartic_twisted", "quartic_t2"])
+def quartic_any(request):
+    return request.getfixturevalue(request.param)
+
+
+def quartic_batch(dim=1):
     rng = np.random.default_rng(3)
     t = rng.uniform(0, 1, 400)
-    q = rng.uniform(0, 1, (400, 1))
-    p = rng.normal(size=(400, 1)) * 3
+    q = rng.uniform(0, 1, (400, dim))
+    p = rng.normal(size=(400, dim)) * 3
     # |p| ~ 40: the full Newton step from v = 0 lands near v = 40, where the
     # residual is ~40^3, so these points backtrack
     p[:40, 0] = rng.uniform(38.0, 42.0, 40) * rng.choice([-1.0, 1.0], 40)
@@ -259,13 +276,13 @@ def test_batched_dual_matches_root_oracle(quartic_twisted):
     assert np.max(np.abs(H.hess_pp(t, q, p)[:, 0, 0] - 1.0 / (3.0 * v * v + 1.0))) < 1e-10
 
 
-def test_batched_dual_equals_pointwise(quartic_twisted):
-    H = quartic_twisted.H
-    t, q, p = quartic_batch()
-    for name in ("value", "grad_q", "grad_p", "hess_pp", "hess_qp", "hess_qq"):
-        fn = getattr(H, name)
-        single = np.stack([fn(t[i], q[i], p[i]) for i in range(len(t))])
-        assert np.array_equal(fn(t, q, p), single), name
+def test_batched_dual_equals_pointwise(quartic_twisted, quartic_t2):
+    for system in (quartic_twisted, quartic_t2):
+        t, q, p = quartic_batch(system.dim)
+        for name in ("value", "grad_q", "grad_p", "hess_pp", "hess_qp", "hess_qq"):
+            fn = getattr(system.H, name)
+            single = np.stack([fn(t[i], q[i], p[i]) for i in range(len(t))])
+            assert np.array_equal(fn(t, q, p), single), (system.dim, name)
 
 
 def test_dual_memo_is_never_stale(quartic_twisted):
@@ -282,3 +299,45 @@ def test_dual_memo_is_never_stale(quartic_twisted):
     assert not np.array_equal(first[3], second[3])
     second[:] = 0.0  # nor may a caller's write to a result reach the memo
     assert np.array_equal(H.grad_p(t, q, p), reference(t, q, p))
+
+
+def test_point_solve_equals_batch_solve(quartic_any):
+    # one-point solves skip the batch machinery; their iterates must not move
+    L = quartic_any.L_theta
+    t, q, p = quartic_batch(quartic_any.dim)
+    v0 = np.full(quartic_any.dim, 0.5)
+    for start in (None, v0):
+        batch = dual_velocity(L, t, q, p, v0=start)
+        single = np.stack([dual_velocity(L, t[i], q[i], p[i], v0=start)
+                           for i in range(len(t))])
+        rows = np.concatenate([dual_velocity(L, t[i:i + 1], q[i:i + 1], p[i:i + 1], v0=start)
+                               for i in range(len(t))])
+        assert np.array_equal(batch, single) and np.array_equal(batch, rows)
+
+
+def test_point_and_batch_report_the_same_nonconvergence(quartic_any):
+    L = quartic_any.L_theta
+    t, q, p = quartic_batch(quartic_any.dim)
+    messages = []
+    for args in ((t[0], q[0], p[0]), (t[[0, 0]], q[[0, 0]], p[[0, 0]])):
+        with pytest.raises(NonConvergence) as err:
+            dual_velocity(L, *args, maxit=1)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("dual_velocity: residual")
+
+
+def test_newton_step_division_matches_lapack_solve(quartic_twisted):
+    # a 1x1 Newton step is taken as -r / h; it must be the bits LAPACK's
+    # LU solve returns, on the fiber Hessians the quartic solves meet
+    L = quartic_twisted.L_theta
+    rng = np.random.default_rng(17)
+    t = rng.uniform(0, 1, 20000)
+    q = rng.uniform(0, 1, (20000, 1))
+    v = rng.normal(size=(20000, 1)) * rng.choice([0.1, 1.0, 10.0, 40.0], (20000, 1))
+    h = np.asarray(L.hess_vv(t, q, v))
+    r = rng.normal(size=v.shape) * 10.0 ** rng.uniform(-13, 5, (20000, 1))
+    want = np.linalg.solve(h, -r[..., None])[..., 0]
+    assert np.array_equal(_newton_step(h, r), want)
+    assert all(np.array_equal(_newton_step(h[i:i + 1], r[i:i + 1]), want[i:i + 1])
+               for i in range(0, 20000, 97))
