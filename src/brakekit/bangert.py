@@ -43,11 +43,9 @@ __all__ = [
     "reverse_segment",
     "concatenate",
     "shortest_geodesic",
-    "segment_length",
     "broken_geodesic",
     "hat_constant",
     "build_theta_2n",
-    "hat_loop",
     "segment_action",
     "loop_action",
     "action_bound_check",
@@ -148,18 +146,18 @@ def reverse_segment(seg: PathSegment) -> PathSegment:
                        seg.windows[::-1, ::-1], seg.shifts[::-1])
 
 
-def concatenate(s1: PathSegment, s2: PathSegment, torus: Optional[TorusSpace] = None,
-                tol: float = 1e-10) -> PathSegment:
+def concatenate(s1: PathSegment, s2: PathSegment,
+                torus: Optional[TorusSpace] = None) -> PathSegment:
     """First traverse s1, then s2, parametrized on [a1, b1 + b2 - a2].
 
-    Endpoints must agree on the torus within tol; the lift of s2 is shifted by
-    the lattice vector that makes the concatenation continuous.
+    Endpoints must agree on the torus within 1e-10; the lift of s2 is shifted
+    by the lattice vector that makes the concatenation continuous.
     """
     gap = s1.end - s2.start
     lattice = (np.zeros_like(gap) if torus is None
                else torus.periods * np.round(gap / torus.periods))
     resid = np.linalg.norm(gap - lattice)
-    if resid > tol:
+    if resid > 1e-10:
         raise EndpointMismatch(f"segment endpoints differ by {resid:.3e}")
     return PathSegment(np.concatenate([s1.breaks, s2.breaks[1:] + (s1.b - s2.a)]),
                        s1.sources + s2.sources, np.concatenate([s1.windows, s2.windows]),
@@ -176,11 +174,6 @@ def shortest_geodesic(torus: TorusSpace, qa, qb, a: float = 0.0,
         raise TooFar(f"distance {dist:.4g} >= injectivity radius "
                      f"{torus.injectivity_radius:.4g}")
     return _piece(_Chord(qa, disp), _Chord(disp, 0.0 * disp), a, b, 0.0, 1.0, qa.size)
-
-
-def segment_length(seg: PathSegment) -> float:
-    """Integral of |qdot| through the action quadrature."""
-    return _integrate(seg, lambda ts, q, v: np.linalg.norm(v, axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -253,18 +246,19 @@ class LoopFamily:
             self._spline_cache[key] = self.at(x).spline()
         return self._spline_cache[key]
 
-    def modulus_rho(self, safety: float = 2.0, min_rho_frac: float = 2 ** -16) -> float:
-        """Largest dyadic step rho with ev-increments below inj_radius/safety."""
+    def modulus_rho(self) -> float:
+        """Largest dyadic step rho >= 2^-16 span with ev-increments below half
+        the injectivity radius."""
         inj = self.torus.injectivity_radius
         span = self.x1 - self.x0
         rho = span
-        while rho >= min_rho_frac * span:
+        while rho >= 2 ** -16 * span:
             grid = np.arange(self.x0, self.x1 + 0.5 * rho, rho)
             grid[-1] = self.x1
             pts = np.array([self.ev(x) for x in grid])
             steps = [np.linalg.norm(self.torus.displacement(pts[i], pts[i + 1]))
                      for i in range(len(pts) - 1)]
-            if max(steps, default=0.0) < inj / safety:
+            if max(steps, default=0.0) < inj / 2.0:
                 return rho
             rho /= 2.0
         raise TooFar("family base-point curve too wild for the geodesic net")
@@ -285,10 +279,10 @@ def broken_geodesic(family: LoopFamily, xa: float, xb: float,
 
 
 def _loop_segment(family: LoopFamily, x: float, t0: float, t1: float,
-                  src0: float = 0.0, src1: float = 1.0) -> PathSegment:
-    """The loop at parameter x, source window [src0, src1], mapped onto [t0, t1]."""
+                  src1: float = 1.0) -> PathSegment:
+    """The loop at parameter x, source window [0, src1], mapped onto [t0, t1]."""
     sp = family.spline(x)
-    return _piece(sp, sp.derivative(), t0, t1, src0, src1, family.torus.dim)
+    return _piece(sp, sp.derivative(), t0, t1, 0.0, src1, family.torus.dim)
 
 
 def loop_action(L: LagrangianSpec, loop: SymmetricLoop) -> float:
@@ -300,32 +294,26 @@ def loop_action(L: LagrangianSpec, loop: SymmetricLoop) -> float:
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(4)
 
 
-def segment_action(L: LagrangianSpec, seg: PathSegment, pts_per_unit: int = 192,
-                   min_pts: int = 17) -> float:
-    """Integral of L(t, q, qdot) over the segment, split at corner times."""
-    return _integrate(seg, L.value, pts_per_unit, min_pts)
+def segment_action(L: LagrangianSpec, seg: PathSegment) -> float:
+    """Integral of L(t, q, qdot) over the segment, split at its breaks.
 
-
-def _integrate(seg: PathSegment, integrand, pts_per_unit: int = 192,
-               min_pts: int = 17) -> float:
-    """Integral of integrand(t, q, qdot) over the segment, split at its breaks.
-
-    Composite 4-point Gauss-Legendre on each smooth span, about pts_per_unit
-    nodes per unit time, with one evaluation for the nodes of all spans.
-    The nodes are interior, so no span samples the velocity across a corner.
+    Composite 4-point Gauss-Legendre on each smooth span, about 192 nodes per
+    unit time and at least 17, with one evaluation of L for the nodes of all
+    spans.  The nodes are interior, so no span samples the velocity across a
+    corner.
     """
     cuts = np.unique(seg.breaks)
     halves, nodes = [], [np.empty(0)]  # a segment without spans integrates to 0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         if hi - lo < 1e-15:
             continue
-        panels = -(-max(min_pts, int(pts_per_unit * (hi - lo)) + 1) // 4)
+        panels = -(-max(17, int(192 * (hi - lo)) + 1) // 4)
         edges = np.linspace(lo, hi, panels + 1)
         half = 0.5 * np.diff(edges)
         halves.append(half)
         nodes.append(((edges[:-1] + half)[:, None] + half[:, None] * _GAUSS_NODES).ravel())
     ts = np.concatenate(nodes)
-    vals = np.split(np.asarray(integrand(ts, *seg.at(ts))).reshape(-1, 4),
+    vals = np.split(np.asarray(L.value(ts, *seg.at(ts))).reshape(-1, 4),
                     np.cumsum([len(half) for half in halves[:-1]]))
     total = 0.0
     for half, rows in zip(halves, vals):
@@ -355,7 +343,7 @@ def _half_table(family: LoopFamily, n: int, x: float,
     """The half-period path on [0, n] realizing the regime tables."""
     x0, x1 = family.x0, family.x1
     if _at_right_end(family, x):
-        return _loop_segment(family, x1, 0.0, n, 0.0, float(n))
+        return _loop_segment(family, x1, 0.0, n, float(n))
     span = x1 - x0
     Y = span / n
     l = min(int(np.floor((x - x0) / Y)), n - 1)
@@ -368,7 +356,7 @@ def _half_table(family: LoopFamily, n: int, x: float,
     if l <= n - 2:
         # n - l - 1 copies of the left loop, then the geodesic out to w; for
         # l = n - 1 the moving loop comes first
-        pieces.append(_loop_segment(family, x0, t, t + (n - l - 1), 0.0, float(n - l - 1)))
+        pieces.append(_loop_segment(family, x0, t, t + (n - l - 1), float(n - l - 1)))
         t += n - l - 1
         f1 = n * y / (n * y + 1.0)
         if y > 1e-14:
@@ -383,7 +371,7 @@ def _half_table(family: LoopFamily, n: int, x: float,
         pieces.append(_loop_segment(family, x1, t + f2, t + 1.0))
         t += 1.0
         if l - 1 > 0:
-            pieces.append(_loop_segment(family, x1, t, t + (l - 1), 0.0, float(l - 1)))
+            pieces.append(_loop_segment(family, x1, t, t + (l - 1), float(l - 1)))
     return reduce(partial(concatenate, torus=family.torus), pieces)
 
 
@@ -397,8 +385,7 @@ def _half_path_to_loop(seg: PathSegment, n: int, torus: TorusSpace,
 
 def build_theta_2n(family: LoopFamily, n: int, xs: Optional[np.ndarray] = None,
                    L: Optional[LagrangianSpec] = None,
-                   grid_per_unit: Optional[int] = None,
-                   rho: Optional[float] = None) -> BangertOutput:
+                   grid_per_unit: Optional[int] = None) -> BangertOutput:
     """Assemble the even period-2n interpolating loops for sampled parameters.
 
     At x = x1 the output is exactly the 2n-fold iterate.  When L is given,
@@ -410,7 +397,7 @@ def build_theta_2n(family: LoopFamily, n: int, xs: Optional[np.ndarray] = None,
         xs = np.linspace(family.x0, family.x1, 65)
     xs = np.asarray(xs, dtype=float)
     gpu = grid_per_unit or family.loops[0].n
-    rho = family.modulus_rho() if rho is None else rho
+    rho = family.modulus_rho()
     paths = [_half_table(family, n, float(x), rho=rho) for x in xs]
     loops = [iterate(family.at(family.x1), 2 * n) if _at_right_end(family, x)
              else _half_path_to_loop(seg, n, family.torus, gpu)
@@ -441,18 +428,6 @@ def _hat_segment(family: LoopFamily, w: float, rho: Optional[float] = None):
     return concatenate(half, reparametrize(reverse_segment(half), 1.0, 2.0), torus=torus)
 
 
-def hat_loop(family: LoopFamily, w: float, L: Optional[LagrangianSpec] = None,
-             rho: Optional[float] = None, grid_per_unit: int = 128):
-    """The glue loop at moving parameter w as an even period-2 loop.
-
-    Returns (loop, total action) when a Lagrangian is given, else
-    (loop, None).  The action over [0, 2] is what the constant C maximizes.
-    """
-    seg = _hat_segment(family, w, rho=rho)
-    return (_half_path_to_loop(seg, 1, family.torus, grid_per_unit),
-            segment_action(L, seg) if L is not None else None)
-
-
 def hat_constant(family: LoopFamily, L: LagrangianSpec, n_w: int = 33,
                  rho: Optional[float] = None) -> float:
     """C = max over the moving parameter of the glue loop's total action.
@@ -471,8 +446,8 @@ def hat_constant(family: LoopFamily, L: LagrangianSpec, n_w: int = 33,
 
 
 def action_bound_check(family: LoopFamily, L: LagrangianSpec, ns=(2, 4, 8),
-                       xs: Optional[np.ndarray] = None, slack: float = 1e-3) -> dict:
-    """Verify EA^{[2n]}(output(x)) <= max endpoint action + C/(2n) + slack.
+                       xs: Optional[np.ndarray] = None) -> dict:
+    """Verify EA^{[2n]}(output(x)) <= max endpoint action + C/(2n) + 1e-3.
 
     Actions of the assembled loops and of the endpoint loops come from the
     same corner-split Gauss-Legendre quadrature (segment_action), so the two
@@ -493,7 +468,7 @@ def action_bound_check(family: LoopFamily, L: LagrangianSpec, ns=(2, 4, 8),
         # mean over [0, 2n] by evenness
         eas = np.array([segment_action(L, _half_table(family, n, float(x), rho=rho)) / n
                         for x in xs])
-        worst = float(np.max(eas - (base + C / (2.0 * n) + slack)))
+        worst = float(np.max(eas - (base + C / (2.0 * n) + 1e-3)))
         report["per_n"][n] = {
             "max_excess": float(np.max(eas - base)),
             "bound_margin": -worst,
@@ -616,9 +591,9 @@ def bangert_homotopy(sigma, n: int, c1: float, c2: float, eps: float,
             raise PreconditionViolated(f"boundary action at z = {z} not below c1 - eps",
                                        witness=z)
 
-    def chord_family(y: float, s: float, nodes: int = 17):
+    def chord_family(y: float, s: float):
         lo, hi = _chord_q2(y, s)
-        xs_nodes = np.linspace(lo, hi, nodes)
+        xs_nodes = np.linspace(lo, hi, 17)
         return LoopFamily(xs_nodes, [sigma(_z_from_yx(y, x)) for x in xs_nodes])
 
     # the full chords at s = 1, each with its modulus rho

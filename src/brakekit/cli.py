@@ -1,6 +1,7 @@
 """Command-line surface: orbit campaigns, index reports, certificates, dumps.
 
-Exit codes are a stable contract: 2 schema or input validation errors,
+Exit codes are a stable contract: 2 schema or input validation errors (an
+orbit id that names no stored orbit and a malformed orbit record included),
 3 no convergence from any seed, 4 index identity failure after grid
 stabilization, 5 modification certificate violation, 6 action bound failure.
 """
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import bangert as bg
 from . import dynamics, loopspace, modification
-from .errors import BrakekitError, NonConvergence
+from .errors import BrakekitError, MalformedRecord, NonConvergence
 from .index import verify_relations
 from .loopspace import SymmetricLoop, find_critical, loop_distance, mean_action
 from .store import OrbitStore
@@ -192,6 +193,10 @@ def cmd_index(args):
     except OSError as exc:
         print(f"error: orbit not found: {exc}", file=sys.stderr)
         return 2
+    if loop.dim != system.dim:
+        print(f"error: orbit {args.orbit} is a loop in T^{loop.dim}; the system is "
+              f"on T^{system.dim}", file=sys.stderr)
+        return 2
     grad = loopspace.gradient_norm_w12(system.L_theta, loop)
     if grad > 1e-6:
         print(f"error: stored loop is not critical (gradient residual {grad:.3e}); "
@@ -266,6 +271,10 @@ def cmd_modify_check(args):
     stored = []
     for orbit_id in store.orbit_ids():
         loop, record = store.load_orbit(orbit_id)
+        if loop.dim != system.dim:
+            print(f"error: orbit {orbit_id} is a loop in T^{loop.dim}; the system is "
+                  f"on T^{system.dim}", file=sys.stderr)
+            return 2
         stored.append({"period": record.get("period", 1),
                        "mean_action": record.get("mean_action", 0.0),
                        "max_speed": record.get("max_speed", 0.0)})
@@ -402,8 +411,9 @@ def cmd_bangert(args):
 
 def cmd_export(args):
     store = OrbitStore(_store_dir(args))
-    ids = args.orbit.split(",") if args.orbit else store.orbit_ids()
-    missing = [oid for oid in ids if not (store.root / "orbits" / f"{oid}.json").exists()]
+    known = store.orbit_ids()
+    ids = args.orbit.split(",") if args.orbit else known
+    missing = [oid for oid in ids if oid not in known]
     if missing:
         print(f"error: orbit not found: {', '.join(missing)}", file=sys.stderr)
         return 2
@@ -502,6 +512,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except MalformedRecord as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except BrakekitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

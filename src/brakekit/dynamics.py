@@ -12,7 +12,6 @@ the sign convention being pinned by the momentum-shift conjugacy test.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -20,7 +19,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import BlowUp, NonConvergence, SingularMass, SymmetryViolation
-from .model import HamiltonianSpec, LagrangianSpec, OneForm, PhasePoint
+from .model import HamiltonianSpec, LagrangianSpec, OneForm
 from .systems import shifted_hamiltonian
 
 __all__ = [
@@ -38,13 +37,10 @@ BLOWUP_CEILING = 1e6
 
 
 def twisted_field(H: HamiltonianSpec, theta: Optional[OneForm], t, x):
-    """Right-hand side (qdot, pdot) of the twisted Hamiltonian system at (t, q, p)."""
-    if isinstance(x, PhasePoint):
-        q, p = x.q, x.p
-    else:
-        x = np.asarray(x, dtype=float)
-        n = x.shape[-1] // 2
-        q, p = x[..., :n], x[..., n:]
+    """Right-hand side (qdot, pdot) of the twisted Hamiltonian system at x = (q, p)."""
+    x = np.asarray(x, dtype=float)
+    n = x.shape[-1] // 2
+    q, p = x[..., :n], x[..., n:]
     qdot = np.asarray(H.grad_p(t, q, p))
     pdot = -np.asarray(H.grad_q(t, q, p))
     if theta is not None:
@@ -98,26 +94,16 @@ class Trajectory:
         out = self.dense(np.asarray(t, dtype=float))
         return out.T if np.ndim(t) > 0 else out
 
-    def to_csv(self, path, labels=None):
-        n = self.states.shape[1] // 2
-        labels = labels or ([f"q{i + 1}" for i in range(n)] + [f"p{i + 1}" for i in range(n)])
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t"] + list(labels))
-            for t, row in zip(self.times, self.states):
-                writer.writerow([repr(float(t))] + [repr(float(x)) for x in row])
 
-
-def integrate(field, state0, t0, t1, tol=1e-10, ceiling=BLOWUP_CEILING,
-              n_out=None, dense_output=True) -> Trajectory:
+def integrate(field, state0, t0, t1, tol=1e-10, dense_output=True) -> Trajectory:
     """Adaptive explicit Runge-Kutta (DOP853) integration of a first-order field.
 
     field(t, y) -> dy/dt on flat state vectors.  Raises BlowUp when the state
-    norm reaches the configured ceiling, signalling a non-global flow.  With
-    dense_output=False the trajectory has no interpolant, and a step with no
-    sample time of n_out in it skips the three extra field evaluations of
-    DOP853's order-7 interpolant; the steps and their end states are the
-    same, and Trajectory.at refuses to interpolate.
+    norm reaches BLOWUP_CEILING, signalling a non-global flow.  With
+    dense_output=False the trajectory has no interpolant, so the steps skip
+    the three extra field evaluations of DOP853's order-7 interpolant; the
+    steps and their end states are the same, and Trajectory.at refuses to
+    interpolate.
     """
     if t1 <= t0:
         raise ValueError("t1 must exceed t0")
@@ -127,15 +113,14 @@ def integrate(field, state0, t0, t1, tol=1e-10, ceiling=BLOWUP_CEILING,
         return np.asarray(field(t, y), dtype=float).ravel()
 
     def blowup_event(t, y):
-        return float(np.linalg.norm(y) - ceiling)
+        return float(np.linalg.norm(y) - BLOWUP_CEILING)
 
     blowup_event.terminal = True
 
-    t_eval = np.linspace(t0, t1, n_out) if n_out else None
     sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=tol, atol=tol,
-                    dense_output=dense_output, events=blowup_event, t_eval=t_eval)
+                    dense_output=dense_output, events=blowup_event)
     if sol.status == 1:
-        raise BlowUp(f"state norm reached {ceiling:.1e} at t = {sol.t[-1]:.6g}")
+        raise BlowUp(f"state norm reached {BLOWUP_CEILING:.1e} at t = {sol.t[-1]:.6g}")
     if not sol.success:
         raise NonConvergence(f"integrator failed: {sol.message}")
     return Trajectory(sol.t, sol.y.T, dense=sol.sol)
@@ -159,30 +144,31 @@ def lagrangian_rhs(L: LagrangianSpec):
     return rhs
 
 
-def verify_conjugacy(H: HamiltonianSpec, theta: OneForm, horizon=1.0,
-                     samples=10, tol=1e-10, rng=None, p_scale=1.0,
-                     n_check=33) -> float:
-    """Max deviation sup || Phi(Psi_{H_theta}^t(x)) - Psi_H^t(Phi(x)) ||.
+def verify_conjugacy(H: HamiltonianSpec, theta: OneForm, samples=10) -> float:
+    """Max deviation sup || Phi(Psi_{H_theta}^t(x)) - Psi_H^t(Phi(x)) || over t in (0, 1].
 
     Psi_H is the twisted flow of H, Psi_{H_theta} the standard flow of
-    H_theta = H o Phi; initial points are Phi-related by construction.
+    H_theta = H o Phi, with Phi(q, p) = (q, p - theta(q)); initial points are
+    Phi-related by construction.  The starts are seeded (q uniform on the
+    torus, p standard normal), both flows run at tolerance 1e-10, and the
+    deviation is read at 32 equally spaced times.
     """
-    rng = np.random.default_rng(0 if rng is None else rng)
+    rng = np.random.default_rng(0)
     torus = H.torus
     n = torus.dim
     H_th = shifted_hamiltonian(H, theta)
     rhs_twisted = hamiltonian_rhs(H, theta)
     rhs_standard = hamiltonian_rhs(H_th, None)
     worst = 0.0
-    ts = np.linspace(0.0, horizon, n_check)[1:]
+    ts = np.linspace(0.0, 1.0, 33)[1:]
     for _ in range(samples):
         q = rng.uniform(0, 1, n) * torus.periods
-        p = p_scale * rng.normal(size=n)
+        p = rng.normal(size=n)
         y_std = np.concatenate([q, p])                       # standard-side start
         th = theta.components(q)
         y_tw = np.concatenate([q, p - th])                   # Phi of it
-        traj_std = integrate(rhs_standard, y_std, 0.0, horizon, tol=tol)
-        traj_tw = integrate(rhs_twisted, y_tw, 0.0, horizon, tol=tol)
+        traj_std = integrate(rhs_standard, y_std, 0.0, 1.0)
+        traj_tw = integrate(rhs_twisted, y_tw, 0.0, 1.0)
         std = traj_std.at(ts)
         tw = traj_tw.at(ts)
         phi_std = std.copy()
@@ -201,12 +187,14 @@ class BrakeOrbit:
     q0: np.ndarray
 
 
-def brake_residual(theta: OneForm, traj: Trajectory, tau: float,
-                   n_check: int = 129) -> float:
-    """sup_t || R1(x(tau - t)) - x(t) || over a dense grid (x(-t) = x(tau - t))."""
+def brake_residual(theta: OneForm, traj: Trajectory, tau: float) -> float:
+    """sup_t || R1(x(tau - t)) - x(t) || over 129 times in [0, tau] (x(-t) = x(tau - t)).
+
+    R1(q, p) = (q, -p - 2 theta(q)) is the anti-symplectic involution.
+    """
     torus = theta.torus
     n = torus.dim
-    ts = np.linspace(0.0, tau, n_check)
+    ts = np.linspace(0.0, tau, 129)
     x_t = traj.at(ts)
     x_rev = traj.at(tau - ts)
     q_rev, p_rev = x_rev[:, :n], x_rev[:, n:]
@@ -219,15 +207,17 @@ def brake_residual(theta: OneForm, traj: Trajectory, tau: float,
 
 
 def brake_shoot(H: HamiltonianSpec, theta: OneForm, q0_guess, tau: float,
-                tol: float = 1e-10, newton_tol: float = 1e-9, maxit: int = 40,
-                fd_step: float = 1e-6) -> BrakeOrbit:
+                tol: float = 1e-10) -> BrakeOrbit:
     """Newton shooting for a tau-periodic brake orbit of the twisted flow of H.
 
     The unknown is q0 only; the start point (q0, -theta(q0)) lies on Fix(R1)
     and the residual F(q0) = p(tau/2) + theta(q(tau/2)) demands that the half
-    trajectory ends on Fix(R1) as well.  The full orbit is the reflected
-    extension, whose defect against a direct integration is reported.
+    trajectory ends on Fix(R1) as well.  Newton runs on central-difference
+    Jacobians (step 1e-6) with backtracking, for at most 40 iterations, until
+    |F| <= 1e-9.  The full orbit is the reflected extension, whose defect
+    against a direct integration is reported.
     """
+    newton_tol, maxit, fd_step = 1e-9, 40, 1e-6
     torus = H.torus
     n = torus.dim
     rhs = hamiltonian_rhs(H, theta)

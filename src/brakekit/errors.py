@@ -10,7 +10,7 @@ class NonConvergence(BrakekitError):
 
 
 class BlowUp(BrakekitError):
-    """A trajectory left the configured state-norm ceiling during integration."""
+    """A trajectory reached the state-norm ceiling during integration."""
 
 
 class SingularMass(BrakekitError):
@@ -53,6 +53,10 @@ class IllConditionedCrossing(BrakekitError):
     """A crossing form stayed singular after the perturbation rule was applied."""
 
 
+class NonSymplectic(BrakekitError):
+    """An integrated fundamental solution drifted off the symplectic group."""
+
+
 class PreconditionViolated(BrakekitError):
     """An input violates a documented precondition; carries a witness sample."""
 
@@ -63,3 +67,7 @@ class PreconditionViolated(BrakekitError):
 
 class Unsupported(BrakekitError):
     """Requested a configuration outside the implemented scope."""
+
+
+class MalformedRecord(BrakekitError):
+    """A stored orbit record is not valid JSON or lacks a well-formed field."""

@@ -29,7 +29,7 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq, minimize_scalar
 
-from .errors import BlowUp, IllConditionedCrossing, SingularP
+from .errors import BlowUp, IllConditionedCrossing, NonSymplectic, SingularP
 from .loopspace import (
     BlockTridiagonal,
     SymmetricLoop,
@@ -325,7 +325,9 @@ class _CrossingEngine:
     mirroring the null threshold of the Morse side.  Contributions follow the
     crossing-form signature with the left-limit rule for degenerate form
     directions: at a sign-definite touch they contribute nothing, at a
-    transversal sign change they are unresolvable and raise.
+    transversal sign change they are unresolvable and raise.  The path is
+    integrated once, at construction, where a symplecticity defect above 1e-8
+    raises NonSymplectic.
     """
 
     def __init__(self, B_fn, period, k_max, deg_tol=1e-6):
@@ -341,6 +343,9 @@ class _CrossingEngine:
         self.n_scan = int(min(max(800, samples_per_unit * self.total), 120000))
         self.guard = min(0.02 * period, 0.2 / (1.0 + self.b_scale))
         self.path = fundamental_solution(B_fn, self.total, period=period)
+        if self.path.symplecticity_defect > 1e-8:
+            raise NonSymplectic(f"path symplecticity defect "
+                                f"{self.path.symplecticity_defect:.2e} exceeds 1e-8")
         self.N = self.path.N
         self._events = {}
         self._plateau = {}
@@ -532,8 +537,6 @@ class _CrossingEngine:
 
 def _path_pair(path: SymplecticPath, k: Optional[int], mode: str) -> IndexPair:
     """Index pair of the path in the given mode, from an engine covering its window."""
-    if path.symplecticity_defect > 1e-8:
-        raise ValueError(f"path symplecticity defect {path.symplecticity_defect:.2e}")
     if k is None:
         k = int(round(path.total_time / path.period))
     k_needed = max(1, int(np.ceil(path.total_time / path.period)))

@@ -11,8 +11,6 @@ to those of the same point solved inside a batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NonConvergence
@@ -21,15 +19,12 @@ from .model import HamiltonianSpec, LagrangianSpec
 __all__ = [
     "dual_momentum",
     "dual_velocity",
-    "fenchel_L_from_H",
-    "fenchel_H_from_L",
     "lagrangian_from_hamiltonian",
     "hamiltonian_from_lagrangian",
-    "DualPair",
 ]
 
-DEFAULT_TOL = 1e-12
-DEFAULT_MAXIT = 50
+TOL = 1e-12
+MAXIT = 50
 
 
 def _residual_norm(r):
@@ -125,30 +120,14 @@ def _newton_batch(grad, hess, t, q, y, x, tol, maxit, label):
                                  f"{np.max(norm[pending]):.3e}")
 
 
-def dual_momentum(H: HamiltonianSpec, t, q, v, p0=None,
-                  tol=DEFAULT_TOL, maxit=DEFAULT_MAXIT):
+def dual_momentum(H: HamiltonianSpec, t, q, v, p0=None):
     """Solve H_p(t, q, p) = v for the unique momentum p, at a point or a batch."""
-    return _newton_fiber(H.grad_p, H.hess_pp, t, q, v, p0, tol, maxit, "dual_momentum")
+    return _newton_fiber(H.grad_p, H.hess_pp, t, q, v, p0, TOL, MAXIT, "dual_momentum")
 
 
-def dual_velocity(L: LagrangianSpec, t, q, p, v0=None,
-                  tol=DEFAULT_TOL, maxit=DEFAULT_MAXIT):
+def dual_velocity(L: LagrangianSpec, t, q, p, v0=None, maxit=MAXIT):
     """Solve L_v(t, q, v) = p for the unique velocity v, at a point or a batch."""
-    return _newton_fiber(L.grad_v, L.hess_vv, t, q, p, v0, tol, maxit, "dual_velocity")
-
-
-def fenchel_L_from_H(H: HamiltonianSpec, t, q, v, p0=None):
-    """max_p { p.v - H(t,q,p) }; returns (L value, maximizing p)."""
-    p_star = dual_momentum(H, t, q, v, p0=p0)
-    val = float(np.dot(p_star, np.asarray(v, dtype=float)) - H.value(t, q, p_star))
-    return val, p_star
-
-
-def fenchel_H_from_L(L: LagrangianSpec, t, q, p, v0=None):
-    """max_v { p.v - L(t,q,v) }; returns (H value, maximizing v)."""
-    v_star = dual_velocity(L, t, q, p, v0=v0)
-    val = float(np.dot(np.asarray(p, dtype=float), v_star) - L.value(t, q, v_star))
-    return val, v_star
+    return _newton_fiber(L.grad_v, L.hess_vv, t, q, p, v0, TOL, maxit, "dual_velocity")
 
 
 def _dual_spec(primal, solve, hess_yy, hess_qy, dual_cls):
@@ -231,23 +210,3 @@ def hamiltonian_from_lagrangian(L: LagrangianSpec) -> HamiltonianSpec:
     """Fenchel-dual HamiltonianSpec of L, with v* = dual_velocity(L, t, q, p)."""
     return _dual_spec(L, lambda t, q, p: dual_velocity(L, t, q, p),
                       L.hess_vv, L.hess_qv, HamiltonianSpec)
-
-
-@dataclass
-class DualPair:
-    """A Lagrangian and its Fenchel-dual Hamiltonian."""
-
-    lagrangian: LagrangianSpec
-    hamiltonian: HamiltonianSpec
-
-    def roundtrip_violation(self, samples=100, rng=None, v_scale=1.0) -> float:
-        """Max |L(t,q,v) - (p*.v - H(t,q,p*))| at p* = L_v(t,q,v) over samples."""
-        rng = np.random.default_rng(0 if rng is None else rng)
-        torus = self.lagrangian.torus
-        t = rng.uniform(0, 1, samples)
-        q = rng.uniform(0, 1, (samples, torus.dim)) * torus.periods
-        v = v_scale * rng.normal(size=(samples, torus.dim))
-        p = np.asarray(self.lagrangian.grad_v(t, q, v))
-        lhs = self.lagrangian.value(t, q, v)
-        rhs = np.sum(p * v, axis=-1) - self.hamiltonian.value(t, q, p)
-        return float(np.max(np.abs(lhs - rhs)))

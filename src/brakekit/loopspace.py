@@ -28,12 +28,8 @@ __all__ = [
     "CriticalPointReport",
     "w12_inner",
     "mean_action",
-    "action_differential",
     "action_gradient_even",
-    "riesz_gradient",
     "iterate",
-    "time_rescale",
-    "time_rescale_loop",
     "find_critical",
     "full_gradient_check",
     "BlockTridiagonal",
@@ -225,13 +221,6 @@ def action_gradient_even(L: LagrangianSpec, loop: SymmetricLoop) -> np.ndarray:
     return _fold_nodes(_gradient_full(L, loop)).ravel()
 
 
-def action_differential(L: LagrangianSpec, loop: SymmetricLoop, xi: LoopTangent) -> float:
-    """dEA(gamma)[xi] for an even variation, exact for the discrete action."""
-    if xi.n != loop.n:
-        raise GridMismatch("tangent grid does not match the loop grid")
-    return float(action_gradient_even(L, loop) @ xi.half_values.ravel())
-
-
 def _gram_w12_full(n: int, dim: int, period: float) -> np.ndarray:
     """Matrix of the trapezoid/centered W^{1,2} inner product on the full grid.
 
@@ -251,12 +240,6 @@ def _riesz_solve(loop: SymmetricLoop, b: np.ndarray) -> np.ndarray:
         return np.linalg.solve(gram_even_w12(loop), b)
     except np.linalg.LinAlgError as exc:
         raise SolverFailure(f"Gram system is singular: {exc}") from exc
-
-
-def riesz_gradient(L: LagrangianSpec, loop: SymmetricLoop) -> LoopTangent:
-    """W^{1,2} Riesz representative of the action differential on the even subspace."""
-    g = _riesz_solve(loop, action_gradient_even(L, loop))
-    return LoopTangent(loop.period, g.reshape(-1, loop.dim))
 
 
 def gram_even_w12(loop: SymmetricLoop) -> np.ndarray:
@@ -288,7 +271,7 @@ def full_gradient_check(L: LagrangianSpec, loop: SymmetricLoop) -> float:
 
 
 # ---------------------------------------------------------------------------
-# iteration and rescaling
+# iteration and grid changes
 # ---------------------------------------------------------------------------
 
 def iterate(loop: SymmetricLoop, k: int) -> SymmetricLoop:
@@ -301,40 +284,6 @@ def iterate(loop: SymmetricLoop, k: int) -> SymmetricLoop:
     tiled = np.tile(full, (k, 1))
     n_new = loop.n * k
     return SymmetricLoop(loop.period * k, tiled[: n_new // 2 + 1], loop.torus)
-
-
-def time_rescale(L: LagrangianSpec, factor: int) -> LagrangianSpec:
-    """Rescaled Lagrangian L~(t, q, v) = L(factor t, q, v / factor).
-
-    A factor-periodic orbit of L corresponds to a 1-periodic orbit of L~ with
-    the same mean action.  factor must be a power of two.
-    """
-    if factor < 1 or factor & (factor - 1):
-        raise ValueError("rescaling factor must be a power of two")
-    if factor == 1:
-        return L
-    f = float(factor)
-
-    def value(t, q, v):
-        return L.value(f * np.asarray(t), q, np.asarray(v) / f)
-
-    def grad_q(t, q, v):
-        return L.grad_q(f * np.asarray(t), q, np.asarray(v) / f)
-
-    def grad_v(t, q, v):
-        return L.grad_v(f * np.asarray(t), q, np.asarray(v) / f) / f
-
-    def hess_vv(t, q, v):
-        return L.hess_vv(f * np.asarray(t), q, np.asarray(v) / f) / (f * f)
-
-    def hess_qv(t, q, v):
-        return L.hess_qv(f * np.asarray(t), q, np.asarray(v) / f) / f
-
-    def hess_qq(t, q, v):
-        return L.hess_qq(f * np.asarray(t), q, np.asarray(v) / f)
-
-    return LagrangianSpec(L.torus, value, grad_q, grad_v, hess_vv, hess_qv, hess_qq,
-                          reversible=L.reversible, name=f"rescale[{factor}]({L.name})")
 
 
 def coarsen(loop: SymmetricLoop) -> SymmetricLoop:
@@ -353,17 +302,6 @@ def refine(loop: SymmetricLoop) -> SymmetricLoop:
     n_new = loop.n * 2
     ts = np.arange(n_new // 2 + 1) * (loop.period / n_new)
     return SymmetricLoop(loop.period, sp(ts), loop.torus)
-
-
-def time_rescale_loop(loop: SymmetricLoop, factor: int) -> SymmetricLoop:
-    """The loop gamma~(t) = gamma(factor t); period must be divisible by factor.
-
-    Sample values are reused unchanged (the grid density per unit period grows
-    by the factor), so rescaled mean actions match to round-off.
-    """
-    if loop.period % factor:
-        raise ValueError("factor must divide the loop period")
-    return SymmetricLoop(loop.period // factor, loop.half_values, loop.torus)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Configuration space, one-forms, Lagrangian/Hamiltonian specs and involutions.
+"""Configuration space, one-forms, Lagrangian/Hamiltonian specs, time reversal.
 
 The configuration space is a flat torus T^N with the Euclidean metric, so
 covariant derivatives reduce to plain time derivatives and geodesics are
@@ -10,7 +10,6 @@ single point or a batch (leading axis of size M).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -19,13 +18,8 @@ __all__ = [
     "OneForm",
     "LagrangianSpec",
     "HamiltonianSpec",
-    "PhasePoint",
-    "involution_R1",
-    "momentum_shift",
-    "fixed_set_point",
     "magnetic_lagrangian",
     "check_symmetry",
-    "tonelli_certificate",
 ]
 
 
@@ -60,29 +54,16 @@ class TorusSpace:
     def distance(self, a, b) -> float:
         return float(np.linalg.norm(self.displacement(a, b), axis=-1))
 
-    def lattice_defect(self, fn, samples=64, rng=None):
-        """(max |fn(q + e_i period_i) - fn(q)|, max |fn(q)|) on a seeded sample set.
+    def lattice_defect(self, fn):
+        """(max |fn(q + e_i period_i) - fn(q)|, max |fn(q)|) on 64 seeded samples.
 
         A non-finite value of fn makes the first entry NaN.
         """
-        rng = np.random.default_rng(0 if rng is None else rng)
-        q = rng.uniform(0, 1, size=(samples, self.dim)) * self.periods
+        rng = np.random.default_rng(0)
+        q = rng.uniform(0, 1, size=(64, self.dim)) * self.periods
         base = fn(q)
         worst = np.max([np.max(np.abs(fn(q + shift) - base)) for shift in np.diag(self.periods)])
         return float(worst), float(np.max(np.abs(base)))
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    """Point (q, p) of T*T^N with q reduced to the fundamental domain."""
-
-    q: np.ndarray
-    p: np.ndarray
-    torus: TorusSpace
-
-    def __post_init__(self):
-        object.__setattr__(self, "q", self.torus.wrap(np.asarray(self.q, dtype=float)))
-        object.__setattr__(self, "p", np.asarray(self.p, dtype=float))
 
 
 class _LastValue:
@@ -189,9 +170,9 @@ class OneForm:
         jac = self.jacobian(q)
         return np.swapaxes(jac, -1, -2) - jac
 
-    def periodicity_violation(self, samples=64, rng=None) -> float:
+    def periodicity_violation(self) -> float:
         """Max |theta(q + e_i period_i) - theta(q)| on a seeded sample set."""
-        return self.torus.lattice_defect(self.components, samples, rng)[0]
+        return self.torus.lattice_defect(self.components)[0]
 
 
 class _NegatedOneForm(OneForm):
@@ -268,28 +249,6 @@ class HamiltonianSpec:
         self.name = name
 
 
-def involution_R1(theta: OneForm, x: PhasePoint) -> PhasePoint:
-    """Anti-symplectic involution (q, p) -> (q, -p - 2 theta(q))."""
-    return PhasePoint(x.q, -x.p - 2.0 * theta.components(x.q), x.torus)
-
-
-def momentum_shift(theta: OneForm, x: PhasePoint, direction: str = "forward") -> PhasePoint:
-    """Momentum shift (q, p) -> (q, p - theta(q)); inverse adds theta back."""
-    th = theta.components(x.q)
-    if direction == "forward":
-        return PhasePoint(x.q, x.p - th, x.torus)
-    if direction == "inverse":
-        return PhasePoint(x.q, x.p + th, x.torus)
-    raise ValueError("direction must be 'forward' or 'inverse'")
-
-
-def fixed_set_point(theta: OneForm, q, torus: Optional[TorusSpace] = None) -> PhasePoint:
-    """The unique point of Fix(R1) over q, namely (q, -theta(q))."""
-    torus = torus or theta.torus
-    q = np.asarray(q, dtype=float)
-    return PhasePoint(q, -theta.components(q), torus)
-
-
 def magnetic_lagrangian(L: LagrangianSpec, theta: OneForm) -> LagrangianSpec:
     """The magnetically corrected Lagrangian L + theta(q)[v].
 
@@ -326,61 +285,25 @@ def magnetic_lagrangian(L: LagrangianSpec, theta: OneForm) -> LagrangianSpec:
     )
 
 
-def check_symmetry(spec, theta: OneForm, samples: int = 256, rng=None,
-                   p_scale: float = 1.0, t_scale: float = 1.0) -> float:
+def check_symmetry(spec, theta: OneForm, samples: int = 256) -> float:
     """Max sampled violation of the time-reversal symmetry.
 
     For a HamiltonianSpec this is |H(-t, R1(q,p)) - H(t,q,p)|; for a
     LagrangianSpec it is |(L + theta[v])(-t,q,-v) - (L + theta[v])(t,q,v)|,
-    which with theta = 0 reduces to plain reversibility of L.
+    which with theta = 0 reduces to plain reversibility of L.  The samples
+    are seeded: t uniform on [-1, 1], q on the torus, p or v standard normal.
     """
-    rng = np.random.default_rng(0 if rng is None else rng)
+    rng = np.random.default_rng(0)
     torus = spec.torus
     n = torus.dim
-    t = t_scale * rng.uniform(-1, 1, size=samples)
+    t = rng.uniform(-1, 1, size=samples)
     q = rng.uniform(0, 1, size=(samples, n)) * torus.periods
     if isinstance(spec, HamiltonianSpec):
-        p = p_scale * rng.normal(size=(samples, n))
+        p = rng.normal(size=(samples, n))
         p_ref = -p - 2.0 * theta.components(q)
         return float(np.max(np.abs(spec.value(-t, q, p_ref) - spec.value(t, q, p))))
-    v = p_scale * rng.normal(size=(samples, n))
+    v = rng.normal(size=(samples, n))
     thv = np.sum(theta.components(q) * v, axis=-1)
     lhs = spec.value(-t, q, -v) - thv
     rhs = spec.value(t, q, v) + thv
     return float(np.max(np.abs(lhs - rhs)))
-
-
-def tonelli_certificate(spec, samples: int = 200, rng=None, radial_ladder=(1.0, 2.0, 4.0, 8.0, 16.0)):
-    """Sampling-based (L1)/(L2) or (H1)/(H2) certificate on seeded grids.
-
-    Returns a dict with the minimal fiber-Hessian eigenvalue seen and a flag
-    for superlinearity along a radial sample ladder.  This is a certificate,
-    not a proof: the asymptotic conditions are checked on finitely many rays.
-    """
-    rng = np.random.default_rng(0 if rng is None else rng)
-    torus = spec.torus
-    n = torus.dim
-    is_h = isinstance(spec, HamiltonianSpec)
-    hess = spec.hess_pp if is_h else spec.hess_vv
-    t = rng.uniform(0, 1, size=samples)
-    q = rng.uniform(0, 1, size=(samples, n)) * torus.periods
-    w = rng.normal(size=(samples, n))
-    mats = hess(t, q, w)
-    min_eig = float(np.min(np.linalg.eigvalsh(mats)))
-
-    dirs = rng.normal(size=(16, n))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    q0 = rng.uniform(0, 1, size=(16, n)) * torus.periods
-    t0 = rng.uniform(0, 1, size=16)
-    superlinear = True
-    prev = None
-    for r in radial_ladder:
-        vals = spec.value(t0, q0, r * dirs) / r
-        if prev is not None and np.any(vals <= prev):
-            superlinear = False
-        prev = vals
-    return {
-        "fiber_hessian_min_eig": min_eig,
-        "positive_definite": min_eig > 0.0,
-        "superlinear_on_ladder": superlinear,
-    }

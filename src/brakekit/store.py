@@ -11,10 +11,12 @@ import csv
 import hashlib
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
 
+from .errors import MalformedRecord
 from .loopspace import SymmetricLoop
 from .model import TorusSpace
 
@@ -27,6 +29,10 @@ def canonical_json(obj) -> str:
 
 def content_hash(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()[:12]
+
+
+# the form content_hash gives an orbit id; nothing else names a stored orbit
+_ORBIT_ID = re.compile(r"[0-9a-f]{12}")
 
 
 def _write_atomic(path, write, newline=None):
@@ -62,9 +68,15 @@ class OrbitStore:
         (self.root / "reports").mkdir(parents=True, exist_ok=True)
 
     def orbit_ids(self):
-        return sorted(p.stem for p in (self.root / "orbits").glob("*.json"))
+        return sorted(p.stem for p in (self.root / "orbits").glob("*.json")
+                      if _ORBIT_ID.fullmatch(p.stem))
 
     def _orbit_path(self, orbit_id):
+        """The record's path; an id that is not a content hash names no orbit,
+        so no id can reach outside the store."""
+        if not (isinstance(orbit_id, str) and _ORBIT_ID.fullmatch(orbit_id)):
+            raise FileNotFoundError(f"{orbit_id!r} is not an orbit id "
+                                    "(12 lowercase hex digits)")
         return self.root / "orbits" / f"{orbit_id}.json"
 
     def save_orbit(self, loop: SymmetricLoop, system_doc: dict, extra: dict) -> str:
@@ -98,11 +110,28 @@ class OrbitStore:
         _write_atomic(path, write, newline="")
 
     def load_orbit(self, orbit_id):
-        with open(self._orbit_path(orbit_id)) as fh:
-            record = json.load(fh)
-        torus = TorusSpace(record["dim"], np.asarray(record["periods"]))
-        loop = SymmetricLoop(record["period"], np.asarray(record["half_values"]),
-                             torus)
+        """(loop, record) of a stored orbit.
+
+        A missing record raises FileNotFoundError; a record that is not JSON,
+        or whose dim, periods, period or half_values do not make a loop,
+        raises MalformedRecord naming it.
+        """
+        path = self._orbit_path(orbit_id)
+        with open(path) as fh:
+            text = fh.read()
+        try:
+            record = json.loads(text)
+            torus = TorusSpace(record["dim"], np.asarray(record["periods"], dtype=float))
+            half = np.asarray(record["half_values"], dtype=float)
+            period = record["period"]
+            if type(period) is not int or half.shape[1:] != (torus.dim,) \
+                    or len(half) < 2 or not np.all(np.isfinite(half)):
+                raise ValueError("period must be an integer and half_values "
+                                 f"finite rows of {torus.dim} coordinates")
+            loop = SymmetricLoop(period, half, torus)
+        except (ValueError, KeyError, TypeError, IndexError) as exc:
+            raise MalformedRecord(
+                f"orbit record {path}: {type(exc).__name__}: {exc}") from exc
         return loop, record
 
     def save_report(self, name: str, payload: dict):

@@ -103,7 +103,7 @@ def test_criterion_2_momentum_shift_conjugacy(torus1, t2_magnetic):
     t0 = time.monotonic()
     H1 = kinetic_hamiltonian(torus1)
     theta1 = OneForm.constant(torus1, [0.3])
-    dev1 = verify_conjugacy(H1, theta1, horizon=1.0, samples=8)
+    dev1 = verify_conjugacy(H1, theta1, samples=8)
     # closed form on the T^1 constant system: both flows are linear drifts
     rng = np.random.default_rng(3)
     closed_worst = 0.0
@@ -120,7 +120,7 @@ def test_criterion_2_momentum_shift_conjugacy(torus1, t2_magnetic):
         got = traj.at(ts)
         closed_worst = max(closed_worst, float(np.max(np.abs(got[:, 0] - exact_q))))
     torus2, H2, theta2 = t2_magnetic
-    dev2 = verify_conjugacy(H2, theta2, horizon=1.0, samples=6)
+    dev2 = verify_conjugacy(H2, theta2, samples=6)
     elapsed = time.monotonic() - t0
     ok = dev1 < 1e-6 and closed_worst < 1e-6 and dev2 < 1e-6
     report(2, ok, f"T1 deviation {dev1:.2e} (closed-form {closed_worst:.2e}), "

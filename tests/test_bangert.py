@@ -14,20 +14,27 @@ from brakekit.bangert import (
     build_theta_2n,
     concatenate,
     hat_constant,
-    hat_loop,
     loop_action,
     reparametrize,
     reverse_segment,
     segment_action,
-    segment_length,
     shortest_geodesic,
     _at_right_end,
+    _half_path_to_loop,
     _half_table,
     _hat_segment,
 )
 from brakekit.errors import EndpointMismatch, PreconditionViolated, TooFar, Unsupported
 from brakekit.loopspace import SymmetricLoop, iterate, mean_action
-from brakekit.model import TorusSpace
+from brakekit.model import LagrangianSpec, TorusSpace
+
+
+def segment_length(seg):
+    """Integral of |qdot| over the segment, through segment_action's quadrature."""
+    speed = LagrangianSpec(TorusSpace(seg.shifts.shape[1]),
+                           lambda t, q, v: np.linalg.norm(v, axis=1),
+                           None, None, None, None, None)
+    return segment_action(speed, seg)
 
 
 def const_loop(c, n_per_unit=128):
@@ -144,7 +151,9 @@ def test_regime_continuity(two_constant_family, free_system):
 
 
 def test_hat_loop_even_and_monotone(two_constant_family, free_system):
-    loop, action = hat_loop(two_constant_family, 0.4, L=free_system.L_theta)
+    seg = _hat_segment(two_constant_family, 0.4)
+    loop = _half_path_to_loop(seg, 1, two_constant_family.torus, 128)
+    action = segment_action(free_system.L_theta, seg)
     assert loop.period == 2
     full = loop.full_values()
     assert np.max(np.abs(full[1:] - full[1:][::-1])) == 0.0
@@ -242,7 +251,7 @@ def test_free_two_constant_closed_form(free_system):
     fam = LoopFamily.from_map(lambda x: const_loop(0.5 * x), 0.0, 1.0, 33)
     assert hat_constant(fam, L) == pytest.approx(0.5, abs=1e-12)
     for w in np.linspace(0.0, 1.0, 17):
-        assert hat_loop(fam, float(w), L)[1] == pytest.approx(0.5, abs=1e-12)
+        assert segment_action(L, _hat_segment(fam, float(w))) == pytest.approx(0.5, abs=1e-12)
     for n in (2, 4, 8):
         for x in np.linspace(0.0, 1.0, 41):
             l = min(int(np.floor(n * x)), n - 1)

@@ -373,3 +373,79 @@ def test_export_refuses_a_missing_orbit(mild_store, tmp_path, capsys):
     assert main(["--store", store, "export", "--orbit", f"{oid},000000000000",
                  "--out", str(out)]) == 2
     assert "000000000000" in capsys.readouterr().err and not out.exists()
+
+
+def _store_beside_a_record(mild_store, tmp_path):
+    """(config, a copy of the store under tmp_path, the id of one of its
+    orbits, an id that points at a valid record outside the store)."""
+    _, cfg, store = mild_store
+    oid = load_records(store)[0]["id"]
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    for ext in (".json", ".csv"):
+        shutil.copy(f"{store}/orbits/{oid}{ext}", outside / f"stolen{ext}")
+    work = tmp_path / "store"
+    shutil.copytree(store, work)
+    return cfg, str(work), oid, "../../outside/stolen"
+
+
+@pytest.mark.parametrize("command", ["index", "export", "bangert"])
+def test_orbit_id_cannot_reach_outside_the_store(command, mild_store, tmp_path, capsys,
+                                                 monkeypatch):
+    from brakekit import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("a record outside the store was loaded")
+
+    monkeypatch.setattr(cli, "verify_relations", never)
+    cfg, store, oid, stolen = _store_beside_a_record(mild_store, tmp_path)
+    argv = {"index": ["index", "--config", cfg, "--orbit", stolen, "--k", "1"],
+            "export": ["export", "--orbit", stolen, "--out", str(tmp_path / "out")],
+            "bangert": ["bangert", "--config", cfg, "--family", f"orbits:{oid},{stolen}"],
+            }[command]
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["--store", store, *argv]) == 2
+    assert "orbit not found" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before  # nothing written, in or out
+
+
+MALFORMED_RECORDS = [
+    '{"period": 1}',
+    '{"period": 1, "dim": 1, "periods": [1.0], "half_va',
+    '[1, 2]',
+    '{"dim": 1, "periods": [1.0], "period": 1, "half_values": [[0.1, 0.2]]}',
+    '{"dim": 1, "periods": [1.0], "period": 1.5, "half_values": [[0.1], [0.2]]}',
+]
+
+
+@pytest.mark.parametrize("text", MALFORMED_RECORDS)
+def test_malformed_record_exit_code(tmp_path, capsys, text):
+    cfg = write_config(tmp_path, MILD_CONFIG)
+    orbits = tmp_path / "store" / "orbits"
+    orbits.mkdir(parents=True)
+    (orbits / "0123456789ab.json").write_text(text)
+    assert main(["--store", str(tmp_path / "store"), "index", "--config", cfg,
+                 "--orbit", "0123456789ab", "--k", "1"]) == 2
+    assert "0123456789ab.json" in capsys.readouterr().err
+
+
+def test_modify_check_refuses_a_malformed_record(tmp_path, capsys):
+    cfg = write_config(tmp_path, FREE_CONFIG)
+    orbits = tmp_path / "store" / "orbits"
+    orbits.mkdir(parents=True)
+    (orbits / "0123456789ab.json").write_text(MALFORMED_RECORDS[0])
+    assert main(["--store", str(tmp_path / "store"), "modify-check", "--config", cfg]) == 2
+    assert "KeyError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["index", "modify-check"])
+def test_orbit_in_another_dimension_exit_code(command, tmp_path, capsys):
+    from brakekit.loopspace import SymmetricLoop
+    from brakekit.store import OrbitStore
+
+    store = OrbitStore(tmp_path / "store")
+    oid = store.save_orbit(SymmetricLoop.constant([0.5], n_per_unit=64), {}, {})
+    cfg = write_config(tmp_path, {"dim": 2, "lagrangian": {"builtin": "kinetic_potential"}})
+    argv = ["index", "--orbit", oid] if command == "index" else ["modify-check"]
+    assert main(["--store", str(store.root), *argv, "--config", cfg]) == 2
+    assert "T^1; the system is on T^2" in capsys.readouterr().err

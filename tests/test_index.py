@@ -158,6 +158,37 @@ def test_verify_relations_walks_each_grid_once(stiff_system, monkeypatch):
     assert sampled == [256] + [n * k for n, k in visited for _ in range(2)]
 
 
+def test_crossing_engine_refuses_a_non_symplectic_path(monkeypatch, mild_system):
+    from dataclasses import replace
+
+    from brakekit import index
+    from brakekit.errors import NonSymplectic
+
+    # Psidot = J B Psi stays symplectic only for symmetric B; this one is not
+    skew = constant_coefficients(np.array([[0.0, 0.3], [0.0, 0.0]]))
+    path = fundamental_solution(skew, 1.0)
+    assert path.symplecticity_defect > 0.1
+    for count in (cz_index, l0_index):
+        with pytest.raises(NonSymplectic):
+            count(path)
+    with pytest.raises(NonSymplectic):
+        mean_index(skew, k_max=2)
+    # verify_relations builds its engine over an orbit's B: a path whose
+    # defect passes the 1e-8 bound is refused
+    integrate = index.fundamental_solution
+    defect = [1e-8]
+
+    def drifting(*args, **kwargs):
+        return replace(integrate(*args, **kwargs), symplecticity_defect=defect[0])
+
+    monkeypatch.setattr(index, "fundamental_solution", drifting)
+    loop = SymmetricLoop.constant([0.5], 1, n_per_unit=64)
+    assert verify_relations(mild_system.L_theta, loop, ks=(1,), mean_k_max=2)["all_pass"]
+    defect[0] = 1.01e-8
+    with pytest.raises(NonSymplectic, match="1.01e-08"):
+        verify_relations(mild_system.L_theta, loop, ks=(1,), mean_k_max=2)
+
+
 def test_mean_index_rejects_short_engine():
     from brakekit.index import _CrossingEngine
 

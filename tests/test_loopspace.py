@@ -6,7 +6,7 @@ from brakekit.loopspace import (
     LoopTangent,
     SymmetricLoop,
     _gram_w12_full,
-    action_differential,
+    _riesz_solve,
     action_gradient_even,
     assemble_gram,
     assemble_hessian,
@@ -18,9 +18,6 @@ from brakekit.loopspace import (
     loop_distance,
     mean_action,
     refine,
-    riesz_gradient,
-    time_rescale,
-    time_rescale_loop,
     w12_inner,
 )
 from brakekit.model import TorusSpace
@@ -80,6 +77,17 @@ def test_iterate_preserves_mean_action(mild_system):
     base = mean_action(mild_system.L_theta, loop)
     for k in (1, 2, 3, 4):
         assert abs(mean_action(mild_system.L_theta, iterate(loop, k)) - base) < 1e-12
+
+
+def action_differential(L, loop, xi):
+    """dEA(gamma)[xi] for an even variation xi: the even gradient paired with it."""
+    return float(action_gradient_even(L, loop) @ xi.half_values.ravel())
+
+
+def riesz_gradient(L, loop):
+    """The W^{1,2} Riesz representative of the even action gradient."""
+    g = _riesz_solve(loop, action_gradient_even(L, loop))
+    return LoopTangent(loop.period, g.reshape(-1, loop.dim))
 
 
 def test_action_differential_matches_finite_differences(mild_system):
@@ -156,25 +164,6 @@ def test_full_gradient_check(mild_system, stiff_system, libration):
     even_norm = gradient_norm_w12(stiff_system.L_theta, libration)
     full_norm = full_gradient_check(stiff_system.L_theta, libration)
     assert full_norm < max(10 * even_norm, 1e-10)
-
-
-def test_time_rescale(mild_system, stiff_system, libration):
-    assert time_rescale(mild_system.L_theta, 1) is mild_system.L_theta
-    with pytest.raises(ValueError):
-        time_rescale(mild_system.L_theta, 3)
-    L2 = time_rescale(stiff_system.L_theta, 2)
-    resc = time_rescale_loop(libration, 2)
-    assert resc.period == 1
-    assert abs(mean_action(L2, resc)
-               - mean_action(stiff_system.L_theta, libration)) < 1e-10
-    # rescaled constant loops stay critical for the free particle
-    from brakekit.systems import load_system
-
-    free = load_system({"dim": 1, "lagrangian": {"builtin": "kinetic_potential"}})
-    Lr = time_rescale(free.L_theta, 4)
-    const = SymmetricLoop.constant([0.3], 1)
-    assert np.max(np.abs(action_gradient_even(Lr, const))) < 1e-14
-    assert mean_action(Lr, const) == 0.0
 
 
 def test_loop_distance_shift_invariance(libration):

@@ -18,9 +18,38 @@ def test_every_exported_name_exists(name):
     assert not missing, f"brakekit.{name}.__all__ names undefined {missing}"
 
 
-def _bool_parameters():
+# node types a default may be built from to count as a constant
+_CONSTANT_NODES = (ast.Constant, ast.Tuple, ast.BinOp, ast.UnaryOp, ast.Name,
+                   ast.operator, ast.unaryop, ast.expr_context)
+
+
+def _constant(node, names):
+    """(True, value) when node is a literal, a tuple of or arithmetic on
+    literals, or a name in ``names``; (False, None) otherwise."""
+    parts = list(ast.walk(node))
+    if not all(isinstance(n, _CONSTANT_NODES) for n in parts) or any(
+            isinstance(n, ast.Name) and n.id not in names for n in parts):
+        return False, None
+    return True, eval(compile(ast.Expression(node), "<default>", "eval"),
+                      {"__builtins__": {}}, dict(names))
+
+
+def _module_constants(tree):
+    """Module-level names bound once to a constant, such as TOL = 1e-12."""
+    names = {}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)):
+            ok, value = _constant(node.value, names)
+            if ok:
+                names[node.targets[0].id] = value
+    return names
+
+
+def _constant_parameters():
     """(callable name, parameter name, default, index among positionals or
-    None) for every boolean-defaulted parameter of a function in brakekit.
+    None) for every parameter of a function in brakekit whose default is a
+    constant or None (a module-level constant counts by its value).
 
     A constructor is named after its class; a method's self or cls is not
     counted among the positionals.
@@ -28,6 +57,7 @@ def _bool_parameters():
     out = []
     for path in sorted((ROOT / "src" / "brakekit").glob("*.py")):
         tree = ast.parse(path.read_text())
+        constants = _module_constants(tree)
         owners = {}
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef):
@@ -45,10 +75,11 @@ def _bool_parameters():
             defaults.update((a.arg, d) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
                             if d is not None)
             names = [a.arg for a in positional]
-            for arg, default in defaults.items():
-                if isinstance(default, ast.Constant) and isinstance(default.value, bool):
+            for arg, node in defaults.items():
+                ok, default = _constant(node, constants)
+                if ok:
                     index = names.index(arg) if arg in names else None
-                    out.append((name, arg, default.value, index))
+                    out.append((name, arg, default, index))
     return out
 
 
@@ -62,32 +93,81 @@ def _calls():
                     yield name, node
 
 
+def _is_default(node, default):
+    """Whether the argument node is written as the default value itself."""
+    ok, value = _constant(node, {})
+    return ok and isinstance(value, bool) == isinstance(default, bool) and value == default
+
+
 def _sets_other_value(call, arg, default, index):
     """Whether the call may pass arg a value other than its default."""
     for kw in call.keywords:
         if kw.arg is None:  # **kwargs can carry anything
             return True
         if kw.arg == arg:
-            return not (isinstance(kw.value, ast.Constant) and kw.value.value is default)
+            return not _is_default(kw.value, default)
     if index is None:
         return False
     for i, value in enumerate(call.args):
         if isinstance(value, ast.Starred):
             return True
         if i == index:
-            return not (isinstance(value, ast.Constant) and value.value is default)
+            return not _is_default(value, default)
     return False
+
+
+# load_system calls the built-in constructors through the names make and
+# dual, with **lag, the document's "lagrangian" entry: their mass and
+# potential are set by system documents, not at a call site that names them
+DOCUMENT_OPTIONS = {
+    ("kinetic_potential_lagrangian", "mass"),
+    ("kinetic_potential_lagrangian", "potential"),
+    ("quartic_kinetic_lagrangian", "potential"),
+    ("kinetic_hamiltonian", "mass"),
+    ("kinetic_hamiltonian", "potential"),
+}
+
+
+def _unset(parameters):
+    calls = {}
+    for name, node in _calls():
+        calls.setdefault(name, []).append(node)
+    return [f"{fn}({arg}={default!r})" for fn, arg, default, index in parameters
+            if (fn, arg) not in DOCUMENT_OPTIONS
+            and not any(_sets_other_value(c, arg, default, index) for c in calls.get(fn, []))]
 
 
 def test_every_boolean_switch_is_set_somewhere():
     # a switch that every caller leaves at its default selects a branch that
     # never runs; delete the switch and the branch instead
-    calls = {}
-    for name, node in _calls():
-        calls.setdefault(name, []).append(node)
-    unused = [f"{fn}({arg})" for fn, arg, default, index in _bool_parameters()
-              if not any(_sets_other_value(c, arg, default, index) for c in calls.get(fn, []))]
+    switches = [p for p in _constant_parameters() if isinstance(p[2], bool)]
+    assert switches, "the scan found no boolean parameter"
+    unused = _unset(switches)
     assert not unused, f"boolean parameters no call sets: {unused}"
+
+
+def test_every_constant_option_is_set_somewhere():
+    # a numeric, string or None option that every caller leaves at its
+    # default is a constant: write it as one in the function body
+    options = [p for p in _constant_parameters() if not isinstance(p[2], bool)]
+    unused = _unset(options)
+    assert not unused, f"options no call sets to another value: {unused}"
+
+
+def test_option_guard_sees_an_unset_option():
+    # a slack=1e-3 that no call sets, and a tolerance bound to a module
+    # constant, are both reported; a call that passes another value clears one
+    tree = ast.parse("TOL = 1e-12\n"
+                     "def bound(x, slack=1e-3, tol=TOL, scale=2 ** -16):\n    pass\n"
+                     "bound(1.0, tol=1e-9)\n")
+    constants = _module_constants(tree)
+    fn = tree.body[1]
+    defaults = [_constant(d, constants) for d in fn.args.defaults]
+    assert defaults == [(True, 1e-3), (True, 1e-12), (True, 2 ** -16)]
+    call = tree.body[2].value
+    assert not _sets_other_value(call, "slack", 1e-3, 1)
+    assert _sets_other_value(call, "tol", 1e-12, 2)
+    assert not _sets_other_value(ast.parse("bound(1.0, 1e-3)").body[0].value, "slack", 1e-3, 1)
 
 
 def test_no_module_imports_a_private_name_from_another():
