@@ -331,7 +331,6 @@ class BangertOutput:
     xs: np.ndarray
     loops: List[SymmetricLoop]
     half_paths: List[PathSegment]
-    C_theta: float = float("nan")
 
 
 def _at_right_end(family: LoopFamily, x: float) -> bool:
@@ -383,18 +382,14 @@ def _half_path_to_loop(seg: PathSegment, n: int, torus: TorusSpace,
     return SymmetricLoop(2 * n, q, torus)
 
 
-def build_theta_2n(family: LoopFamily, n: int, xs: Optional[np.ndarray] = None,
-                   L: Optional[LagrangianSpec] = None,
+def build_theta_2n(family: LoopFamily, n: int, xs: np.ndarray,
                    grid_per_unit: Optional[int] = None) -> BangertOutput:
-    """Assemble the even period-2n interpolating loops for sampled parameters.
+    """Assemble the even period-2n interpolating loops at the parameters xs.
 
-    At x = x1 the output is exactly the 2n-fold iterate.  When L is given,
-    the constant C of the action estimate is computed from the glue loops.
+    At x = x1 the output is exactly the 2n-fold iterate.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    if xs is None:
-        xs = np.linspace(family.x0, family.x1, 65)
     xs = np.asarray(xs, dtype=float)
     gpu = grid_per_unit or family.loops[0].n
     rho = family.modulus_rho()
@@ -402,10 +397,7 @@ def build_theta_2n(family: LoopFamily, n: int, xs: Optional[np.ndarray] = None,
     loops = [iterate(family.at(family.x1), 2 * n) if _at_right_end(family, x)
              else _half_path_to_loop(seg, n, family.torus, gpu)
              for x, seg in zip(xs, paths)]
-    out = BangertOutput(n, xs, loops, paths)
-    if L is not None:
-        out.C_theta = hat_constant(family, L, rho=rho)
-    return out
+    return BangertOutput(n, xs, loops, paths)
 
 
 def _hat_segment(family: LoopFamily, w: float, rho: Optional[float] = None):
@@ -503,7 +495,7 @@ def _keeps_iterate(L: LagrangianSpec, family: LoopFamily, n: int, x: float,
 
 def bangert_homotopy(sigma, n: int, c1: float, c2: float, eps: float,
                      q: int = 1, param_samples: int = 33,
-                     s_samples: int = 5, L: Optional[LagrangianSpec] = None) -> dict:
+                     s_samples: int = 5, *, L: LagrangianSpec) -> dict:
     """Certified interpolation homotopy over a q-simplex, q in {1, 2}.
 
     sigma is a LoopFamily for q = 1 (the simplex [0, 1]) or a callable
@@ -524,8 +516,6 @@ def bangert_homotopy(sigma, n: int, c1: float, c2: float, eps: float,
     """
     if q not in (1, 2):
         raise Unsupported("simplex dimensions q in {1, 2} only")
-    if L is None:
-        raise ValueError("a Lagrangian is needed to certify action levels")
 
     if q == 1:
         family: LoopFamily = sigma

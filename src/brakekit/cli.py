@@ -298,7 +298,6 @@ def cmd_modify_check(args):
     speed_table = modification.speed_bound_report(
         stored, alpha=max((r["mean_action"] for r in stored), default=0.0) + 1.0,
         m=max((r["period"] for r in stored), default=1))
-    speed_table.pop("flag")
     payload = {"constants": {"K": K, "C": C}, "certificates": rows,
                "orbits": orbit_rows, "speed_bound": speed_table,
                "all_pass": bool(ok)}

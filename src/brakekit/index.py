@@ -21,7 +21,7 @@ the anchor tests pin it through the Morse index identities.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Tuple
+from typing import Callable, NamedTuple, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -60,12 +60,14 @@ __all__ = [
 
 @dataclass
 class LinearizedCoefficients:
-    """P, Q, R sampled on the loop grid over one period, plus a smooth builder."""
+    """P, Q, R and the B they assemble to, sampled on the loop grid over one
+    period, plus a smooth builder."""
 
     times: np.ndarray
     P: np.ndarray
     Q: np.ndarray
     R: np.ndarray
+    B: np.ndarray
     period: float
     symmetry_residuals: dict = field(default_factory=dict)
 
@@ -73,12 +75,9 @@ class LinearizedCoefficients:
     def dim(self):
         return self.P.shape[-1]
 
-    def B_callable(self, B_nodes: Optional[np.ndarray] = None) -> Callable[[float], np.ndarray]:
-        """Periodic cubic interpolation of B(t); exact for constant coefficients.
-
-        B_nodes, when given, is assemble_B(self), which is then not redone.
-        """
-        B = assemble_B(self) if B_nodes is None else B_nodes
+    def B_callable(self) -> Callable[[float], np.ndarray]:
+        """Periodic cubic interpolation of B(t); exact for constant coefficients."""
+        B = self.B
         if np.max(np.abs(B - B[0])) < 1e-14:
             return constant_coefficients(B[0].copy())
         ts = np.append(self.times, self.period)
@@ -106,10 +105,7 @@ class SymplecticPath:
     """Sampled fundamental solution of udot = J B(t) u with Psi(0) = I."""
 
     N: int
-    period: float
-    total_time: float
     dense: Callable
-    B: Callable
     symplecticity_defect: float
 
     def at(self, t):
@@ -135,13 +131,13 @@ def linearize(L: LagrangianSpec, loop: SymmetricLoop) -> LinearizedCoefficients:
         "Q_odd": float(np.max(np.abs(rev(Q) + Q))),
         "R_even": float(np.max(np.abs(rev(R) - R))),
     }
-    return LinearizedCoefficients(ts, P, Q, R, float(loop.period), residuals)
+    return LinearizedCoefficients(ts, P, Q, R, assemble_B(P, Q, R), float(loop.period),
+                                  residuals)
 
 
-def assemble_B(coeffs: LinearizedCoefficients) -> np.ndarray:
+def assemble_B(P: np.ndarray, Q: np.ndarray, R: np.ndarray) -> np.ndarray:
     """B(t) samples for the linear system udot = J B(t) u, u = (momentum, position)."""
-    P, Q, R = coeffs.P, coeffs.Q, coeffs.R
-    n = coeffs.dim
+    n = P.shape[-1]
     conds = np.linalg.cond(P)
     if np.any(~np.isfinite(conds)) or np.max(conds) > 1e12:
         raise SingularP("P(t) is numerically singular at a grid node")
@@ -172,8 +168,7 @@ def constant_coefficients(B: np.ndarray) -> Callable:
     return evaluate
 
 
-def fundamental_solution(B_fn: Callable, total_time: float,
-                         period: float = 1.0) -> SymplecticPath:
+def fundamental_solution(B_fn: Callable, total_time: float) -> SymplecticPath:
     """Integrate Psidot = J B(t) Psi columnwise from Psi(0) = I.
 
     B_fn maps t to the (2N, 2N) matrix B(t).  The path is integrated over
@@ -192,7 +187,7 @@ def fundamental_solution(B_fn: Callable, total_time: float,
                     rtol=1e-11, atol=1e-11, dense_output=True)
     if not sol.success:
         raise BlowUp(f"fundamental solution integration failed: {sol.message}")
-    path = SymplecticPath(two_n // 2, period, total_time, sol.sol, B_fn, 0.0)
+    path = SymplecticPath(two_n // 2, sol.sol, 0.0)
     mats = path.at(np.linspace(0.0, total_time, 257))
     # defect relative to |Psi|^2: hyperbolic paths grow exponentially and an
     # absolute bound would be dominated by float rounding alone
@@ -326,14 +321,13 @@ class _CrossingEngine:
     crossing-form signature with the left-limit rule for degenerate form
     directions: at a sign-definite touch they contribute nothing, at a
     transversal sign change they are unresolvable and raise.  The path is
-    integrated once, at construction, where a symplecticity defect above 1e-8
-    raises NonSymplectic.
+    integrated once, at construction, over k_max periods (and the endpoint
+    zone), where a symplecticity defect above 1e-8 raises NonSymplectic.
     """
 
     def __init__(self, B_fn, period, k_max, deg_tol=1e-6):
         self.B_fn = B_fn
         self.period = period
-        self.k_max = k_max
         probe = np.linspace(0.0, period, 33)
         norms = [np.linalg.norm(np.asarray(B_fn(t)), 2) for t in probe]
         self.b_scale = float(np.mean(norms))
@@ -342,7 +336,7 @@ class _CrossingEngine:
         samples_per_unit = 160.0 * (1.0 + 0.5 * self.b_scale)
         self.n_scan = int(min(max(800, samples_per_unit * self.total), 120000))
         self.guard = min(0.02 * period, 0.2 / (1.0 + self.b_scale))
-        self.path = fundamental_solution(B_fn, self.total, period=period)
+        self.path = fundamental_solution(B_fn, self.total)
         if self.path.symplecticity_defect > 1e-8:
             raise NonSymplectic(f"path symplecticity defect "
                                 f"{self.path.symplecticity_defect:.2e} exceeds 1e-8")
@@ -534,56 +528,34 @@ class _CrossingEngine:
         near = [kdim for t, _, kdim in evs if abs(t - window) <= zone]
         return max(near) if near else 0
 
-
-def _path_pair(path: SymplecticPath, k: Optional[int], mode: str) -> IndexPair:
-    """Index pair of the path in the given mode, from an engine covering its window."""
-    if k is None:
-        k = int(round(path.total_time / path.period))
-    k_needed = max(1, int(np.ceil(path.total_time / path.period)))
-    eng = _CrossingEngine(path.B, path.period, max(k_needed, k))
-    return IndexPair(eng.index(mode, k), eng.nullity(mode, k))
+    def pair(self, mode, k) -> IndexPair:
+        return IndexPair(self.index(mode, k), self.nullity(mode, k))
 
 
-def cz_index(path: SymplecticPath, k: Optional[int] = None) -> IndexPair:
-    """Conley-Zehnder/Long index pair of the path over [0, k * period].
+def cz_index(B: Callable, k: int) -> IndexPair:
+    """Conley-Zehnder/Long index pair of the path of the 1-periodic B over [0, k].
 
-    Defaults to the path's own window.  Degenerate endpoints follow the
-    left-limit convention: their crossings are excluded from the count and
-    recorded in the nullity instead.
+    Degenerate endpoints follow the left-limit convention: their crossings
+    are excluded from the count and recorded in the nullity instead.
     """
-    return _path_pair(path, k, "cz")
+    return _CrossingEngine(B, 1.0, k).pair("cz", k)
 
 
-def l0_index(path: SymplecticPath, k: Optional[int] = None) -> IndexPair:
-    """Maslov-type L0-index pair over the brake half window (0, k * period / 2].
+def l0_index(B: Callable, k: int) -> IndexPair:
+    """Maslov-type L0-index pair of the path of the 1-periodic B over the brake
+    half window (0, k / 2].
 
     Crossings are the zeros of det S12(t); the sign convention and the -N/2
     normalization at t = 0 are the calibrated ones, pinned by the identity
     m^-(EA^{[k]}) = i_L0 + N in the anchor tests.
     """
-    return _path_pair(path, k, "l0")
+    return _CrossingEngine(B, 1.0, k).pair("l0", k)
 
 
-def mean_index(B, k_max: int = 64) -> dict:
-    """Mean indices by least-squares slope of i(Psi, k) over k in {1, 2, 4, ...}.
-
-    B is a 1-periodic callable t -> B(t), whose engine then uses deg_tol
-    1e-6, or a crossing engine already built over the path, whose period and
-    deg_tol then apply.
-    Returns ihat, ihat_L0, the per-k values, and slope uncertainties from the
-    fit residuals.
-    """
-    ks = []
-    k = 1
-    while k <= k_max:
-        ks.append(k)
-        k *= 2
-    if isinstance(B, _CrossingEngine):
-        eng = B
-        if eng.k_max < ks[-1]:
-            raise ValueError(f"engine horizon {eng.k_max} is short of k = {ks[-1]}")
-    else:
-        eng = _CrossingEngine(B, 1.0, ks[-1])
+def _mean_fit(eng: _CrossingEngine, k_max: int) -> dict:
+    """Least-squares slopes of the engine's i(Psi, k) and i_L0(Psi, k) over
+    k in {1, 2, 4, ...} up to k_max, with uncertainties from the fit residuals."""
+    ks = [2 ** j for j in range(int(k_max).bit_length())]
     i_vals = np.array([eng.index("cz", kk) for kk in ks], dtype=float)
     l_vals = np.array([eng.index("l0", kk) for kk in ks], dtype=float)
     karr = np.array(ks, dtype=float)
@@ -607,6 +579,17 @@ def mean_index(B, k_max: int = 64) -> dict:
         "ihat_L0": lhat,
         "ihat_L0_uncertainty": lhat_err,
     }
+
+
+def mean_index(B: Callable, k_max: int = 64) -> dict:
+    """Mean indices of the path of the 1-periodic B, by least-squares slope of
+    i(Psi, k) over k in {1, 2, 4, ...} up to k_max.
+
+    Returns ihat, ihat_L0, the per-k values, and slope uncertainties from the
+    fit residuals.
+    """
+    # the engine reaches the largest power of two the fit uses
+    return _mean_fit(_CrossingEngine(B, 1.0, 2 ** (int(k_max).bit_length() - 1)), k_max)
 
 
 # ---------------------------------------------------------------------------
@@ -656,15 +639,15 @@ def verify_relations(L: LagrangianSpec, loop: SymmetricLoop, ks=(1, 2, 4),
     # degeneracy scale for orbit-derived paths: the coefficients carry the
     # O(h^2) bias of the discrete orbit, amplified by the coefficient size;
     # this mirrors the eps_n null threshold on the Morse side
-    B_nodes = assemble_B(coeffs)
-    b_scale = float(np.mean(np.linalg.norm(B_nodes, 2, axis=(1, 2))))
-    constant_B = float(np.max(np.abs(B_nodes - B_nodes[0]))) < 1e-12
+    B = coeffs.B
+    b_scale = float(np.mean(np.linalg.norm(B, 2, axis=(1, 2))))
+    constant_B = float(np.max(np.abs(B - B[0]))) < 1e-12
     h = loop.h
     deg = 1e-6 if constant_B else min(0.05, max(1e-6, 50.0 * h * h * (1.0 + b_scale)))
     # one engine for the per-k pairs and the mean index
-    eng = _CrossingEngine(coeffs.B_callable(B_nodes), coeffs.period, max(max(ks), mean_k_max),
+    eng = _CrossingEngine(coeffs.B_callable(), coeffs.period, max(max(ks), mean_k_max),
                           deg_tol=deg)
-    mi = mean_index(eng, k_max=mean_k_max)
+    mi = _mean_fit(eng, mean_k_max)
     ihat = mi["ihat"]
     ihat_unc = max(mi["ihat_uncertainty"], 1e-9)
 
@@ -672,8 +655,7 @@ def verify_relations(L: LagrangianSpec, loop: SymmetricLoop, ks=(1, 2, 4),
               "symmetry_residuals": coeffs.symmetry_residuals}
     for k in ks:
         (full, st_f), (even, st_e) = _stabilized_morse(L, loop, k)
-        cz = IndexPair(eng.index("cz", k), eng.nullity("cz", k))
-        l0 = IndexPair(eng.index("l0", k), eng.nullity("l0", k))
+        cz, l0 = eng.pair("cz", k), eng.pair("l0", k)
         checks = {
             "morse_full_equals_cz": full == cz,
             "morse_even_equals_l0_plus_N": even == (l0.index + N, l0.nullity),

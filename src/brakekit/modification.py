@@ -451,8 +451,7 @@ def speed_bound_report(orbits, alpha: float, m: int) -> dict:
     """Empirical a-priori speed table: T~(alpha, m) = max speed over the batch.
 
     orbits: iterables of dicts carrying mean_action, period, max_speed.  Only
-    entries with action <= alpha and period <= m count; the returned checker
-    flags later orbits exceeding the recorded bound.
+    entries with action <= alpha and period <= m count.
     """
     rows = []
     for rec in orbits:
@@ -460,8 +459,4 @@ def speed_bound_report(orbits, alpha: float, m: int) -> dict:
             rows.append({"period": rec["period"], "mean_action": rec["mean_action"],
                          "max_speed": rec["max_speed"]})
     t_tilde = max((r["max_speed"] for r in rows), default=0.0)
-
-    def flag(rec):
-        return rec["max_speed"] > t_tilde
-
-    return {"alpha": alpha, "m": m, "rows": rows, "T_tilde": t_tilde, "flag": flag}
+    return {"alpha": alpha, "m": m, "rows": rows, "T_tilde": t_tilde}

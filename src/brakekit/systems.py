@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import ast
 import inspect
-import json
 import math
 import operator
 import warnings
@@ -425,12 +424,9 @@ _BUILTINS = {
 
 
 def load_system(doc) -> MagneticSystem:
-    """Assemble a MagneticSystem from a JSON document, dict, or file path."""
-    if isinstance(doc, (str,)):
-        with open(doc) as fh:
-            doc = json.load(fh)
+    """Assemble a MagneticSystem from a system document, a dict parsed from JSON."""
     if not isinstance(doc, dict):
-        raise ValueError("system document must be a dict or a path to a JSON file")
+        raise ValueError("system document must be a dict")
 
     dim = int(doc.get("dim", 1))
     torus = TorusSpace(dim, np.asarray(doc.get("periods", [1.0] * dim), dtype=float))

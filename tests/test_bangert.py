@@ -126,7 +126,7 @@ def test_broken_geodesic(two_constant_family):
 
 def test_build_theta_2n_constant_family(free_system):
     fam = LoopFamily.from_map(lambda x: const_loop(0.25), 0.0, 1.0, nodes=5)
-    out = build_theta_2n(fam, 2, xs=np.linspace(0, 1, 9), L=free_system.L_theta)
+    out = build_theta_2n(fam, 2, xs=np.linspace(0, 1, 9))
     for seg in out.half_paths:
         assert abs(segment_action(free_system.L_theta, seg) / 2) < 1e-12
     for loop in out.loops:

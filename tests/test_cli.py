@@ -67,6 +67,39 @@ def test_find_orbits_free_particle(tmp_path):
         assert np.ptp(vals) < 1e-6  # constant loops only
 
 
+@pytest.mark.parametrize("accept", [True, False], ids=["accept", "reject"])
+def test_campaign_verifies_by_integration_when_the_reshoot_fails(accept, monkeypatch):
+    from brakekit import dynamics
+    from brakekit.cli import run_orbit_campaign
+    from brakekit.errors import NonConvergence
+    from brakekit.systems import load_system
+
+    def refused(*args, **kwargs):
+        raise NonConvergence("shooting refused")
+
+    integrate, integrated = dynamics.integrate, []
+
+    def logged(*args, **kwargs):
+        integrated.append(args[2:4])
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "brake_shoot", refused)
+    monkeypatch.setattr(dynamics, "integrate", logged)
+    if not accept:
+        monkeypatch.setattr(dynamics, "brake_residual", lambda *args: 1e-3)
+    records = run_orbit_campaign(load_system(MILD_CONFIG), 1, n_seeds=1, grid=64,
+                                 amplitudes=(0.0,))
+    # the variational orbit (an equilibrium) is checked by integrating the
+    # twisted flow from its brake start point over one period
+    assert integrated == [(0.0, 1.0)]
+    if accept:
+        assert len(records) == 1 and records[0]["methods"] == ["variational"]
+        assert records[0]["brake_residual"] < 1e-6
+        assert records[0]["dynamic_tracking"] < 1e-8
+    else:
+        assert records == []
+
+
 def test_index_command(mild_store):
     tmp, cfg, store = mild_store
     records = load_records(store)

@@ -53,7 +53,8 @@ def test_linearize_symmetry_pattern(stiff_system, libration):
 
 def test_assemble_B_examples(free_system):
     co = linearize(free_system.L_theta, SymmetricLoop.constant([0.3], 1))
-    B = assemble_B(co)
+    B = co.B
+    assert np.array_equal(B, assemble_B(co.P, co.Q, co.R))
     assert np.allclose(B[0], FREE_B)
     assert np.max(np.abs(B - np.swapaxes(B, -1, -2))) < 1e-14
 
@@ -98,17 +99,31 @@ def test_verify_relations_assembles_B_once(stiff_system, libration, monkeypatch)
 
     calls = []
 
-    def counting(coeffs):
-        calls.append(coeffs)
-        return assemble_B(coeffs)
+    def counting(*args):
+        calls.append(args)
+        return assemble_B(*args)
 
     monkeypatch.setattr(index_mod, "assemble_B", counting)
     verify_relations(stiff_system.L_theta, libration, ks=(1,), mean_k_max=4)
     assert len(calls) == 1
-    # the spline on the nodes passed in is the spline B_callable builds itself
+    # B_callable interpolates the B that linearize stored
     co = linearize(stiff_system.L_theta, libration)
-    ts = np.linspace(-1.0, 3.0, 41)
-    assert np.array_equal(co.B_callable(assemble_B(co))(ts), co.B_callable()(ts))
+    assert np.allclose(co.B_callable()(co.times), co.B, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("count", ["cz_index", "l0_index", "mean_index"])
+def test_each_count_integrates_once(count, monkeypatch):
+    import brakekit.index as index_mod
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(index_mod, "solve_ivp", counting)
+    getattr(index_mod, count)(constant_coefficients(PEND_B), 4)
+    assert len(calls) == 1, calls
 
 
 def test_verify_relations_mean_index_matches_standalone(stiff_system):
@@ -170,7 +185,7 @@ def test_crossing_engine_refuses_a_non_symplectic_path(monkeypatch, mild_system)
     assert path.symplecticity_defect > 0.1
     for count in (cz_index, l0_index):
         with pytest.raises(NonSymplectic):
-            count(path)
+            count(skew, 1)
     with pytest.raises(NonSymplectic):
         mean_index(skew, k_max=2)
     # verify_relations builds its engine over an orbit's B: a path whose
@@ -187,15 +202,6 @@ def test_crossing_engine_refuses_a_non_symplectic_path(monkeypatch, mild_system)
     defect[0] = 1.01e-8
     with pytest.raises(NonSymplectic, match="1.01e-08"):
         verify_relations(mild_system.L_theta, loop, ks=(1,), mean_k_max=2)
-
-
-def test_mean_index_rejects_short_engine():
-    from brakekit.index import _CrossingEngine
-
-    eng = _CrossingEngine(constant_coefficients(HARMONIC_B), 1.0, 4)
-    assert mean_index(eng, k_max=4) == mean_index(constant_coefficients(HARMONIC_B), k_max=4)
-    with pytest.raises(ValueError, match="horizon"):
-        mean_index(eng, k_max=8)
 
 
 def test_morse_indices_match_fourier_oracle(free_system, stiff_system):
@@ -237,9 +243,8 @@ CZ_TABLE = {
 def test_cz_and_l0_anchor_paths(name):
     B, expected = CZ_TABLE[name]
     for k, (cz_want, l0_want) in expected.items():
-        path = fundamental_solution(constant_coefficients(B), float(k))
-        assert cz_index(path, k) == cz_want
-        assert l0_index(path, k) == l0_want
+        assert cz_index(constant_coefficients(B), k) == cz_want
+        assert l0_index(constant_coefficients(B), k) == l0_want
 
 
 def test_mean_index_relations():

@@ -149,6 +149,30 @@ def test_find_critical_examples(mild_system, free_system, stiff_system):
     assert np.ptp(repf.loop.half_values) < 1e-8
 
 
+def test_find_critical_falls_back_to_armijo_descent(mild_system, monkeypatch):
+    import brakekit.loopspace as ls
+
+    # a zero Hessian gives a zero Newton step, which never lowers the gradient
+    # norm, so each iteration has to take the Armijo descent step on the action
+    hessian, actions = ls.assemble_hessian, []
+    monkeypatch.setattr(ls, "assemble_hessian",
+                        lambda L, loop, k=1: 0.0 * hessian(L, loop, k))
+
+    def logged(L, loop):
+        actions.append(mean_action(L, loop))
+        return actions[-1]
+
+    monkeypatch.setattr(ls, "mean_action", logged)
+    seed = cosine_loop(0.07, center=0.3, n_per_unit=64)
+    a0 = mean_action(mild_system.L_theta, seed)
+    rep = find_critical(mild_system.L_theta, seed, max_iter=3)
+    assert rep.iterations == 3
+    # per iteration one action at the current loop and at least one trial,
+    # then the report's
+    assert len(actions) >= 2 * rep.iterations + 1
+    assert rep.action == actions[-1] < a0
+
+
 def test_find_critical_agrees_with_shooting(stiff_system, libration):
     from brakekit.dynamics import brake_shoot
 

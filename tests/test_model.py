@@ -40,6 +40,37 @@ def test_magnetic_lagrangian_values(torus1):
     assert np.allclose(hv, [[1.0]])
 
 
+def test_twisted_lagrangian_partials_match_central_differences():
+    # L = L_theta - theta[v] with a theta whose Jacobian is full and varies
+    system = load_system({"dim": 2,
+                          "theta": ["0.3*cos(2*pi*q2) + 0.1*sin(2*pi*q1)",
+                                    "sin(2*pi*q1)/(2*pi)"],
+                          "lagrangian": {"builtin": "kinetic_potential", "mass": 0.7,
+                                         "potential": "cos(2*pi*q1)"}})
+    L, h = system.L, 1e-5
+    rng = np.random.default_rng(3)
+    t, q, v = rng.uniform(0, 1, 6), rng.uniform(0, 1, (6, 2)), rng.normal(size=(6, 2))
+
+    def central(f, wrt):
+        """[..., i] or [..., j, i]: d f[..., j] / d wrt_i by central differences."""
+        cols = []
+        for e in h * np.eye(2):
+            dq, dv = (e, 0.0) if wrt == "q" else (0.0, e)
+            cols.append((np.asarray(f(t, q + dq, v + dv))
+                         - np.asarray(f(t, q - dq, v - dv))) / (2 * h))
+        return np.stack(cols, axis=-1)
+
+    assert np.allclose(L.grad_q(t, q, v), central(L.value, "q"), rtol=1e-6, atol=1e-6)
+    assert np.allclose(L.grad_v(t, q, v), central(L.value, "v"), rtol=1e-6, atol=1e-6)
+    # hess_qv[i, j] = d2 L / dq_i dv_j, the transpose of d grad_v / dq
+    assert np.allclose(L.hess_qv(t, q, v), np.swapaxes(central(L.grad_v, "q"), -1, -2),
+                       rtol=1e-6, atol=1e-6)
+    assert np.allclose(L.hess_qq(t, q, v), central(L.grad_q, "q"), rtol=1e-6, atol=1e-6)
+    assert np.allclose(L.hess_vv(t, q, v), central(L.grad_v, "v"), rtol=1e-6, atol=1e-6)
+    # the twist is what these partials add: L_theta's own differ from them
+    assert not np.allclose(L.grad_q(t, q, v), system.L_theta.grad_q(t, q, v))
+
+
 def test_magnetic_pair_reversibility(mild_system):
     # (L + theta[v]) is time reversible when L is the dual of the R1-symmetric H
     assert check_symmetry(mild_system.L, mild_system.theta, 256) < 1e-14
@@ -155,6 +186,8 @@ def test_load_system_validates():
     with pytest.raises(ValueError):
         load_system({"dim": 1, "theta": ["q1 + oops"],
                      "lagrangian": {"builtin": "kinetic_potential"}})
+    with pytest.raises(ValueError, match="must be a dict"):
+        load_system("system.json")
 
 
 def _grammar_node(children):

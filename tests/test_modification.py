@@ -177,7 +177,10 @@ def test_speed_bound_report():
     batch = consts + [{"period": 2, "mean_action": 0.5, "max_speed": 1.7}]
     rep2 = speed_bound_report(batch, alpha=1.0, m=2)
     assert rep2["T_tilde"] == 1.7 >= rep["T_tilde"]
-    assert rep2["flag"]({"period": 2, "mean_action": 0.2, "max_speed": 2.0})
+    # entries above alpha or m do not count
+    over = batch + [{"period": 3, "mean_action": 0.1, "max_speed": 9.0},
+                    {"period": 1, "mean_action": 1.5, "max_speed": 9.0}]
+    assert speed_bound_report(over, alpha=1.0, m=2) == rep2
 
 
 @pytest.fixture(scope="module")
