@@ -365,39 +365,6 @@ class BlockTridiagonal:
         A[nxt, :, i, :] += np.swapaxes(self.upper, -1, -2)
         return A.reshape(M * N, M * N)
 
-    def _blocks(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Blocks A[rows[i], cols[i]]; zero for nodes more than one coupling apart."""
-        M = self.nodes
-        out = np.zeros((len(rows), self.dim, self.dim))
-        ahead = cols == ((rows + 1) % M if self.cyclic else rows + 1)
-        behind = rows == ((cols + 1) % M if self.cyclic else cols + 1)
-        same = rows == cols
-        out[ahead] += self.upper[rows[ahead]]
-        out[behind] += np.swapaxes(self.upper[cols[behind]], -1, -2)
-        out[same] += self.diag[rows[same]]
-        return out
-
-    def lower_band(self) -> np.ndarray:
-        """The matrix in LAPACK lower band storage, ab[r - c, c] = A[r, c].
-
-        An open operator keeps its node order (bandwidth 2N - 1).  A cyclic
-        one is stored in the node order 0, 1, M-1, 2, M-2, ..., which puts
-        every coupling, the wrap-around one included, at most two nodes off
-        the diagonal (bandwidth 3N - 1).  Eigenvalues are those of dense().
-        """
-        M, N = self.nodes, self.dim
-        p = np.arange(M)
-        order = np.where(p % 2, (p + 1) // 2, (M - p // 2) % M) if self.cyclic else p
-        reach = 2 if self.cyclic else 1
-        ab = np.zeros(((reach + 1) * N, M * N))
-        for s in range(reach + 1):
-            B = self._blocks(order[s:], order[: M - s])
-            for a in range(N):
-                for b in range(N):
-                    if s * N + a - b >= 0:
-                        ab[s * N + a - b, b: (M - s) * N: N] = B[:, a, b]
-        return ab
-
     def even_fold(self) -> "BlockTridiagonal":
         """The restriction E^T A E of a cyclic operator to the even subspace.
 

@@ -1,9 +1,10 @@
 import inspect
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
@@ -20,7 +21,7 @@ from brakekit.index import (
     morse_index,
     verify_relations,
 )
-from brakekit.loopspace import SymmetricLoop, assemble_gram, assemble_hessian
+from brakekit.loopspace import BlockTridiagonal, SymmetricLoop, assemble_gram, assemble_hessian
 from brakekit.model import LagrangianSpec, OneForm
 from brakekit.systems import kinetic_potential_lagrangian
 
@@ -202,6 +203,9 @@ def test_crossing_engine_refuses_a_non_symplectic_path(monkeypatch, mild_system)
     defect[0] = 1.01e-8
     with pytest.raises(NonSymplectic, match="1.01e-08"):
         verify_relations(mild_system.L_theta, loop, ks=(1,), mean_k_max=2)
+    defect[0] = float("nan")
+    with pytest.raises(NonSymplectic, match="nan"):
+        verify_relations(mild_system.L_theta, loop, ks=(1,), mean_k_max=2)
 
 
 def test_morse_indices_match_fourier_oracle(free_system, stiff_system):
@@ -308,12 +312,13 @@ def twisted_t2():
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 3),
        period=st.integers(1, 2), dim=st.sampled_from([1, 2]),
-       symmetric=st.booleans(), shift=st.floats(-40.0, 40.0))
+       symmetric=st.booleans(), shift=st.floats(-40.0, 40.0),
+       n_per_unit=st.sampled_from([8, 64]))
 def test_banded_negative_count_matches_dense_ldl(mild_system, twisted_t2, seed, k,
-                                                 period, dim, symmetric, shift):
+                                                 period, dim, symmetric, shift, n_per_unit):
     system = mild_system if dim == 1 else twisted_t2
     rng = np.random.default_rng(seed)
-    n = 8 * period
+    n = n_per_unit * period
     loop = SymmetricLoop(period, rng.uniform(-1.0, 1.0, size=(n // 2 + 1, dim)),
                          system.torus)
     H, G = assemble_hessian(system.L, loop, k=k), assemble_gram(loop, k=k)
@@ -325,3 +330,52 @@ def test_banded_negative_count_matches_dense_ldl(mild_system, twisted_t2, seed, 
     # the count is only defined when no eigenvalue sits at round-off from zero
     assume(np.min(np.abs(ev)) > 1e-8 * np.max(np.abs(ev)))
     assert _negative_count(A) == _ldl_negative_count(dense) == int(np.sum(ev < 0))
+
+
+def _random_operator(rng, nodes, dim, cyclic):
+    diag = rng.normal(size=(nodes, dim, dim))
+    upper = rng.normal(size=(nodes if cyclic else nodes - 1, dim, dim))
+    return BlockTridiagonal(diag + np.swapaxes(diag, -1, -2), upper, cyclic)
+
+
+# the reduction takes 70 -> 36 -> 19 -> 10 -> 6 -> 4 -> 3 nodes, 67 -> 34 ->
+# 18 -> 10 -> ... and 65 -> 33 -> 17 -> 9 -> 5 -> 3, so odd and even node
+# counts at every level; a cyclic operator on 2 nodes has both couplings on
+# the same pair and goes to the dense tail at once
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), nodes=st.integers(2, 70),
+       dim=st.integers(1, 3), cyclic=st.booleans())
+@example(seed=0, nodes=70, dim=2, cyclic=True)
+@example(seed=1, nodes=67, dim=3, cyclic=False)
+@example(seed=2, nodes=65, dim=1, cyclic=True)
+@example(seed=3, nodes=2, dim=2, cyclic=True)
+@example(seed=4, nodes=3, dim=1, cyclic=True)
+def test_negative_count_matches_eigvalsh(seed, nodes, dim, cyclic):
+    A = _random_operator(np.random.default_rng(seed), nodes, dim, cyclic)
+    ev = np.linalg.eigvalsh(A.dense())
+    assume(np.min(np.abs(ev)) > 1e-8 * np.max(np.abs(ev)))
+    assert _negative_count(A) == int(np.sum(ev < 0))
+
+
+@pytest.mark.parametrize("dim,cyclic", [(1, False), (2, True)])
+def test_negative_count_moves_a_singular_pivot_off_zero(dim, cyclic):
+    A = _random_operator(np.random.default_rng(5), 9, dim, cyclic)
+    # node 1 is eliminated first and its pivot block is exactly singular,
+    # while A is not: the pivot is moved off zero, and the count is the spectrum's
+    A.diag[1] = np.diag(np.arange(dim, dtype=float))
+    ev = np.linalg.eigvalsh(A.dense())
+    assert np.min(np.abs(ev)) > 1e-3
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        assert _negative_count(A) == int(np.sum(ev < 0))
+
+
+def test_symplecticity_defect_stays_finite_on_long_hyperbolic_paths():
+    # |Psi| reaches 1e175 by t = 64 on this path, so Psi^T J Psi overflows
+    B = constant_coefficients(STABLE_B)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        defect = fundamental_solution(B, 64.3).symplecticity_defect
+        report = mean_index(B, 64)
+    assert np.isfinite(defect) and defect < 1e-8
+    assert report["ks"] == [1, 2, 4, 8, 16, 32, 64]
+    assert report["i"] == [0] * 7 and report["i_L0"] == [-1] * 7

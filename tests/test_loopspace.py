@@ -339,27 +339,6 @@ def test_block_assembly_matches_dense_reference(twisted_systems, k, subspace):
         assert np.array_equal((H - 0.25 * G).dense(), H.dense() - 0.25 * G.dense())
 
 
-def _band_to_dense(ab):
-    n = ab.shape[1]
-    A = np.zeros((n, n))
-    for d in range(ab.shape[0]):
-        A[np.arange(d, n), np.arange(n - d)] = ab[d, : n - d]
-    return A + np.tril(A, -1).T
-
-
-@pytest.mark.parametrize("cyclic", [True, False])
-def test_lower_band_holds_the_dense_spectrum(twisted_systems, cyclic):
-    for L, loop in twisted_systems:
-        A = assemble_hessian(L, loop, k=2)
-        if not cyclic:
-            A = A.even_fold()
-        ab = A.lower_band()
-        assert ab.shape[0] == (3 if cyclic else 2) * A.dim
-        dense = A.dense()
-        ev_band = np.sort(np.linalg.eigvalsh(_band_to_dense(ab)))
-        assert np.allclose(ev_band, np.linalg.eigvalsh(dense), atol=1e-10)
-
-
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("n_per_unit,period", [(64, 1), (64, 2), (256, 1)])
 def test_gram_even_w12_matches_embedding(dim, n_per_unit, period):
