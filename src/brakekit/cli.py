@@ -40,7 +40,7 @@ SYSTEM_SCHEMA = {
         },
         "numerics": {
             "type": "object",
-            "properties": {"grid": {"type": "integer", "minimum": 2},
+            "properties": {"grid": {"type": "integer", "minimum": 2, "multipleOf": 2},
                            "integrator_tol": {"type": "number", "exclusiveMinimum": 0}},
             "additionalProperties": False,
         },
@@ -426,15 +426,15 @@ def cmd_export(args):
     return 0
 
 
-def _int_at_least(low, what):
-    """argparse type: one integer >= low."""
+def _int_where(ok, what):
+    """argparse type: one integer that passes ok."""
 
     def parse(text):
         try:
             value = int(text)
         except ValueError:
             value = None
-        if value is None or value < low:
+        if value is None or not ok(value):
             raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
         return value
 
@@ -468,11 +468,14 @@ def build_parser():
 
     p = sub.add_parser("find-orbits", help="run a brake-orbit search campaign")
     p.add_argument("--config", required=True)
-    p.add_argument("--period", type=_int_at_least(1, "a positive integer"), default=1)
+    p.add_argument("--period", type=_int_where(lambda m: m >= 1, "a positive integer"),
+                   default=1)
     p.add_argument("--seeds", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
-    # the same minimum as the document's numerics.grid
-    p.add_argument("--grid", type=_int_at_least(2, "an integer >= 2"), default=None)
+    # the same rule as the document's numerics.grid: the half grid of a
+    # symmetric loop holds n/2 + 1 nodes, so n must be even
+    p.add_argument("--grid", type=_int_where(lambda g: g >= 2 and g % 2 == 0,
+                                             "an even integer >= 2"), default=None)
     p.set_defaults(func=cmd_find_orbits)
 
     p = sub.add_parser("index", help="index identities for a stored orbit")

@@ -25,10 +25,6 @@ class GridMismatch(BrakekitError):
     """Two discretized objects live on incompatible grids."""
 
 
-class SolverFailure(BrakekitError):
-    """A linear solve failed (singular or badly conditioned Gram system)."""
-
-
 class SymmetryViolation(BrakekitError):
     """A reflected brake extension fails to solve the equations of motion."""
 

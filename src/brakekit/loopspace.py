@@ -9,7 +9,10 @@ periodic, so lifts are evaluated directly.
 Velocities use centered differences and integrals the periodic trapezoid
 rule, which makes every quantity here an O(h^2) discretization.  The action
 gradient is the exact derivative of the discrete mean action, so line
-searches and Newton refinement are mutually consistent.
+searches and Newton refinement are mutually consistent.  The W^{1,2} Gram
+of the scheme is circulant, so a real FFT inverts it in closed form and it
+is never built; assemble_gram is another operator, the P1 Gram of the Morse
+counts.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import GridMismatch, SolverFailure
+from .errors import GridMismatch
 from .model import LagrangianSpec, TorusSpace
 
 __all__ = [
@@ -106,11 +109,19 @@ class SymmetricLoop:
         return SymmetricLoop(self.period, half_values, self.torus)
 
     # -- constructors ---------------------------------------------------------
+    @staticmethod
+    def _full_grid(period, n_per_unit) -> int:
+        """n = n_per_unit * period; the half grid holds n/2 + 1 nodes, so n is even."""
+        if (n_per_unit * period) % 2:
+            raise GridMismatch("a symmetric loop needs an even grid n_per_unit * period, "
+                               f"not {n_per_unit} * {period}")
+        return n_per_unit * period
+
     @classmethod
     def constant(cls, q, period=1, torus=None, n_per_unit=DEFAULT_GRID_PER_UNIT):
         q = np.atleast_1d(np.asarray(q, dtype=float))
         torus = torus or TorusSpace(q.shape[0])
-        n = n_per_unit * period
+        n = cls._full_grid(period, n_per_unit)
         return cls(period, np.tile(q, (n // 2 + 1, 1)), torus)
 
     @classmethod
@@ -118,9 +129,9 @@ class SymmetricLoop:
         """Sample an even function fn(t) -> lift point on the half grid.
 
         Raises ValueError when fn(-h) or fn(period - h) differs from fn(h)
-        by more than 1e-12.
+        by more than 1e-12, and GridMismatch when n_per_unit * period is odd.
         """
-        n = n_per_unit * period
+        n = cls._full_grid(period, n_per_unit)
         ts = np.arange(n // 2 + 1) * (period / n)
         vals = np.stack([np.atleast_1d(np.asarray(fn(t), dtype=float)) for t in ts])
         torus = torus or TorusSpace(vals.shape[1])
@@ -203,17 +214,16 @@ def _gradient_full(L: LagrangianSpec, loop: SymmetricLoop) -> np.ndarray:
     return c * (lq + (np.roll(lv, 1, axis=0) - np.roll(lv, -1, axis=0)) / (2.0 * loop.h))
 
 
-def _fold_nodes(a: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Sum the full-grid nodes j and n - j of one axis onto the half grid.
+def _fold_nodes(a: np.ndarray) -> np.ndarray:
+    """Sum the full-grid nodes j and n - j onto the half grid.
 
-    This is E^T a along that axis for the reflection embedding E of the
-    even subspace, each half-grid entry the sum of at most two terms.
+    This is E^T a for the reflection embedding E of the even subspace, each
+    half-grid entry the sum of at most two terms.
     """
-    a = np.moveaxis(a, axis, 0)
     n = a.shape[0]
     out = a[: n // 2 + 1].copy()
     out[1: n // 2] += a[n // 2 + 1:][::-1]
-    return np.moveaxis(out, 0, axis)
+    return out
 
 
 def action_gradient_even(L: LagrangianSpec, loop: SymmetricLoop) -> np.ndarray:
@@ -221,40 +231,41 @@ def action_gradient_even(L: LagrangianSpec, loop: SymmetricLoop) -> np.ndarray:
     return _fold_nodes(_gradient_full(L, loop)).ravel()
 
 
-def _gram_w12_full(n: int, dim: int, period: float) -> np.ndarray:
-    """Matrix of the trapezoid/centered W^{1,2} inner product on the full grid.
+def _w12_solve(c: np.ndarray, period: float) -> np.ndarray:
+    """G^-1 c along the node axis for the full-grid W^{1,2} Gram G.
 
-    D^T D for the centered difference has the closed form
-    (2 I - shift(2) - shift(-2)) / (4 h^2).
+    G = h (I + D^T D) for the centered difference D is circulant, and the DFT
+    diagonalizes it with the eigenvalues h (1 + sin^2(2 pi j / n) / h^2) >= h.
     """
+    n = c.shape[0]
     h = period / n
-    eye = np.eye(n)
-    DtD = (2.0 * eye - np.roll(eye, 2, axis=1) - np.roll(eye, -2, axis=1)) / (4 * h * h)
-    G = h * (eye + DtD)
-    return np.kron(G, np.eye(dim)) if dim > 1 else G
+    lam = h * (1.0 + np.sin(2.0 * np.pi * np.arange(n // 2 + 1) / n) ** 2 / (h * h))
+    return np.fft.irfft(np.fft.rfft(c, axis=0) / lam[:, None], n, axis=0)
 
 
 def _riesz_solve(loop: SymmetricLoop, b: np.ndarray) -> np.ndarray:
-    """Solve gram_even_w12(loop) g = b for the half-grid DOF g."""
-    try:
-        return np.linalg.solve(gram_even_w12(loop), b)
-    except np.linalg.LinAlgError as exc:
-        raise SolverFailure(f"Gram system is singular: {exc}") from exc
+    """Solve E^T G E g = b for the half-grid DOF g.
+
+    Halving the interior entries of b and reflecting them gives the even c
+    with E^T c = b; G commutes with the reflection, so G^-1 c is even and its
+    half grid is g.
+    """
+    half = b.reshape(-1, loop.dim).copy()
+    half[1:-1] *= 0.5
+    c = LoopTangent(loop.period, half).full_values()
+    return _w12_solve(c, loop.period)[: loop.n // 2 + 1].ravel()
 
 
-def gram_even_w12(loop: SymmetricLoop) -> np.ndarray:
-    """Trapezoid/centered W^{1,2} Gram on the even half-grid DOF (dense)."""
-    M, dim = loop.n, loop.dim
-    G = _gram_w12_full(M, dim, loop.period).reshape(M, dim, M, dim)
-    G = _fold_nodes(_fold_nodes(G, 0), 2)
-    n_half = M // 2 + 1
-    return G.reshape(n_half * dim, n_half * dim)
+def _gradient_and_norm(L: LagrangianSpec, loop: SymmetricLoop):
+    """(b, g, norm): the even gradient, its Riesz representative, sqrt(b . g)."""
+    b = action_gradient_even(L, loop)
+    g = _riesz_solve(loop, b)
+    return b, g, float(np.sqrt(max(b @ g, 0.0)))
 
 
 def gradient_norm_w12(L: LagrangianSpec, loop: SymmetricLoop) -> float:
     """W^{1,2} norm of the even action gradient, sqrt(b . G^-1 b)."""
-    b = action_gradient_even(L, loop)
-    return float(np.sqrt(max(b @ _riesz_solve(loop, b), 0.0)))
+    return _gradient_and_norm(L, loop)[2]
 
 
 def full_gradient_check(L: LagrangianSpec, loop: SymmetricLoop) -> float:
@@ -264,10 +275,8 @@ def full_gradient_check(L: LagrangianSpec, loop: SymmetricLoop) -> float:
     symmetry of the scheme makes the odd gradient part vanish to round-off,
     so this is a consistency check rather than new information.
     """
-    b = _gradient_full(L, loop).ravel()
-    G = _gram_w12_full(loop.n, loop.dim, loop.period)
-    g = np.linalg.solve(G, b)
-    return float(np.sqrt(max(b @ g, 0.0)))
+    b = _gradient_full(L, loop)
+    return float(np.sqrt(max(np.sum(b * _w12_solve(b, loop.period)), 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -442,20 +451,7 @@ def find_critical(L: LagrangianSpec, loop0: SymmetricLoop, grad_tol: float = 1e-
     the nearest critical point rather than sliding to minima.
     """
     loop = loop0
-    G = gram_even_w12(loop)
-    import scipy.linalg as sla
-
-    G_chol = sla.cho_factor(G)
-
-    def solve_g(rhs):
-        return sla.cho_solve(G_chol, rhs)
-
-    def grad_and_norm(lp):
-        b = action_gradient_even(L, lp)
-        g = solve_g(b)
-        return b, g, float(np.sqrt(max(b @ g, 0.0)))
-
-    b, g, norm = grad_and_norm(loop)
+    b, g, norm = _gradient_and_norm(L, loop)
     iters = 0
 
     for _ in range(max_iter):
@@ -470,13 +466,13 @@ def find_critical(L: LagrangianSpec, loop0: SymmetricLoop, grad_tol: float = 1e-
         try:
             step = np.linalg.solve(H, -b)
         except np.linalg.LinAlgError:
-            step, *_ = np.linalg.lstsq(H, -b, rcond=1e-12)
-        if not np.all(np.isfinite(step)):
+            step = None
+        if step is None or not np.all(np.isfinite(step)):
             step, *_ = np.linalg.lstsq(H, -b, rcond=1e-12)
         alpha = 1.0
         for _ in range(25):
             trial = loop.with_values(loop.half_values + alpha * step.reshape(-1, loop.dim))
-            b_t, g_t, n_t = grad_and_norm(trial)
+            b_t, g_t, n_t = _gradient_and_norm(L, trial)
             if n_t < norm:
                 loop, b, g, norm = trial, b_t, g_t, n_t
                 improved = True
@@ -491,7 +487,7 @@ def find_critical(L: LagrangianSpec, loop0: SymmetricLoop, grad_tol: float = 1e-
                 trial = loop.with_values(loop.half_values + alpha * step)
                 if mean_action(L, trial) < action - 1e-4 * alpha * norm ** 2:
                     loop = trial
-                    b, g, norm = grad_and_norm(loop)
+                    b, g, norm = _gradient_and_norm(L, loop)
                     improved = True
                     break
                 alpha *= 0.5

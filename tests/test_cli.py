@@ -151,6 +151,8 @@ def test_unmapped_brakekit_error_exit_code(mild_store, monkeypatch, capsys):
     ["find-orbits", "--grid", "1"],
     ["find-orbits", "--grid", "-4"],
     ["find-orbits", "--grid", "0"],  # once silently replaced by the document's grid
+    ["find-orbits", "--grid", "3"],  # an odd grid once stored loops on the grid 2
+    ["find-orbits", "--grid", "255"],
 ])
 def test_bad_numbers_exit_code(tmp_path, capsys, argv):
     cfg = write_config(tmp_path, MILD_CONFIG)
@@ -202,6 +204,17 @@ def test_unread_numerics_key_exit_code(tmp_path, capsys):
         main(["--store", str(tmp_path / "s"), "find-orbits", "--config", str(bad)])
     assert err.value.code == 2
     assert "grad_tol" in capsys.readouterr().err
+
+
+def test_odd_document_grid_exit_code(tmp_path, capsys):
+    # the half grid holds n/2 + 1 nodes, so an odd grid cannot make a loop
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**MILD_CONFIG, "numerics": {"grid": 255}}))
+    with pytest.raises(SystemExit) as err:
+        main(["--store", str(tmp_path / "s"), "find-orbits", "--config", str(bad)])
+    assert err.value.code == 2
+    assert "multiple of 2" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
 
 
 def test_builtin_rejects_unknown_key_exit_code(tmp_path, capsys):

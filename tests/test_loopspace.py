@@ -5,14 +5,13 @@ from brakekit.errors import GridMismatch
 from brakekit.loopspace import (
     LoopTangent,
     SymmetricLoop,
-    _gram_w12_full,
     _riesz_solve,
+    _w12_solve,
     action_gradient_even,
     assemble_gram,
     assemble_hessian,
     find_critical,
     full_gradient_check,
-    gram_even_w12,
     gradient_norm_w12,
     iterate,
     loop_distance,
@@ -339,10 +338,53 @@ def test_block_assembly_matches_dense_reference(twisted_systems, k, subspace):
         assert np.array_equal((H - 0.25 * G).dense(), H.dense() - 0.25 * G.dense())
 
 
+def _gram_w12_reference(n, dim, period):
+    """Dense trapezoid/centered W^{1,2} Gram h (I + D^T D) on the full grid."""
+    h = period / n
+    eye = np.eye(n)
+    D = (np.roll(eye, 1, axis=1) - np.roll(eye, -1, axis=1)) / (2.0 * h)
+    return np.kron(h * (eye + D.T @ D), np.eye(dim))
+
+
 @pytest.mark.parametrize("dim", [1, 2])
-@pytest.mark.parametrize("n_per_unit,period", [(64, 1), (64, 2), (256, 1)])
-def test_gram_even_w12_matches_embedding(dim, n_per_unit, period):
+@pytest.mark.parametrize("period", [1, 2])
+@pytest.mark.parametrize("n_per_unit", [6, 10, 64, 256])
+def test_riesz_solve_matches_dense_reference(dim, period, n_per_unit):
+    # 6 and 10 give an odd n/2 and FFT lengths that are not powers of two
+    rng = np.random.default_rng(n_per_unit + 10 * dim + 100 * period)
     loop = SymmetricLoop.constant(np.zeros(dim), period, n_per_unit=n_per_unit)
+    G = _gram_w12_reference(loop.n, dim, period)
     E = _even_embedding_reference(loop.n, dim)
-    ref = E.T @ _gram_w12_full(loop.n, dim, period) @ E
-    assert np.array_equal(gram_even_w12(loop), ref)
+    b = rng.normal(size=(loop.n // 2 + 1) * dim)
+    ref = np.linalg.solve(E.T @ G @ E, b)
+    assert np.max(np.abs(_riesz_solve(loop, b) - ref)) <= 1e-11 * np.max(np.abs(ref))
+    c = rng.normal(size=(loop.n, dim))  # not even
+    ref = np.linalg.solve(G, c.ravel()).reshape(loop.n, dim)
+    assert np.max(np.abs(_w12_solve(c, period) - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+
+def test_w12_metric_memory_is_linear(twisted_systems):
+    # one dense Gram on 2^15 nodes in T^2 would take 34 GB
+    import tracemalloc
+
+    L = twisted_systems[1][0]
+    loop = SymmetricLoop.constant([0.1, 0.2], 1, n_per_unit=2 ** 15)
+    tracemalloc.start()
+    try:
+        for check in (gradient_norm_w12, full_gradient_check):
+            tracemalloc.reset_peak()
+            assert check(L, loop) > 0.1
+            assert tracemalloc.get_traced_memory()[1] < 32 * 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n_per_unit,period", [(3, 1), (255, 1), (5, 3)])
+def test_constructors_refuse_an_odd_grid(n_per_unit, period):
+    # n // 2 + 1 half rows would silently make a loop on the grid n - 1
+    with pytest.raises(GridMismatch, match="even grid"):
+        SymmetricLoop.constant([0.0], period, n_per_unit=n_per_unit)
+    with pytest.raises(GridMismatch, match="even grid"):
+        SymmetricLoop.from_function(lambda t: np.array([np.cos(2 * np.pi * t)]), period,
+                                    n_per_unit=n_per_unit)
+    assert SymmetricLoop.constant([0.0], 2, n_per_unit=n_per_unit).n == 2 * n_per_unit
