@@ -88,6 +88,7 @@ def run_orbit_campaign(system: MagneticSystem, period: int, n_seeds: int,
     torus = system.torus
     n = torus.dim
     grid = grid if grid is not None else system.numerics.get("grid", 256)
+    full = SymmetricLoop.full_grid(period, grid)  # refuses an odd grid before any shot
     tol_int = system.numerics.get("integrator_tol", 1e-10)
     q_seeds = [torus.periods * rng.uniform(0, 1, n) for _ in range(n_seeds)]
 
@@ -98,7 +99,7 @@ def run_orbit_campaign(system: MagneticSystem, period: int, n_seeds: int,
                                          tol=tol_int)
         except (NonConvergence, BrakekitError):
             continue
-        ts = np.arange(grid * period // 2 + 1) * (period / (grid * period))
+        ts = np.arange(full // 2 + 1) * (period / full)
         half = orbit.trajectory.at(ts)[:, :n]
         loop = SymmetricLoop(period, half, torus)
         candidates.append((loop, "shooting"))
@@ -162,7 +163,9 @@ def run_orbit_campaign(system: MagneticSystem, period: int, n_seeds: int,
             "full_gradient_norm": loopspace.full_gradient_check(system.L_theta, loop),
             "dynamic_tracking": track,
             "q0": [float(v) for v in q_start],
-            "winding": [int(w) for w in loop.winding],
+            # a symmetric loop closes in the lift, gamma(m) = gamma(0), as its
+            # reflection and centred velocities assume: it never winds
+            "winding": [0] * n,
         })
     return records
 

@@ -32,8 +32,9 @@ def _residual_norm(r):
     return np.sqrt(np.add.reduce(r * r, axis=-1))
 
 
-def _newton_fiber(grad, hess, t, q, target, x0, tol, maxit, label):
-    """Solve grad(t, q, x) = target by damped Newton with monotone backtracking.
+def _newton_fiber(grad, hess, t, q, target, label):
+    """Solve grad(t, q, x) = target from x = 0 by damped Newton with monotone
+    backtracking, to a residual of TOL in at most MAXIT steps.
 
     Works at one point or a batch (leading axis M).  Every point keeps its own
     step length (the line search halves only for points not yet accepted) and
@@ -45,9 +46,8 @@ def _newton_fiber(grad, hess, t, q, target, x0, tol, maxit, label):
     y = np.atleast_2d(target)
     t = np.broadcast_to(np.asarray(t, dtype=float), y.shape[:1])
     q = np.broadcast_to(np.asarray(q, dtype=float), y.shape)
-    x = np.zeros_like(y) if x0 is None else np.array(np.broadcast_to(x0, y.shape), dtype=float)
     solve = _newton_point if len(y) == 1 else _newton_batch
-    out = solve(grad, hess, t, q, y, x, tol, maxit, label)
+    out = solve(grad, hess, t, q, y, np.zeros_like(y), label)
     return out if target.ndim > 1 else out[0]
 
 
@@ -59,16 +59,16 @@ def _newton_step(h, r):
     return np.linalg.solve(h, -r[..., None])[..., 0]
 
 
-def _newton_point(grad, hess, t, q, y, x, tol, maxit, label):
+def _newton_point(grad, hess, t, q, y, x, label):
     """_newton_fiber at one point: y, x of shape (1, N), t of shape (1,)."""
     r = np.asarray(grad(t, q, x)) - y
     norm = _residual_norm(r)
-    for it in range(maxit + 1):
-        if norm[0] <= tol:
+    for it in range(MAXIT + 1):
+        if norm[0] <= TOL:
             return x
-        if it == maxit:
+        if it == MAXIT:
             raise NonConvergence(f"{label}: residual {norm[0]:.3e} "
-                                 f"after {maxit} iterations")
+                                 f"after {MAXIT} iterations")
         step = _newton_step(np.asarray(hess(t, q, x)), r)
         alpha = 1.0
         for _ in range(40):
@@ -84,22 +84,22 @@ def _newton_point(grad, hess, t, q, y, x, tol, maxit, label):
                                  f"{norm[0]:.3e}")
 
 
-def _newton_batch(grad, hess, t, q, y, x, tol, maxit, label):
+def _newton_batch(grad, hess, t, q, y, x, label):
     """_newton_fiber on a batch of M points: y, x of shape (M, N), t of shape (M,)."""
     out, rows = x, np.arange(len(y))
     r = np.asarray(grad(t, q, x)) - y
     norm = _residual_norm(r)
-    for it in range(maxit + 1):
-        done = norm <= tol
+    for it in range(MAXIT + 1):
+        done = norm <= TOL
         if done.all():
             out[rows] = x
             return out
         if done.any():
             out[rows[done]] = x[done]
             rows, t, q, y, x, r, norm = (a[~done] for a in (rows, t, q, y, x, r, norm))
-        if it == maxit:
+        if it == MAXIT:
             raise NonConvergence(f"{label}: residual {np.max(norm):.3e} "
-                                 f"after {maxit} iterations")
+                                 f"after {MAXIT} iterations")
         step = _newton_step(np.asarray(hess(t, q, x)), r)
         alpha, pending = 1.0, np.ones(len(x), dtype=bool)
         for _ in range(40):
@@ -120,14 +120,14 @@ def _newton_batch(grad, hess, t, q, y, x, tol, maxit, label):
                                  f"{np.max(norm[pending]):.3e}")
 
 
-def dual_momentum(H: HamiltonianSpec, t, q, v, p0=None):
+def dual_momentum(H: HamiltonianSpec, t, q, v):
     """Solve H_p(t, q, p) = v for the unique momentum p, at a point or a batch."""
-    return _newton_fiber(H.grad_p, H.hess_pp, t, q, v, p0, TOL, MAXIT, "dual_momentum")
+    return _newton_fiber(H.grad_p, H.hess_pp, t, q, v, "dual_momentum")
 
 
-def dual_velocity(L: LagrangianSpec, t, q, p, v0=None, maxit=MAXIT):
+def dual_velocity(L: LagrangianSpec, t, q, p):
     """Solve L_v(t, q, v) = p for the unique velocity v, at a point or a batch."""
-    return _newton_fiber(L.grad_v, L.hess_vv, t, q, p, v0, TOL, maxit, "dual_velocity")
+    return _newton_fiber(L.grad_v, L.hess_vv, t, q, p, "dual_velocity")
 
 
 def _dual_spec(primal, solve, hess_yy, hess_qy, dual_cls):

@@ -52,7 +52,6 @@ class SymmetricLoop:
     period: int
     half_values: np.ndarray  # (n/2 + 1, N) lift coordinates
     torus: TorusSpace
-    winding: np.ndarray = None
 
     def __post_init__(self):
         vals = np.asarray(self.half_values, dtype=float)
@@ -61,8 +60,6 @@ class SymmetricLoop:
         object.__setattr__(self, "half_values", vals)
         if self.period < 1:
             raise ValueError("period must be a positive integer")
-        if self.winding is None:
-            object.__setattr__(self, "winding", np.zeros(self.torus.dim, dtype=int))
 
     # -- grid bookkeeping ---------------------------------------------------
     @property
@@ -110,7 +107,7 @@ class SymmetricLoop:
 
     # -- constructors ---------------------------------------------------------
     @staticmethod
-    def _full_grid(period, n_per_unit) -> int:
+    def full_grid(period, n_per_unit) -> int:
         """n = n_per_unit * period; the half grid holds n/2 + 1 nodes, so n is even."""
         if (n_per_unit * period) % 2:
             raise GridMismatch("a symmetric loop needs an even grid n_per_unit * period, "
@@ -121,7 +118,7 @@ class SymmetricLoop:
     def constant(cls, q, period=1, torus=None, n_per_unit=DEFAULT_GRID_PER_UNIT):
         q = np.atleast_1d(np.asarray(q, dtype=float))
         torus = torus or TorusSpace(q.shape[0])
-        n = cls._full_grid(period, n_per_unit)
+        n = cls.full_grid(period, n_per_unit)
         return cls(period, np.tile(q, (n // 2 + 1, 1)), torus)
 
     @classmethod
@@ -131,7 +128,7 @@ class SymmetricLoop:
         Raises ValueError when fn(-h) or fn(period - h) differs from fn(h)
         by more than 1e-12, and GridMismatch when n_per_unit * period is odd.
         """
-        n = cls._full_grid(period, n_per_unit)
+        n = cls.full_grid(period, n_per_unit)
         ts = np.arange(n // 2 + 1) * (period / n)
         vals = np.stack([np.atleast_1d(np.asarray(fn(t), dtype=float)) for t in ts])
         torus = torus or TorusSpace(vals.shape[1])
@@ -443,10 +440,12 @@ def find_critical(L: LagrangianSpec, loop0: SymmetricLoop, grad_tol: float = 1e-
     """Critical point search on the even subspace: Newton on the discrete
     gradient with a W^{1,2} gradient-descent fallback.
 
-    Each iteration first tries a (damped) Newton step built from the exact
-    Hessian of the discrete action; when that step fails to reduce the
-    gradient norm (indefinite or singular Hessian far from a critical point),
-    a descent step with Armijo line search on the action is taken instead.
+    Each iteration first tries a (damped) Newton step built from the P1 (FEM)
+    Hessian of the action, which matches the Hessian of the discrete
+    (trapezoid/centred) action only to O(h^2); when that step fails to reduce
+    the gradient norm (indefinite or singular Hessian far from a critical
+    point), a descent step with Armijo line search on the action is taken
+    instead.
     Newton is what makes saddle-type orbits reachable, so seeds converge to
     the nearest critical point rather than sliding to minima.
     """

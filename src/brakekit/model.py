@@ -112,24 +112,6 @@ class OneForm:
         self._hessian = hessian
 
     @classmethod
-    def zero(cls, torus: TorusSpace) -> "OneForm":
-        n = torus.dim
-
-        def comp(q):
-            q = np.asarray(q, dtype=float)
-            return np.zeros(q.shape)
-
-        def jac(q):
-            q = np.asarray(q, dtype=float)
-            return np.zeros(q.shape[:-1] + (n, n))
-
-        def hess(q):
-            q = np.asarray(q, dtype=float)
-            return np.zeros(q.shape[:-1] + (n, n, n))
-
-        return cls(torus, comp, jac, hess, name="0")
-
-    @classmethod
     def constant(cls, torus: TorusSpace, values) -> "OneForm":
         vals = np.asarray(values, dtype=float)
         if vals.shape != (torus.dim,):

@@ -265,12 +265,23 @@ def _build_modification(L_theta: LagrangianSpec, T: float, constants: tuple,
     while True:
         psi = QuinticRamp(T, mu)
         hv = _fiber_hessian(fixed, psi)
-        min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (hv + np.swapaxes(hv, -1, -2)))))
-        if min_eig > 0.0:
-            break
+        sym = 0.5 * (hv + np.swapaxes(hv, -1, -2))
+        # a step is decided by the diagonal, which must be positive and
+        # settles a 1x1 stack, then by one batched Cholesky; the eigenvalues,
+        # which the record keeps, are computed only at a mu that passes both
+        if np.min(np.diagonal(sym, axis1=-2, axis2=-1)) > 0.0:
+            try:
+                np.linalg.cholesky(sym)
+            except np.linalg.LinAlgError:
+                pass
+            else:
+                min_eig = float(np.min(np.linalg.eigvalsh(sym)))
+                if min_eig > 0.0:
+                    break
         mu *= 2.0
         doublings += 1
         if mu > mu_cap:
+            min_eig = float(np.min(np.linalg.eigvalsh(sym)))
             raise InfeasibleParams(
                 f"no mu <= {mu_cap:.1e} certifies fiber convexity (min eig {min_eig:.3e})")
     params = ModificationParams(T, lam, mu, K, C, phi, psi,

@@ -24,7 +24,10 @@ L_theta(t, q, v) (even in v), and each builtin its dual H_theta on the
 standard side (a closed form for kinetic_potential, the Fenchel dual for
 quartic_kinetic).  For every builtin the loader derives L = L_theta - theta[v]
 and its dual H = H_theta o Phi^-1, H(t, q, p) = H_theta(t, q, p + theta(q)), on
-the twisted side; H is R1-symmetric because H_theta is even in p.
+the twisted side; H is R1-symmetric because H_theta is even in p.  A
+MagneticSystem keeps theta, L_theta, L and H.  The mechanical specs (each
+L_theta, and the closed-form H_theta) come from one separable template,
+K(w) - V(q) or K(w) + V(q), with w the velocity or the momentum.
 """
 
 from __future__ import annotations
@@ -249,36 +252,49 @@ def one_form_from_expressions(torus: TorusSpace, exprs) -> OneForm:
     return form
 
 
-def kinetic_potential_lagrangian(torus: TorusSpace, potential: str = "0",
-                                 mass: float = 1.0) -> LagrangianSpec:
-    """Reversible mechanical Lagrangian L = m|v|^2/2 - V(q)."""
+def _separable(torus: TorusSpace, potential: str, sign: int, kinetic, kinetic_w,
+               kinetic_ww):
+    """The six partials of K(w) + sign V(q), in the argument order of the specs.
+
+    kinetic, kinetic_w and kinetic_ww take w (the velocity or the momentum) as
+    a float array.  V enters by the operator of its sign, so each partial
+    does the arithmetic of K - V or K + V written out.
+    """
     vval, vgrad, vhess = parse_scalar_field(torus, potential)
     n = torus.dim
-    eye = np.eye(n)
+    if sign > 0:
+        combine = operator.add
+        grad_q, hess_qq = (lambda t, q, w: vgrad(q)), (lambda t, q, w: vhess(q))
+    else:
+        combine = operator.sub
+        grad_q, hess_qq = (lambda t, q, w: -vgrad(q)), (lambda t, q, w: -vhess(q))
 
-    def value(t, q, v):
-        v = np.asarray(v, dtype=float)
-        return 0.5 * mass * np.sum(v * v, axis=-1) - vval(q)
+    def fiber(fn):
+        return lambda t, q, w: fn(np.asarray(w, dtype=float))
 
-    def grad_q(t, q, v):
-        return -vgrad(q)
+    def value(t, q, w):
+        return combine(kinetic(np.asarray(w, dtype=float)), vval(q))
 
-    def grad_v(t, q, v):
-        return mass * np.asarray(v, dtype=float)
-
-    def hess_vv(t, q, v):
-        q = np.asarray(q, dtype=float)
-        return np.broadcast_to(mass * eye, q.shape[:-1] + (n, n)).copy()
-
-    def hess_qv(t, q, v):
+    def hess_qw(t, q, w):
         q = np.asarray(q, dtype=float)
         return np.zeros(q.shape[:-1] + (n, n))
 
-    def hess_qq(t, q, v):
-        return -vhess(q)
+    return value, grad_q, fiber(kinetic_w), fiber(kinetic_ww), hess_qw, hess_qq
 
-    return LagrangianSpec(torus, value, grad_q, grad_v, hess_vv, hess_qv, hess_qq,
-                          reversible=True, name=f"m|v|^2/2 - ({potential})")
+
+def _constant_matrix(a):
+    """kinetic_ww of a quadratic K: the matrix a at every point of the batch of w."""
+    return lambda w: np.broadcast_to(a, w.shape[:-1] + a.shape).copy()
+
+
+def kinetic_potential_lagrangian(torus: TorusSpace, potential: str = "0",
+                                 mass: float = 1.0) -> LagrangianSpec:
+    """Reversible mechanical Lagrangian L = m|v|^2/2 - V(q)."""
+    parts = _separable(torus, potential, -1,
+                       lambda v: 0.5 * mass * np.sum(v * v, axis=-1),
+                       lambda v: mass * v,
+                       _constant_matrix(mass * np.eye(torus.dim)))
+    return LagrangianSpec(torus, *parts, reversible=True, name=f"m|v|^2/2 - ({potential})")
 
 
 def quartic_kinetic_lagrangian(torus: TorusSpace, potential: str = "0") -> LagrangianSpec:
@@ -287,70 +303,33 @@ def quartic_kinetic_lagrangian(torus: TorusSpace, potential: str = "0") -> Lagra
     Not of quadratic growth: the fiber Hessian is unbounded in v, which makes
     this the standard witness for the growth-certificate failure path.
     """
-    vval, vgrad, vhess = parse_scalar_field(torus, potential)
-    n = torus.dim
-    eye = np.eye(n)
+    eye = np.eye(torus.dim)
 
-    def value(t, q, v):
-        v = np.asarray(v, dtype=float)
+    def kinetic(v):
         s = np.sum(v * v, axis=-1)
-        return 0.25 * s * s + 0.5 * s - vval(q)
+        return 0.25 * s * s + 0.5 * s
 
-    def grad_q(t, q, v):
-        return -vgrad(q)
+    def kinetic_v(v):
+        return (np.sum(v * v, axis=-1) + 1.0)[..., None] * v
 
-    def grad_v(t, q, v):
-        v = np.asarray(v, dtype=float)
+    def kinetic_vv(v):
         s = np.sum(v * v, axis=-1)
-        return (s + 1.0)[..., None] * v
+        return (s + 1.0)[..., None, None] * eye + 2.0 * (v[..., :, None] * v[..., None, :])
 
-    def hess_vv(t, q, v):
-        v = np.asarray(v, dtype=float)
-        s = np.sum(v * v, axis=-1)
-        outer = v[..., :, None] * v[..., None, :]
-        return (s + 1.0)[..., None, None] * eye + 2.0 * outer
-
-    def hess_qv(t, q, v):
-        q = np.asarray(q, dtype=float)
-        return np.zeros(q.shape[:-1] + (n, n))
-
-    def hess_qq(t, q, v):
-        return -vhess(q)
-
-    return LagrangianSpec(torus, value, grad_q, grad_v, hess_vv, hess_qv, hess_qq,
-                          reversible=True, name=f"|v|^4/4 + |v|^2/2 - ({potential})")
+    parts = _separable(torus, potential, -1, kinetic, kinetic_v, kinetic_vv)
+    return LagrangianSpec(torus, *parts, reversible=True,
+                          name=f"|v|^4/4 + |v|^2/2 - ({potential})")
 
 
 def kinetic_hamiltonian(torus: TorusSpace, potential: str = "0",
                         mass: float = 1.0) -> HamiltonianSpec:
     """Classical H = |p|^2/(2m) + V(q), symmetric under R0."""
-    vval, vgrad, vhess = parse_scalar_field(torus, potential)
-    n = torus.dim
-    eye = np.eye(n)
-
-    def value(t, q, p):
-        p = np.asarray(p, dtype=float)
-        return np.sum(p * p, axis=-1) / (2.0 * mass) + vval(q)
-
-    def grad_q(t, q, p):
-        return vgrad(q)
-
-    def grad_p(t, q, p):
-        return np.asarray(p, dtype=float) / mass
-
-    def hess_pp(t, q, p):
-        q = np.asarray(q, dtype=float)
-        return np.broadcast_to(eye / mass, q.shape[:-1] + (n, n)).copy()
-
-    def hess_qp(t, q, p):
-        q = np.asarray(q, dtype=float)
-        return np.zeros(q.shape[:-1] + (n, n))
-
-    def hess_qq(t, q, p):
-        return vhess(q)
-
-    return HamiltonianSpec(torus, value, grad_q, grad_p, hess_pp, hess_qp, hess_qq,
-                           reversible=True, name=f"|p|^2/{2 * mass} + ({potential})")
+    parts = _separable(torus, potential, 1,
+                       lambda p: np.sum(p * p, axis=-1) / (2.0 * mass),
+                       lambda p: p / mass,
+                       _constant_matrix(np.eye(torus.dim) / mass))
+    return HamiltonianSpec(torus, *parts, reversible=True,
+                           name=f"|p|^2/{2 * mass} + ({potential})")
 
 
 def shifted_hamiltonian(H: HamiltonianSpec, theta: OneForm) -> HamiltonianSpec:
@@ -407,7 +386,6 @@ class MagneticSystem:
     L_theta: LagrangianSpec      # reversible mechanical Lagrangian on M
     L: LagrangianSpec            # L = L_theta - theta[v], dual of H
     H: HamiltonianSpec           # H_theta o Phi^-1 on the twisted side, R1-symmetric
-    H_theta: HamiltonianSpec     # dual of L_theta on the standard side
     numerics: dict = field(default_factory=lambda: dict(DEFAULT_NUMERICS))
     config: Optional[dict] = None
 
@@ -452,4 +430,4 @@ def load_system(doc) -> MagneticSystem:
 
     numerics = dict(DEFAULT_NUMERICS)
     numerics.update(doc.get("numerics", {}))
-    return MagneticSystem(torus, theta, L_theta, L, H, H_theta, numerics, config=doc)
+    return MagneticSystem(torus, theta, L_theta, L, H, numerics, config=doc)

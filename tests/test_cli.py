@@ -100,6 +100,25 @@ def test_campaign_verifies_by_integration_when_the_reshoot_fails(accept, monkeyp
         assert records == []
 
 
+def test_campaign_refuses_an_odd_grid_before_shooting(monkeypatch):
+    from brakekit import dynamics
+    from brakekit.cli import run_orbit_campaign
+    from brakekit.errors import GridMismatch
+    from brakekit.systems import load_system
+
+    shots = []
+    brake_shoot = dynamics.brake_shoot
+
+    def counted(*args, **kwargs):
+        shots.append(args[2])
+        return brake_shoot(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "brake_shoot", counted)
+    with pytest.raises(GridMismatch):
+        run_orbit_campaign(load_system(MILD_CONFIG), 1, 4, seed=2, grid=255)
+    assert shots == []
+
+
 def test_index_command(mild_store):
     tmp, cfg, store = mild_store
     records = load_records(store)
@@ -264,7 +283,7 @@ def test_nonperiodic_potential_exit_code(tmp_path, capsys, potential):
 
 # lattice-periodic, inside the grammar, and each with a pole on the torus
 SINGULAR_FIELDS = ["cos(2*pi*q1)**-1", "1/cos(2*pi*q1)", "sin(2*pi*q1)**(-2)",
-                   "1/(1+cos(2*pi*q1))"]
+                   "1/(1+cos(2*pi*q1))", "1/(3+cos(2*pi*q1)**(-1))"]
 
 
 @pytest.mark.parametrize("text", SINGULAR_FIELDS)
@@ -280,20 +299,25 @@ def test_singular_field_exit_code(tmp_path, capsys, text):
 
 
 def test_pole_rule_refuses_a_base_too_large_to_expand(tmp_path):
-    # expanded, this base has about 4.5 million terms; it is refused unexpanded
-    text = "1/(1+(2+cos(2*pi*q1)+sin(2*pi*q1))**3000)"
-    doc = {"dim": 1, "lagrangian": {"builtin": "kinetic_potential", "potential": text}}
-    assert find_orbits_exit_code(tmp_path, doc) == 2
+    # expanded, these bases have about 4.5 million and 2556 terms, past the
+    # power and past the term count the rule expands; both are refused unexpanded
+    for text in ("1/(1+(2+cos(2*pi*q1)+sin(2*pi*q1))**3000)",
+                 "1/(2+(1+cos(2*pi*q1)+sin(2*pi*q1))**70)"):
+        doc = {"dim": 1, "lagrangian": {"builtin": "kinetic_potential", "potential": text}}
+        assert find_orbits_exit_code(tmp_path, doc) == 2
 
 
 def test_denominator_dominated_by_its_constant_loads():
     from brakekit.systems import load_system
 
-    text = "1/(2+cos(2*pi*q1))"
-    system = load_system({"dim": 1, "theta": [text],
-                          "lagrangian": {"builtin": "kinetic_potential",
-                                         "potential": text}})
-    assert np.isfinite(system.L_theta.value(0.0, np.array([0.5]), np.array([0.1])))
+    # a numeric coefficient counts by its size, products and powers by their
+    # expanded terms: 3 > 2, and 5 > 1 + 2 + 1
+    for text in ("1/(2+cos(2*pi*q1))", "1/(3+2*cos(2*pi*q1)*sin(2*pi*q1))",
+                 "1/(5+(cos(2*pi*q1)+sin(2*pi*q1))**2)"):
+        system = load_system({"dim": 1, "theta": [text],
+                              "lagrangian": {"builtin": "kinetic_potential",
+                                             "potential": text}})
+        assert np.isfinite(system.L_theta.value(0.0, np.array([0.5]), np.array([0.1])))
 
 
 def test_grammar_accepts_workload_documents():
@@ -375,6 +399,23 @@ def test_bangert_refuses_an_unusable_orbit_family(tmp_path, capsys):
         assert main(["--store", str(store.root), "bangert", "--config", cfg,
                      "--family", f"orbits:{ids}"]) == 2
         assert why in capsys.readouterr().err
+
+
+def test_bangert_orbit_family_of_two_constant_loops(tmp_path):
+    from brakekit.loopspace import SymmetricLoop
+    from brakekit.store import OrbitStore
+
+    store = OrbitStore(tmp_path / "store")
+    ids = [store.save_orbit(SymmetricLoop.constant([q], n_per_unit=64), {}, {})
+           for q in (0.0, 0.5)]
+    cfg = write_config(tmp_path, MILD_CONFIG)
+    assert main(["--store", str(store.root), "bangert", "--config", cfg,
+                 "--family", f"orbits:{','.join(ids)}", "--n", "2,4"]) == 0
+    family = f"orbits_{','.join(ids)}"
+    report = json.loads((store.root / "reports" / f"bangert_{family}.json").read_text())
+    # the action of a constant loop at q is -V(q), V = cos(2 pi q) / (4 pi^2)
+    want = [-1.0 / (4 * np.pi ** 2), 1.0 / (4 * np.pi ** 2)]
+    assert np.allclose(report["endpoint_actions"], want, rtol=0.0, atol=1e-9)
 
 
 def test_bangert_refuses_a_builtin_family_off_the_circle(tmp_path, capsys):

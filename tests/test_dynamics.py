@@ -22,7 +22,7 @@ def test_twisted_field_reduces_to_standard(torus1, mild_system):
     H = mild_system.H
     x = np.array([0.3, 0.2])
     qd0, pd0 = twisted_field(H, None, 0.0, x)
-    qd1, pd1 = twisted_field(H, OneForm.zero(torus1), 0.0, x)
+    qd1, pd1 = twisted_field(H, OneForm.constant(torus1, [0.0]), 0.0, x)
     # constant theta has d theta = 0, so the twist term vanishes as well
     qd2, pd2 = twisted_field(H, OneForm.constant(torus1, [0.3]), 0.0, x)
     assert np.allclose(qd0, qd1) and np.allclose(pd0, pd1)
@@ -175,7 +175,7 @@ def test_blowup_detected():
 
 def test_verify_conjugacy_zero_theta(torus1):
     H = kinetic_hamiltonian(torus1, potential="cos(2*pi*q1)/(4*pi**2)")
-    dev = verify_conjugacy(H, OneForm.zero(torus1), samples=4)
+    dev = verify_conjugacy(H, OneForm.constant(torus1, [0.0]), samples=4)
     assert dev < 1e-12
 
 

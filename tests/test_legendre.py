@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from brakekit import legendre
 from brakekit.errors import NonConvergence
 from brakekit.legendre import (
     _newton_step,
@@ -78,14 +79,14 @@ def test_shifted_quadratic_matches_grid_oracle(torus1):
 
 
 def test_quartic_matches_grid_oracle(torus1):
-    H = scalar_hamiltonian(torus1, lambda p: 0.25 * p ** 4,
-                           lambda p: p ** 3, lambda p: 3 * p ** 2)
-    # H_pp vanishes at p = 0, where a solve would start by default
+    # H_pp vanishes at p = 1, off the p = 0 where every solve starts
+    H = scalar_hamiltonian(torus1, lambda p: 0.25 * (p - 1.0) ** 4,
+                           lambda p: (p - 1.0) ** 3, lambda p: 3 * (p - 1.0) ** 2)
     q, v = np.array([0.0]), np.array([8.0])
-    p = dual_momentum(H, 0.0, q, v, p0=np.array([1.0]))
+    p = dual_momentum(H, 0.0, q, v)
     val = fenchel_value(H, 0.0, q, v, p)
-    assert p[0] == pytest.approx(2.0, abs=1e-9)
-    assert val == pytest.approx(12.0, abs=1e-9)
+    assert p[0] == pytest.approx(3.0, abs=1e-9)
+    assert val == pytest.approx(20.0, abs=1e-9)
     oracle, _ = grid_max(torus1, H, 8.0)
     assert val == pytest.approx(oracle, abs=1e-5)
 
@@ -317,23 +318,21 @@ def test_point_solve_equals_batch_solve(quartic_any):
     # one-point solves skip the batch machinery; their iterates must not move
     L = quartic_any.L_theta
     t, q, p = quartic_batch(quartic_any.dim)
-    v0 = np.full(quartic_any.dim, 0.5)
-    for start in (None, v0):
-        batch = dual_velocity(L, t, q, p, v0=start)
-        single = np.stack([dual_velocity(L, t[i], q[i], p[i], v0=start)
+    batch = dual_velocity(L, t, q, p)
+    single = np.stack([dual_velocity(L, t[i], q[i], p[i]) for i in range(len(t))])
+    rows = np.concatenate([dual_velocity(L, t[i:i + 1], q[i:i + 1], p[i:i + 1])
                            for i in range(len(t))])
-        rows = np.concatenate([dual_velocity(L, t[i:i + 1], q[i:i + 1], p[i:i + 1], v0=start)
-                               for i in range(len(t))])
-        assert np.array_equal(batch, single) and np.array_equal(batch, rows)
+    assert np.array_equal(batch, single) and np.array_equal(batch, rows)
 
 
-def test_point_and_batch_report_the_same_nonconvergence(quartic_any):
+def test_point_and_batch_report_the_same_nonconvergence(quartic_any, monkeypatch):
+    monkeypatch.setattr(legendre, "MAXIT", 1)
     L = quartic_any.L_theta
     t, q, p = quartic_batch(quartic_any.dim)
     messages = []
     for args in ((t[0], q[0], p[0]), (t[[0, 0]], q[[0, 0]], p[[0, 0]])):
         with pytest.raises(NonConvergence) as err:
-            dual_velocity(L, *args, maxit=1)
+            dual_velocity(L, *args)
         messages.append(str(err.value))
     assert messages[0] == messages[1]
     assert messages[0].startswith("dual_velocity: residual")

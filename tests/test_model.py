@@ -30,7 +30,7 @@ def const_form(value=0.3):
 
 def test_magnetic_lagrangian_values(torus1):
     L = kinetic_potential_lagrangian(torus1)
-    zero = OneForm.zero(torus1)
+    zero = OneForm.constant(torus1, [0.0])
     L0 = magnetic_lagrangian(L, zero)
     assert float(L0.value(0.0, np.array([0.3]), np.array([1.2]))) == pytest.approx(0.72)
     Lth = magnetic_lagrangian(L, const_form())
@@ -78,7 +78,7 @@ def test_magnetic_pair_reversibility(mild_system):
 
 def test_check_symmetry_hamiltonians(torus1, stiff_system):
     H = kinetic_hamiltonian(torus1)
-    assert check_symmetry(H, OneForm.zero(torus1), 256) == 0.0
+    assert check_symmetry(H, OneForm.constant(torus1, [0.0]), 256) == 0.0
     # H = |p + theta|^2/2 is R1 symmetric
     assert check_symmetry(stiff_system.H, stiff_system.theta, 256) < 1e-13
 
@@ -90,7 +90,7 @@ def test_check_symmetry_hamiltonians(torus1, stiff_system):
     from brakekit.model import HamiltonianSpec
 
     odd = HamiltonianSpec(torus1, value, None, None, None, None, None)
-    assert check_symmetry(odd, OneForm.zero(torus1), 1000) > 0.1
+    assert check_symmetry(odd, OneForm.constant(torus1, [0.0]), 1000) > 0.1
 
 
 def test_one_form_periodicity_and_sigma():

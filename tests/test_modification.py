@@ -16,7 +16,7 @@ from brakekit.modification import (
     speed_bound_report,
     verify_orbit_preservation,
 )
-from brakekit.systems import kinetic_hamiltonian
+from brakekit.systems import kinetic_hamiltonian, load_system
 
 
 def test_compute_constants_examples(free_system, stiff_system, torus1):
@@ -161,6 +161,24 @@ def test_hessian_T_independence_takes_morse_index_pairs_and_one_assembly_per_T(
     # one deviation assembly per T, folded for the even part; morse_index
     # assembles its own through the index module
     assert calls == specs
+
+
+def test_mu_doublings_are_decided_without_eigenvalues(monkeypatch):
+    # the diagonal and a batched Cholesky decide each mu step; the
+    # eigenvalues the record keeps are computed once, at the accepted mu
+    system = load_system({"dim": 1, "theta": ["0.3"],
+                          "lagrangian": {"builtin": "kinetic_potential",
+                                         "potential": "cos(2*pi*q1)"}})
+    eigvalsh, calls = np.linalg.eigvalsh, []
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    _, params = build_modification(system.L_theta, 4.0, constants=(0.3, 2.3))
+    assert params.mu_doublings > 0
+    assert len(calls) == 1 and params.convexity_min_eig > 0.0
 
 
 def test_infeasible_mu_raises(stiff_system):

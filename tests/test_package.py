@@ -46,10 +46,30 @@ def _module_constants(tree):
     return names
 
 
+def _is_dataclass(node):
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def _dataclass_fields(cls, constants):
+    """(class name, field, default, index among the constructor's positionals)
+    for every field of a dataclass whose default is a constant or None."""
+    fields = [item for item in cls.body
+              if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+    out = []
+    for index, item in enumerate(fields):
+        ok, default = _constant(item.value, constants) if item.value else (False, None)
+        if ok:
+            out.append((cls.name, item.target.id, default, index))
+    return out
+
+
 def _constant_parameters():
     """(callable name, parameter name, default, index among positionals or
-    None) for every parameter of a function in brakekit whose default is a
-    constant or None (a module-level constant counts by its value).
+    None) for every parameter of a function in brakekit, and every field of a
+    dataclass, whose default is a constant or None (a module-level constant
+    counts by its value).
 
     A constructor is named after its class; a method's self or cls is not
     counted among the positionals.
@@ -63,6 +83,8 @@ def _constant_parameters():
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     owners[id(item)] = node.name
+                if _is_dataclass(node):
+                    out += _dataclass_fields(node, constants)
         for fn in ast.walk(tree):
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
@@ -168,6 +190,12 @@ def test_option_guard_sees_an_unset_option():
     assert not _sets_other_value(call, "slack", 1e-3, 1)
     assert _sets_other_value(call, "tol", 1e-12, 2)
     assert not _sets_other_value(ast.parse("bound(1.0, 1e-3)").body[0].value, "slack", 1e-3, 1)
+    # a dataclass field with a constant default is an option of its constructor
+    cls = ast.parse("@dataclass(frozen=True)\nclass Loop:\n    period: int\n"
+                    "    winding: object = None\n    tags: list = field(default_factory=list)\n"
+                    ).body[0]
+    assert _is_dataclass(cls)
+    assert _dataclass_fields(cls, constants) == [("Loop", "winding", None, 1)]
 
 
 def test_no_module_imports_a_private_name_from_another():
