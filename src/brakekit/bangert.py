@@ -26,10 +26,11 @@ barycenter line and certifies the homotopy properties on sample grids.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial, reduce
+from functools import cached_property, partial, reduce
 from typing import List, NamedTuple, Optional
 
 import numpy as np
+from scipy.interpolate import PPoly
 
 from .errors import EndpointMismatch, PreconditionViolated, TooFar, Unsupported
 from .loopspace import SymmetricLoop, iterate
@@ -58,14 +59,15 @@ class PathSegment:
     """Path on [a, b] with a continuous lift, as a flat piecewise table.
 
     Piece i spans the times breaks[i] .. breaks[i + 1]: its leaf runs the
-    source curve sources[i] = (q(s), dq/ds), qa + s disp for a geodesic and
-    the loop's periodic spline (a PPoly) for a loop, from windows[i, 0] to
-    windows[i, 1], translated by the lattice vector shifts[i].  The interior
-    breaks are the corners, which split the action quadrature.
+    source curve sources[i], qa + s disp for a geodesic and the loop's
+    periodic spline (a PPoly) for a loop, from windows[i, 0] to
+    windows[i, 1], translated by the lattice vector shifts[i].  A curve gives
+    q(s) as curve(s, 0) and dq/ds as curve(s, 1).  The interior breaks are the
+    corners, which split the action quadrature.
     """
 
     breaks: np.ndarray  # (P + 1,) sorted times
-    sources: tuple  # P (curve, derivative) pairs
+    sources: tuple  # P curves
     windows: np.ndarray  # (P, 2)
     shifts: np.ndarray  # (P, N)
 
@@ -83,18 +85,20 @@ class PathSegment:
 
     @property
     def start(self):
-        return self.sources[0][0](self.windows[0, :1])[0] + self.shifts[0]
+        return self.sources[0](self.windows[0, :1], 0)[0] + self.shifts[0]
 
     @property
     def end(self):
-        return self.sources[-1][0](self.windows[-1, 1:])[0] + self.shifts[-1]
+        return self.sources[-1](self.windows[-1, 1:], 0)[0] + self.shifts[-1]
 
     def at(self, ts):
         """(values, velocities) at the times ts, one call per touched leaf.
 
-        A junction time belongs to the piece on its left, so a piece of zero
-        length is never selected; times at or before a go to the first piece
-        of positive length.
+        The times are stably sorted by piece, and each touched leaf evaluates
+        its contiguous run of them; ts need not be sorted, and the result at a
+        time does not depend on the order of ts.  A junction time belongs to
+        the piece on its left, so a piece of zero length is never selected;
+        times at or before a go to the first piece of positive length.
         """
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         br = self.breaks
@@ -104,27 +108,31 @@ class PathSegment:
         scale = (s1 - s0) / (br[idx + 1] - br[idx])
         s = s0 + (ts - br[idx]) * scale
         q, v = self.shifts[idx], np.empty((len(ts), self.shifts.shape[1]))
-        for i in np.flatnonzero(np.bincount(idx)):
-            m = idx == i
-            curve, dcurve = self.sources[i]
-            q[m] += curve(s[m])
-            v[m] = dcurve(s[m]) * scale[m, None]
+        order = np.argsort(idx, kind="stable")
+        starts = np.flatnonzero(np.diff(idx[order], prepend=-1))
+        for lo, hi in zip(starts, [*starts[1:], len(ts)]):
+            rows = order[lo:hi]
+            curve = self.sources[idx[rows[0]]]
+            q[rows] += curve(s[rows], 0)
+            v[rows] = curve(s[rows], 1) * scale[rows, None]
         return q, v
 
 
 class _Chord(NamedTuple):
-    """The curve s -> qa + s disp, called like a PPoly."""
+    """The curve s -> qa + s disp, called like a PPoly: nu = 0 values, nu = 1 derivatives."""
 
     qa: np.ndarray
     disp: np.ndarray
 
-    def __call__(self, s):
+    def __call__(self, s, nu):
+        if nu:
+            return np.broadcast_to(self.disp, (len(s), self.disp.size))
         return self.qa + s[:, None] * self.disp
 
 
-def _piece(curve, dcurve, t0, t1, s0, s1, dim: int) -> PathSegment:
-    """The single leaf running (curve, dcurve) from s0 to s1 over the times [t0, t1]."""
-    return PathSegment(np.array([t0, t1]), ((curve, dcurve),), np.array([[s0, s1]]),
+def _piece(curve, t0, t1, s0, s1, dim: int) -> PathSegment:
+    """The single leaf running curve from s0 to s1 over the times [t0, t1]."""
+    return PathSegment(np.array([t0, t1]), (curve,), np.array([[s0, s1]]),
                        np.zeros((1, dim)))
 
 
@@ -173,7 +181,7 @@ def shortest_geodesic(torus: TorusSpace, qa, qb, a: float = 0.0,
     if dist >= torus.injectivity_radius:
         raise TooFar(f"distance {dist:.4g} >= injectivity radius "
                      f"{torus.injectivity_radius:.4g}")
-    return _piece(_Chord(qa, disp), _Chord(disp, 0.0 * disp), a, b, 0.0, 1.0, qa.size)
+    return _piece(_Chord(qa, disp), a, b, 0.0, 1.0, qa.size)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +192,9 @@ class LoopFamily:
     """Continuous one-parameter family of even unit-period loops.
 
     Values interpolate linearly in the parameter between the stored nodes,
-    which keeps the family continuous and every member even.
+    which keeps the family continuous and every member even.  Spline
+    interpolation is linear in the data, so the member's periodic spline is
+    the same blend of the node loops' splines, which are built once.
     """
 
     def __init__(self, xs, loops: List[SymmetricLoop]):
@@ -199,7 +209,6 @@ class LoopFamily:
                 raise ValueError("family loops must share period 1 and a common grid")
         self.loops = list(loops)
         self.torus = base.torus
-        self._spline_cache = {}
         self._hat_constants = {}  # (L, n_w, rho) -> C, filled by hat_constant
 
     @property
@@ -215,12 +224,16 @@ class LoopFamily:
         xs = np.linspace(x0, x1, nodes)
         return cls(xs, [fn(x) for x in xs])
 
-    def _blend(self, x: float, rows) -> np.ndarray:
-        """The given rows of the half-grid values, interpolated at x."""
+    def _locate(self, x: float):
+        """(i, t): x, clipped to the family, lies a fraction t of the way from node i to i + 1."""
         x = float(np.clip(x, self.x0, self.x1))
         i = int(np.searchsorted(self.xs, x, side="right") - 1)
         i = min(max(i, 0), len(self.xs) - 2)
-        t = (x - self.xs[i]) / (self.xs[i + 1] - self.xs[i])
+        return i, (x - self.xs[i]) / (self.xs[i + 1] - self.xs[i])
+
+    def _blend(self, x: float, rows) -> np.ndarray:
+        """The given rows of the half-grid values, interpolated at x."""
+        i, t = self._locate(x)
         return ((1.0 - t) * self.loops[i].half_values[rows]
                 + t * self.loops[i + 1].half_values[rows])
 
@@ -238,13 +251,15 @@ class LoopFamily:
         xs = np.array([lo] + inner + [hi])
         return LoopFamily(xs, [self.at(x) for x in xs])
 
-    def spline(self, x: float):
-        key = float(x)  # exact: a rounded key would return a neighbouring x's spline
-        if key not in self._spline_cache:
-            if len(self._spline_cache) > 512:
-                self._spline_cache.clear()
-            self._spline_cache[key] = self.at(x).spline()
-        return self._spline_cache[key]
+    @cached_property
+    def _node_splines(self):
+        return [lp.spline() for lp in self.loops]
+
+    def spline(self, x: float) -> PPoly:
+        """The periodic spline of at(x), blended from the node splines."""
+        i, t = self._locate(x)
+        a, b = self._node_splines[i], self._node_splines[i + 1]
+        return PPoly.construct_fast((1.0 - t) * a.c + t * b.c, a.x, extrapolate="periodic")
 
     def modulus_rho(self) -> float:
         """Largest dyadic step rho >= 2^-16 span with ev-increments below half
@@ -281,14 +296,13 @@ def broken_geodesic(family: LoopFamily, xa: float, xb: float,
 def _loop_segment(family: LoopFamily, x: float, t0: float, t1: float,
                   src1: float = 1.0) -> PathSegment:
     """The loop at parameter x, source window [0, src1], mapped onto [t0, t1]."""
-    sp = family.spline(x)
-    return _piece(sp, sp.derivative(), t0, t1, 0.0, src1, family.torus.dim)
+    return _piece(family.spline(x), t0, t1, 0.0, src1, family.torus.dim)
 
 
 def loop_action(L: LagrangianSpec, loop: SymmetricLoop) -> float:
     """Mean action of a loop through the quadrature used for glued paths."""
-    p, sp = float(loop.period), loop.spline()
-    return segment_action(L, _piece(sp, sp.derivative(), 0.0, p, 0.0, p, loop.dim)) / p
+    p = float(loop.period)
+    return segment_action(L, _piece(loop.spline(), 0.0, p, 0.0, p, loop.dim)) / p
 
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(4)
@@ -300,25 +314,22 @@ def segment_action(L: LagrangianSpec, seg: PathSegment) -> float:
     Composite 4-point Gauss-Legendre on each smooth span, about 192 nodes per
     unit time and at least 17, with one evaluation of L for the nodes of all
     spans.  The nodes are interior, so no span samples the velocity across a
-    corner.
+    corner.  A span's panel edges are those of np.linspace(lo, hi, panels + 1),
+    built for all spans at once.
     """
     cuts = np.unique(seg.breaks)
-    halves, nodes = [], [np.empty(0)]  # a segment without spans integrates to 0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        if hi - lo < 1e-15:
-            continue
-        panels = -(-max(17, int(192 * (hi - lo)) + 1) // 4)
-        edges = np.linspace(lo, hi, panels + 1)
-        half = 0.5 * np.diff(edges)
-        halves.append(half)
-        nodes.append(((edges[:-1] + half)[:, None] + half[:, None] * _GAUSS_NODES).ravel())
-    ts = np.concatenate(nodes)
-    vals = np.split(np.asarray(L.value(ts, *seg.at(ts))).reshape(-1, 4),
-                    np.cumsum([len(half) for half in halves[:-1]]))
-    total = 0.0
-    for half, rows in zip(halves, vals):
-        total += float(np.sum(half * (rows @ _GAUSS_WEIGHTS)))
-    return total
+    keep = np.diff(cuts) >= 1e-15
+    lo, hi = cuts[:-1][keep], cuts[1:][keep]
+    panels = -(-np.maximum(17, (192 * (hi - lo)).astype(int) + 1) // 4)
+    span, ends = np.repeat(np.arange(len(lo)), panels), np.cumsum(panels)
+    k = np.arange(len(span)) - (ends - panels)[span]  # panel number within its span
+    step, start = ((hi - lo) / panels)[span], lo[span]
+    left, right = k * step + start, (k + 1) * step + start
+    right[ends - 1] = hi
+    half = 0.5 * (right - left)
+    ts = ((left + half)[:, None] + half[:, None] * _GAUSS_NODES).ravel()
+    vals = np.asarray(L.value(ts, *seg.at(ts))).reshape(-1, 4)
+    return float(np.sum(half * (vals @ _GAUSS_WEIGHTS)))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonConvergence
+from .errors import NonConvergence, SingularMass
 from .model import HamiltonianSpec, LagrangianSpec
 
 __all__ = [
@@ -59,6 +59,16 @@ def _newton_step(h, r):
     return np.linalg.solve(h, -r[..., None])[..., 0]
 
 
+def _singular(label):
+    """The error for a singular fiber Hessian, at a point or in a batch.
+
+    For N >= 2 the solve raises LinAlgError; for N = 1 the division gives a
+    step that is not finite, which no line search trial accepts, so the
+    solves test for it only once the line search has stalled.
+    """
+    return SingularMass(f"{label}: the fiber Hessian is singular at a Newton iterate")
+
+
 def _newton_point(grad, hess, t, q, y, x, label):
     """_newton_fiber at one point: y, x of shape (1, N), t of shape (1,)."""
     r = np.asarray(grad(t, q, x)) - y
@@ -69,7 +79,10 @@ def _newton_point(grad, hess, t, q, y, x, label):
         if it == MAXIT:
             raise NonConvergence(f"{label}: residual {norm[0]:.3e} "
                                  f"after {MAXIT} iterations")
-        step = _newton_step(np.asarray(hess(t, q, x)), r)
+        try:
+            step = _newton_step(np.asarray(hess(t, q, x)), r)
+        except np.linalg.LinAlgError:
+            raise _singular(label) from None
         alpha = 1.0
         for _ in range(40):
             trial = x + alpha * step
@@ -80,6 +93,8 @@ def _newton_point(grad, hess, t, q, y, x, label):
                 break
             alpha *= 0.5
         else:
+            if not np.all(np.isfinite(step)):
+                raise _singular(label)
             raise NonConvergence(f"{label}: line search stalled at residual "
                                  f"{norm[0]:.3e}")
 
@@ -100,7 +115,10 @@ def _newton_batch(grad, hess, t, q, y, x, label):
         if it == MAXIT:
             raise NonConvergence(f"{label}: residual {np.max(norm):.3e} "
                                  f"after {MAXIT} iterations")
-        step = _newton_step(np.asarray(hess(t, q, x)), r)
+        try:
+            step = _newton_step(np.asarray(hess(t, q, x)), r)
+        except np.linalg.LinAlgError:
+            raise _singular(label) from None
         alpha, pending = 1.0, np.ones(len(x), dtype=bool)
         for _ in range(40):
             trial = x + alpha * step
@@ -116,6 +134,8 @@ def _newton_batch(grad, hess, t, q, y, x, label):
                 break
             alpha *= 0.5
         else:
+            if not np.all(np.isfinite(step[pending])):
+                raise _singular(label)
             raise NonConvergence(f"{label}: line search stalled at residual "
                                  f"{np.max(norm[pending]):.3e}")
 

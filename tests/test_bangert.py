@@ -360,7 +360,8 @@ def _ref_broken(family, xa, xb, rho):
 
 
 def _ref_loop_segment(family, x, t0, t1, src0=0.0, src1=1.0):
-    sp = family.spline(x)
+    # a spline solve on the interpolated loop, not the family's blended spline
+    sp = family.at(x).spline()
     dsp = sp.derivative()
     scale = (src1 - src0) / (t1 - t0)
 
@@ -440,6 +441,20 @@ def _gauss_nodes(cuts):
     return np.concatenate(nodes)
 
 
+def _ref_segment_action(L, seg):
+    """segment_action span by span, each span's edges from its own np.linspace."""
+    cuts = np.unique(seg.breaks)
+    total = 0.0
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        if hi - lo < 1e-15:
+            continue
+        ts = _gauss_nodes(np.array([lo, hi]))
+        half = 0.5 * np.diff(np.linspace(lo, hi, len(ts) // 4 + 1))
+        rows = np.asarray(L.value(ts, *seg.at(ts))).reshape(-1, 4)
+        total += float(np.sum(half * (rows @ np.polynomial.legendre.leggauss(4)[1])))
+    return total
+
+
 def _assert_table_matches(seg, ref):
     assert seg.a == ref.a and abs(seg.b - ref.b) <= 1e-13
     assert np.max(np.abs(seg.corners - np.array(ref.corners)), initial=0.0) <= 1e-13
@@ -448,6 +463,10 @@ def _assert_table_matches(seg, ref):
     for ts in (nodes, np.linspace(ref.a, ref.b, 129), junctions):
         q, v = seg.at(ts)
         assert np.all(np.isfinite(v))
+        # each leaf takes its run of a stable sort: the order of ts changes no bit
+        perm = np.random.default_rng(len(ts)).permutation(len(ts))
+        q_perm, v_perm = seg.at(ts[perm])
+        assert np.array_equal(q_perm, q[perm]) and np.array_equal(v_perm, v[perm])
         assert np.max(np.abs(q - ref.at(ts)[0]), initial=0.0) <= 1e-13
         # where the two junction times differ by an ulp, the oracle's piece
         # on the left may be the table's piece on the right
@@ -468,17 +487,30 @@ def _t2_family():
         1, torus=torus, n_per_unit=64), 0.0, 1.0, 17)
 
 
+@pytest.fixture(scope="module")
+def t2_lagrangian():
+    from brakekit.systems import load_system
+
+    return load_system({
+        "dim": 2, "theta": ["0.3", "0.1"],
+        "lagrangian": {"builtin": "kinetic_potential",
+                       "potential": "0.7*cos(2*pi*q1) + 0.5*cos(2*pi*q2)"},
+    }).L_theta
+
+
 @pytest.mark.parametrize("name", [*cli._BUILTIN_FAMILIES, "t2"])
-def test_table_matches_closure_oracle(name):
+def test_table_matches_closure_oracle(name, nonneg_pendulum, t2_lagrangian):
     fam = _t2_family() if name == "t2" else cli._BUILTIN_FAMILIES[name]()
+    L = t2_lagrangian if name == "t2" else nonneg_pendulum
     rho = fam.modulus_rho()
     # x values whose broken geodesics end in legs shorter than 1e-14
     inner = [k * rho for k in (1, 2) if k * rho < 1.0]
     for n in (2, 4, 8, 16):
         tiny = [0.25 + 1e-17, 2e-14] + [(c + d) / n for c in inner for d in (3e-16, 4e-15)]
         for x in [*np.linspace(0.0, 1.0, 9), *tiny]:
-            _assert_table_matches(_half_table(fam, n, float(x), rho=rho),
-                                  _ref_half_table(fam, n, float(x), rho))
+            seg = _half_table(fam, n, float(x), rho=rho)
+            _assert_table_matches(seg, _ref_half_table(fam, n, float(x), rho))
+            assert abs(segment_action(L, seg) - _ref_segment_action(L, seg)) <= 1e-13
     for w in [*np.linspace(0.0, 1.0, 9), 2e-14, *[c + 3e-16 for c in inner],
               *[1.0 - c - 3e-16 for c in inner]]:
         _assert_table_matches(_hat_segment(fam, float(w), rho=rho),
@@ -524,3 +556,37 @@ def test_segment_action_evaluates_each_path_once(two_constant_family, free_syste
     calls.clear()
     segment_action(free_system.L_theta, seg)
     assert len(calls) == 1 and calls[0] > 8 * 192
+
+
+def test_family_spline_is_the_spline_of_the_interpolated_loop():
+    # spline interpolation is linear in the data, so blending the node
+    # splines is a spline solve on the blended loop, up to rounding; s runs
+    # over four periods, so the blend must extrapolate periodically
+    fam = _t2_family()
+    s = np.concatenate([np.linspace(0.0, 4.0, 1601), [1.0 - 1e-15, 2.5 + 1e-15]])
+    between = [0.5 * (a + b) for a, b in zip(fam.xs[:-1], fam.xs[1:])]
+    for x in [*fam.xs, -0.5, 1.5, *between, 0.123456789, 1.0 - 1e-15]:
+        blend, direct = fam.spline(float(x)), fam.at(float(x)).spline()
+        assert np.max(np.abs(blend(s, 0) - direct(s))) <= 1e-13, x
+        assert np.max(np.abs(blend(s, 1) - direct.derivative()(s))) <= 1e-13, x
+
+
+def test_segment_action_of_a_point_is_zero(torus1, nonneg_pendulum):
+    seg = shortest_geodesic(torus1, [0.1], [0.3], 0.5, 0.5)
+    assert segment_action(nonneg_pendulum, seg) == 0.0
+
+
+def test_action_bound_check_solves_one_spline_per_node(nonneg_pendulum, monkeypatch):
+    # the family's splines are blends of its node splines: one solve per
+    # node, plus one per endpoint loop_action, however many parameters
+    solves = []
+    spline = SymmetricLoop.spline
+
+    def counted(self):
+        solves.append(self.period)
+        return spline(self)
+
+    monkeypatch.setattr(SymmetricLoop, "spline", counted)
+    fam = cli._BUILTIN_FAMILIES["pendulum-loops"]()
+    action_bound_check(fam, nonneg_pendulum, ns=(2, 4, 8), xs=np.linspace(0.0, 1.0, 41))
+    assert 0 < len(solves) <= len(fam.xs) + 2

@@ -3,7 +3,7 @@ import pytest
 from scipy.optimize import brentq
 
 from brakekit import legendre
-from brakekit.errors import NonConvergence
+from brakekit.errors import NonConvergence, SingularMass
 from brakekit.legendre import (
     _newton_step,
     dual_momentum,
@@ -11,7 +11,7 @@ from brakekit.legendre import (
     hamiltonian_from_lagrangian,
     lagrangian_from_hamiltonian,
 )
-from brakekit.model import HamiltonianSpec, LagrangianSpec
+from brakekit.model import HamiltonianSpec, LagrangianSpec, TorusSpace
 from brakekit.systems import (
     kinetic_hamiltonian,
     kinetic_potential_lagrangian,
@@ -352,3 +352,44 @@ def test_newton_step_division_matches_lapack_solve(quartic_twisted):
     assert np.array_equal(_newton_step(h, r), want)
     assert all(np.array_equal(_newton_step(h[i:i + 1], r[i:i + 1]), want[i:i + 1])
                for i in range(0, 20000, 97))
+
+
+def quartic_norm_spec(cls, dim):
+    """|x|^4 / 4 on the fiber of T^dim: its fiber Hessian |x|^2 I + 2 x x^T vanishes at 0."""
+    def value(t, q, x):
+        return 0.25 * np.sum(x * x, axis=-1) ** 2
+
+    def grad_q(t, q, x):
+        return np.zeros_like(np.asarray(q, dtype=float))
+
+    def grad_x(t, q, x):
+        return np.sum(x * x, axis=-1)[..., None] * x
+
+    def hess_xx(t, q, x):
+        eye = np.sum(x * x, axis=-1)[..., None, None] * np.eye(dim)
+        return eye + 2.0 * x[..., :, None] * x[..., None, :]
+
+    def zero_mat(t, q, x):
+        return np.zeros(np.shape(q)[:-1] + (dim, dim))
+
+    return cls(TorusSpace(dim), value, grad_q, grad_x, hess_xx, zero_mat, zero_mat)
+
+
+# for N = 1 the Newton step divides by the zero Hessian before the line search
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+@pytest.mark.parametrize("dim", [1, 2])
+def test_singular_fiber_hessian_is_a_typed_error(dim):
+    # H = |p|^4 / 4 has H_pp(0) = 0, where every solve starts
+    rng = np.random.default_rng(5)
+    t, q, x = rng.uniform(0, 1, 3), rng.uniform(0, 1, (3, dim)), rng.normal(size=(3, dim))
+    messages = []
+    for cls, solve in ((HamiltonianSpec, dual_momentum), (LagrangianSpec, dual_velocity)):
+        spec = quartic_norm_spec(cls, dim)
+        for args in ((t[0], q[0], x[0]), (t, q, x)):
+            with pytest.raises(SingularMass) as err:
+                solve(spec, *args)
+            messages.append(str(err.value))
+    assert messages[0] == messages[1] == (
+        "dual_momentum: the fiber Hessian is singular at a Newton iterate")
+    assert messages[2] == messages[3] == (
+        "dual_velocity: the fiber Hessian is singular at a Newton iterate")
