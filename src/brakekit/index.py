@@ -20,6 +20,7 @@ the anchor tests pin it through the Morse index identities.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Tuple
 
@@ -101,16 +102,41 @@ class IndexPair(NamedTuple):
 
 @dataclass
 class SymplecticPath:
-    """Sampled fundamental solution of udot = J B(t) u with Psi(0) = I."""
+    """Fundamental solution of udot = J B(t) u with Psi(0) = I, for a
+    tau-periodic B: one period of dense output and the monodromy powers.
+
+    Psi(t + j tau) = Psi(t) M^j with M = Psi(tau), so the path at t is the
+    one-period solution at t - j tau times powers[j], j = floor(t / tau)
+    (held to the powers there are, past which the last period's dense output
+    extrapolates).
+    """
 
     N: int
     dense: Callable
+    period: float
+    powers: np.ndarray
     symplecticity_defect: float
 
     def at(self, t):
         """Psi(t); a 1-D array of times gives shape (len(t), 2N, 2N)."""
-        out = self.dense(np.asarray(t, dtype=float))
-        return out.T.reshape(np.shape(t) + (2 * self.N, 2 * self.N))
+        t = np.asarray(t, dtype=float)
+        two_n = 2 * self.N
+        last = len(self.powers) - 1
+        if t.ndim == 0:
+            # the refinements make thousands of scalar calls: the same floor
+            # and offset in Python floats, which round as numpy's do
+            j = min(max(math.floor(t / self.period), 0), last)
+            return self.dense(t - j * self.period).reshape(two_n, two_n) @ self.powers[j]
+        j = np.clip(np.floor(t / self.period), 0, last).astype(int)
+        base = self.dense(t - j * self.period).T.reshape(t.shape + (two_n, two_n))
+        # one power at a time, so that no batch-sized copy of the powers is
+        # made.  Both operands of every product are C-contiguous, so a time
+        # takes the same matmul kernel, and rounds alike, alone and in a batch
+        out = np.empty_like(base)
+        for jj in np.unique(j):
+            at_j = j == jj
+            out[at_j] = base[at_j] @ self.powers[jj]
+        return out
 
 
 def _J(n):
@@ -167,13 +193,16 @@ def constant_coefficients(B: np.ndarray) -> Callable:
     return evaluate
 
 
-def fundamental_solution(B_fn: Callable, total_time: float) -> SymplecticPath:
-    """Integrate Psidot = J B(t) Psi columnwise from Psi(0) = I.
+def fundamental_solution(B_fn: Callable, period: float,
+                         total_time: float) -> SymplecticPath:
+    """Integrate Psidot = J B(t) Psi columnwise from Psi(0) = I, for a B_fn of
+    the given period, and extend the path to [0, total_time] by monodromy powers.
 
-    B_fn maps t to the (2N, 2N) matrix B(t).  The path is integrated over
-    [0, total_time] directly rather than by monodromy powers, with DOP853 at
-    rtol = atol = 1e-11, keeping symplecticity defects bounded; the defect is
-    sampled at 257 nodes.
+    B_fn maps t to the (2N, 2N) matrix B(t).  One period [0, period] is
+    integrated with DOP853 at rtol = atol = 1e-11; later times are reached by
+    Psi(t + j period) = Psi(t) M^j with M = Psi(period), for j up to
+    floor(total_time / period).  The symplecticity defect is sampled on the
+    composed path at 257 nodes of [0, total_time].
     """
     two_n = np.asarray(B_fn(0.0)).shape[0]
     J = _J(two_n // 2)
@@ -182,11 +211,15 @@ def fundamental_solution(B_fn: Callable, total_time: float) -> SymplecticPath:
         Psi = y.reshape(two_n, two_n)
         return (J @ B_fn(t) @ Psi).ravel()
 
-    sol = solve_ivp(rhs, (0.0, total_time), np.eye(two_n).ravel(), method="DOP853",
+    sol = solve_ivp(rhs, (0.0, period), np.eye(two_n).ravel(), method="DOP853",
                     rtol=1e-11, atol=1e-11, dense_output=True)
     if not sol.success:
         raise BlowUp(f"fundamental solution integration failed: {sol.message}")
-    path = SymplecticPath(two_n // 2, sol.sol, 0.0)
+    monodromy = sol.y[:, -1].reshape(two_n, two_n)
+    powers = [np.eye(two_n)]
+    for _ in range(int(np.floor(total_time / period))):
+        powers.append(powers[-1] @ monodromy)
+    path = SymplecticPath(two_n // 2, sol.sol, float(period), np.array(powers), 0.0)
     mats = path.at(np.linspace(0.0, total_time, 257))
     # defect relative to |Psi|^2: hyperbolic paths grow exponentially and an
     # absolute bound would be dominated by float rounding alone.  With each
@@ -338,6 +371,39 @@ def _initial_contribution(B_fn, N, mode):
     return 0.5 * ((pos - neg - zero) - N)
 
 
+def _crossing_det(tgt, mats, mode):
+    """det of the crossing target, in a cancellation-free form when possible.
+
+    For Sp(2), det(Psi - I) = 2 - tr(Psi): the product form loses all
+    precision on hyperbolic stretches where the entries explode, while the
+    trace stays exact in the leading digits.
+    """
+    if mode == "cz" and mats.shape[-1] == 2:
+        return 2.0 - np.trace(mats, axis1=-2, axis2=-1)
+    return np.linalg.det(tgt)
+
+
+def _target_svs(tgt, mats, mode):
+    """Largest and smallest singular values of the crossing target.
+
+    For N = 1 in mode cz, where sigma_max > 2, the smallest is taken as
+    |det(Psi - I)| / sigma_max with det(Psi - I) = 2 - tr(Psi).  The SVD's
+    smallest value is off by about eps sigma_max, which on hyperbolic
+    stretches is rounding noise with local minima everywhere; this route is
+    off by about eps (2 + |tr Psi|) / sigma_max <= eps (2 + 4 / sigma_max),
+    as |tr Psi| <= 2 + 2 sigma_max.  Past sigma_max = 2 that stays a few eps
+    while the SVD's error grows; below it both are a few eps and the SVD
+    value is kept.
+    """
+    sv = np.linalg.svd(tgt, compute_uv=False)
+    s_max, s_min = sv[..., 0], sv[..., -1]
+    if mode == "cz" and mats.shape[-1] == 2:
+        # np.where evaluates both branches: no division by a small sigma_max
+        s_det = np.abs(_crossing_det(tgt, mats, mode)) / np.maximum(s_max, 2.0)
+        s_min = np.where(s_max > 2.0, s_det, s_min)
+    return s_max, s_min
+
+
 # relative width of the zone before a window end: crossings inside it belong
 # to the endpoint, so they enter the nullity and not the index
 _ZONE_REL = 2e-3
@@ -354,8 +420,9 @@ class _CrossingEngine:
     crossing-form signature with the left-limit rule for degenerate form
     directions: at a sign-definite touch they contribute nothing, at a
     transversal sign change they are unresolvable and raise.  The path is
-    integrated once, at construction, over k_max periods (and the endpoint
-    zone), where a symplecticity defect above 1e-8 raises NonSymplectic.
+    integrated once, at construction, over one period and reaches the k_max
+    periods (and the endpoint zone) by monodromy powers; a symplecticity
+    defect above 1e-8 on that horizon raises NonSymplectic.
     """
 
     def __init__(self, B_fn, period, k_max, deg_tol=1e-6):
@@ -369,7 +436,7 @@ class _CrossingEngine:
         samples_per_unit = 160.0 * (1.0 + 0.5 * self.b_scale)
         self.n_scan = int(min(max(800, samples_per_unit * self.total), 120000))
         self.guard = min(0.02 * period, 0.2 / (1.0 + self.b_scale))
-        self.path = fundamental_solution(B_fn, self.total)
+        self.path = fundamental_solution(B_fn, period, self.total)
         # a NaN defect fails this test too
         if not self.path.symplecticity_defect <= 1e-8:
             raise NonSymplectic(f"path symplecticity defect "
@@ -392,17 +459,6 @@ class _CrossingEngine:
         n = self.N
         return (M - np.eye(2 * n) if mode == "cz" else M[..., :n, n:]), M
 
-    def _crossing_det(self, tgt, mats, mode):
-        """det of the crossing target, in a cancellation-free form when possible.
-
-        For Sp(2), det(Psi - I) = 2 - tr(Psi): the product form loses all
-        precision on hyperbolic stretches where the entries explode, while the
-        trace stays exact in the leading digits.
-        """
-        if mode == "cz" and self.N == 1:
-            return 2.0 - np.trace(mats, axis1=-2, axis2=-1)
-        return np.linalg.det(tgt)
-
     def _kernel_form(self, t, M, ker, mode):
         """Eigenvalues of the crossing form on the kernel ker at t, and their tolerance."""
         B_here = np.asarray(self.B_fn(t))
@@ -417,11 +473,8 @@ class _CrossingEngine:
     def _scan_arrays(self, mode):
         ts = np.linspace(self.guard, self.total, self.n_scan)
         tgt, mats = self._target(ts, mode)
-        sv = np.linalg.svd(tgt, compute_uv=False)
-        scale = 1.0 + sv[:, 0]
-        g = sv[:, -1] / scale
-        dets = self._crossing_det(tgt, mats, mode)
-        return ts, g, sv[:, -1], dets
+        s_max, s_min = _target_svs(tgt, mats, mode)
+        return ts, s_min / (1.0 + s_max), s_min, _crossing_det(tgt, mats, mode)
 
     def _classify(self, t_star, mode, det_before, det_after, nb_times):
         tgt, M = self._target(t_star, mode)
@@ -496,15 +549,15 @@ class _CrossingEngine:
             candidates.append((ts[i - 1], ts[i + 1], g[lo_n], g[hi_n]))
 
         def sv_objective(t):
-            s = np.linalg.svd(self._target(t, mode)[0], compute_uv=False)
-            return float(s[-1] / (1.0 + s[0]))
+            s_max, s_min = _target_svs(*self._target(t, mode), mode)
+            return float(s_min / (1.0 + s_max))
 
         def sv_absolute(t):
-            return float(np.linalg.svd(self._target(t, mode)[0], compute_uv=False)[-1])
+            return float(_target_svs(*self._target(t, mode), mode)[1])
 
         def det_objective(t):
             tgt, M = self._target(t, mode)
-            return float(self._crossing_det(tgt[None], M[None], mode)[0])
+            return float(_crossing_det(tgt[None], M[None], mode)[0])
 
         located = []
         for lo, hi, g_lo, g_hi in candidates:

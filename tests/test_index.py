@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from brakekit.index import (
+    _J,
     _negative_count,
     assemble_B,
     constant_coefficients,
@@ -61,11 +62,11 @@ def test_assemble_B_examples(free_system):
 
 
 def test_fundamental_solution_closed_forms():
-    path = fundamental_solution(constant_coefficients(np.zeros((2, 2))), 1.0)
+    path = fundamental_solution(constant_coefficients(np.zeros((2, 2))), 1.0, 1.0)
     assert np.allclose(path.at(1.0), np.eye(2), atol=1e-12)
-    path = fundamental_solution(constant_coefficients(FREE_B), 1.0)
+    path = fundamental_solution(constant_coefficients(FREE_B), 1.0, 1.0)
     assert np.allclose(path.at(1.0), [[1.0, 0.0], [1.0, 1.0]], atol=1e-10)
-    path = fundamental_solution(constant_coefficients(HARMONIC_B), 1.0)
+    path = fundamental_solution(constant_coefficients(HARMONIC_B), 1.0, 1.0)
     rot = np.array([[np.cos(1), -np.sin(1)], [np.sin(1), np.cos(1)]])
     assert np.allclose(path.at(1.0), rot, atol=1e-10)
     assert path.symplecticity_defect < 1e-8
@@ -74,10 +75,46 @@ def test_fundamental_solution_closed_forms():
 @pytest.mark.parametrize("B", [HARMONIC_B, np.diag([1.0, 2.0, 4 * np.pi ** 2, -1.0])],
                          ids=["N=1", "N=2"])
 def test_path_at_vector_matches_scalar_calls(B):
-    path = fundamental_solution(constant_coefficients(B), 2.0)
-    ts = np.array([0.3, 1.0, 1.7])
+    tau, total = 0.6, 2.0
+    path = fundamental_solution(constant_coefficients(B), tau, total)
+    # inside the integrated period, at period multiples, between powers and
+    # at the horizon end
+    ts = np.array([0.0, 0.3, tau, 1.0, 2 * tau, 1.7, 3 * tau, total])
     stacked = np.stack([path.at(t) for t in ts])
     assert np.array_equal(path.at(ts), stacked)
+
+
+@pytest.mark.parametrize("B,total", [(STABLE_B, 64.3), (PEND_B, 32.0)],
+                         ids=["hyperbolic", "elliptic"])
+def test_composed_path_matches_matrix_exponential(B, total):
+    path = fundamental_solution(constant_coefficients(B), 1.0, total)
+    ts = np.concatenate([np.linspace(0.0, total, 97), np.arange(1.0, total)])
+    got = path.at(ts)
+    for t, Psi in zip(ts, got):
+        want = scipy.linalg.expm(t * _J(1) @ B)
+        # DOP853 at 1e-11 leaves about 5e-11 per unit time on the rotation,
+        # and the powers carry it along linearly, as one integration over the
+        # whole horizon does (1.8e-9 at t = 32)
+        assert np.max(np.abs(Psi - want)) <= max(1e-9, 1e-10 * t) * np.max(np.abs(want)), t
+
+
+def test_composed_path_matches_direct_integration_on_an_orbit(stiff_system, libration):
+    co = linearize(stiff_system.L_theta, libration)
+    B_fn = co.B_callable()
+    total = 8 * co.period
+    path = fundamental_solution(B_fn, co.period, total)
+    J = _J(1)
+
+    def rhs(t, y):
+        return (J @ B_fn(t) @ y.reshape(2, 2)).ravel()
+
+    direct = solve_ivp(rhs, (0.0, total), np.eye(2).ravel(), method="DOP853",
+                       rtol=1e-11, atol=1e-11, dense_output=True)
+    ts = np.linspace(0.0, total, 257)
+    want = direct.sol(ts).T.reshape(-1, 2, 2)
+    scale = np.max(np.abs(want), axis=(1, 2))
+    err = np.max(np.abs(path.at(ts) - want), axis=(1, 2)) / scale
+    assert np.max(err) <= 1e-4
 
 
 def test_verify_relations_integrates_once(stiff_system, monkeypatch):
@@ -92,7 +129,8 @@ def test_verify_relations_integrates_once(stiff_system, monkeypatch):
     monkeypatch.setattr(index_mod, "solve_ivp", counting)
     verify_relations(stiff_system.L_theta, SymmetricLoop.constant([0.5], 1),
                      ks=(1, 2, 4), mean_k_max=16)
-    assert len(calls) == 1, calls
+    # one period, extended to 16 by monodromy powers
+    assert calls == [(0.0, 1.0)], calls
 
 
 def test_verify_relations_assembles_B_once(stiff_system, libration, monkeypatch):
@@ -105,8 +143,16 @@ def test_verify_relations_assembles_B_once(stiff_system, libration, monkeypatch)
         return assemble_B(*args)
 
     monkeypatch.setattr(index_mod, "assemble_B", counting)
+    integrated = []
+
+    def integrating(*args, **kwargs):
+        integrated.append(args[1])
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(index_mod, "solve_ivp", integrating)
     verify_relations(stiff_system.L_theta, libration, ks=(1,), mean_k_max=4)
     assert len(calls) == 1
+    assert integrated == [(0.0, libration.period)], integrated
     # B_callable interpolates the B that linearize stored
     co = linearize(stiff_system.L_theta, libration)
     assert np.allclose(co.B_callable()(co.times), co.B, rtol=0, atol=1e-12)
@@ -124,7 +170,7 @@ def test_each_count_integrates_once(count, monkeypatch):
 
     monkeypatch.setattr(index_mod, "solve_ivp", counting)
     getattr(index_mod, count)(constant_coefficients(PEND_B), 4)
-    assert len(calls) == 1, calls
+    assert calls == [(0.0, 1.0)], calls
 
 
 def test_verify_relations_mean_index_matches_standalone(stiff_system):
@@ -182,7 +228,7 @@ def test_crossing_engine_refuses_a_non_symplectic_path(monkeypatch, mild_system)
 
     # Psidot = J B Psi stays symplectic only for symmetric B; this one is not
     skew = constant_coefficients(np.array([[0.0, 0.3], [0.0, 0.0]]))
-    path = fundamental_solution(skew, 1.0)
+    path = fundamental_solution(skew, 1.0, 1.0)
     assert path.symplecticity_defect > 0.1
     for count in (cz_index, l0_index):
         with pytest.raises(NonSymplectic):
@@ -249,6 +295,73 @@ def test_cz_and_l0_anchor_paths(name):
     for k, (cz_want, l0_want) in expected.items():
         assert cz_index(constant_coefficients(B), k) == cz_want
         assert l0_index(constant_coefficients(B), k) == l0_want
+
+
+def test_hyperbolic_paths_spawn_no_touch_refinement(stiff_system, monkeypatch):
+    import brakekit.index as index_mod
+
+    calls = []
+    original = index_mod.minimize_scalar
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("bounds"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(index_mod, "minimize_scalar", counting)
+    # |Psi| reaches 7e21 by t = 8 here; sigma_min(Psi - I) from the SVD would
+    # be rounding noise with local minima everywhere
+    assert cz_index(constant_coefficients(STABLE_B), 8) == (0, 0)
+    assert calls == []
+    L, loop = stiff_system.L_theta, SymmetricLoop.constant([0.0], 1)
+    report = verify_relations(L, loop, ks=(1, 2, 4), mean_k_max=8)
+    assert calls == []
+    assert report["all_pass"], report
+    for k in (1, 2, 4):
+        full = fourier_morse_index(1.0, 0.0, 4 * np.pi ** 2, k=k)
+        even = fourier_morse_index(1.0, 0.0, 4 * np.pi ** 2, k=k, symmetric=True)
+        row = report["per_k"][k]
+        assert row["cz"] == full and (row["l0"].index + 1, row["l0"].nullity) == even
+
+
+def _rotation(a):
+    return np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
+
+
+def test_target_singular_values_follow_the_svd_where_it_is_accurate():
+    from brakekit.index import _target_svs
+
+    rng = np.random.default_rng(3)
+    # random Sp(2) = SL(2) matrices R(a) diag(s, 1/s) R(b) with |Psi| <= 2
+    mats = np.stack([_rotation(a) @ np.diag([s, 1.0 / s]) @ _rotation(b)
+                     for a, b, s in zip(rng.uniform(0, 2 * np.pi, 400),
+                                        rng.uniform(0, 2 * np.pi, 400),
+                                        rng.uniform(1.0, 2.0, 400))])
+    tgt = mats - np.eye(2)
+    s_max, s_min = _target_svs(tgt, mats, "cz")
+    sv = np.linalg.svd(tgt, compute_uv=False)
+    assert np.array_equal(s_max, sv[:, 0])
+    assert np.max(np.abs(s_min - sv[:, -1])) <= 1e-12
+    # both routes are exercised: sigma_max(Psi - I) reaches 3 here
+    assert 0 < np.sum(s_max > 2.0) < len(mats)
+    # the scalar call is the same function
+    assert _target_svs(tgt[7], mats[7], "cz") == (s_max[7], s_min[7])
+    # the L0 target is the 1x1 block S12: exact, left to the SVD
+    s12 = mats[:, :1, 1:]
+    assert np.array_equal(_target_svs(s12, mats, "l0")[1], np.abs(s12[:, 0, 0]))
+
+
+def test_target_singular_values_on_a_strongly_hyperbolic_matrix():
+    from brakekit.index import _target_svs
+
+    lam = 30.0
+    R = _rotation(0.4)
+    Psi = R @ np.diag([np.exp(lam), np.exp(-lam)]) @ R.T
+    # Psi - I = R diag(e^lam - 1, e^-lam - 1) R^T
+    want = 1.0 - np.exp(-lam)
+    s_min = _target_svs(Psi - np.eye(2), Psi, "cz")[1]
+    assert abs(s_min - want) <= 1e-12 * want
+    # the SVD alone is off by about eps |Psi|
+    assert abs(np.linalg.svd(Psi - np.eye(2), compute_uv=False)[-1] - want) > 1e-6
 
 
 def test_mean_index_relations():
@@ -374,7 +487,7 @@ def test_symplecticity_defect_stays_finite_on_long_hyperbolic_paths():
     B = constant_coefficients(STABLE_B)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        defect = fundamental_solution(B, 64.3).symplecticity_defect
+        defect = fundamental_solution(B, 1.0, 64.3).symplecticity_defect
         report = mean_index(B, 64)
     assert np.isfinite(defect) and defect < 1e-8
     assert report["ks"] == [1, 2, 4, 8, 16, 32, 64]
