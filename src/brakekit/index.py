@@ -20,7 +20,6 @@ the anchor tests pin it through the Morse index identities.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Tuple
 
@@ -121,17 +120,14 @@ class SymplecticPath:
         """Psi(t); a 1-D array of times gives shape (len(t), 2N, 2N)."""
         t = np.asarray(t, dtype=float)
         two_n = 2 * self.N
-        last = len(self.powers) - 1
-        if t.ndim == 0:
-            # the refinements make thousands of scalar calls: the same floor
-            # and offset in Python floats, which round as numpy's do
-            j = min(max(math.floor(t / self.period), 0), last)
-            return self.dense(t - j * self.period).reshape(two_n, two_n) @ self.powers[j]
-        j = np.clip(np.floor(t / self.period), 0, last).astype(int)
+        # ufuncs rather than np.clip, which costs several times more on the
+        # 0-d t of the refinements
+        j = np.minimum(np.maximum(np.floor(t / self.period), 0),
+                       len(self.powers) - 1).astype(int)
         base = self.dense(t - j * self.period).T.reshape(t.shape + (two_n, two_n))
         # one power at a time, so that no batch-sized copy of the powers is
-        # made.  Both operands of every product are C-contiguous, so a time
-        # takes the same matmul kernel, and rounds alike, alone and in a batch
+        # made.  A 0-d t takes the same code, and both operands of every
+        # product are C-contiguous, so a time rounds alike alone and in a batch
         out = np.empty_like(base)
         for jj in np.unique(j):
             at_j = j == jj
