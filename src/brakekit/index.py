@@ -367,6 +367,12 @@ def _initial_contribution(B_fn, N, mode):
     return 0.5 * ((pos - neg - zero) - N)
 
 
+def _crossing_target(mats, N, mode):
+    """The matrix that is singular exactly at the crossings: Psi - I for the
+    periodic count, the block S12 for the L0 count."""
+    return mats - np.eye(2 * N) if mode == "cz" else mats[..., :N, N:]
+
+
 def _crossing_det(tgt, mats, mode):
     """det of the crossing target, in a cancellation-free form when possible.
 
@@ -389,8 +395,12 @@ def _target_svs(tgt, mats, mode):
     off by about eps (2 + |tr Psi|) / sigma_max <= eps (2 + 4 / sigma_max),
     as |tr Psi| <= 2 + 2 sigma_max.  Past sigma_max = 2 that stays a few eps
     while the SVD's error grows; below it both are a few eps and the SVD
-    value is kept.
+    value is kept.  A 1x1 target (the L0 block S12 for N = 1) has the single
+    singular value |a|.
     """
+    if tgt.shape[-1] == 1:
+        s = np.abs(tgt[..., 0, 0])
+        return s, s
     sv = np.linalg.svd(tgt, compute_uv=False)
     s_max, s_min = sv[..., 0], sv[..., -1]
     if mode == "cz" and mats.shape[-1] == 2:
@@ -419,6 +429,11 @@ class _CrossingEngine:
     integrated once, at construction, over one period and reaches the k_max
     periods (and the endpoint zone) by monodromy powers; a symplecticity
     defect above 1e-8 on that horizon raises NonSymplectic.
+
+    Both modes are scanned in one streamed pass: Psi is evaluated once per
+    sample, a period of samples at a time, and feeds both targets.  The L0
+    scan covers only half the horizon, as far as its half windows reach, and
+    for N = 1 its 1x1 target S12 = a has the singular value |a|.
     """
 
     def __init__(self, B_fn, period, k_max, deg_tol=1e-6):
@@ -440,20 +455,22 @@ class _CrossingEngine:
         self.N = self.path.N
         self._events = {}
         self._plateau = {}
+        self._scans = {}
 
     # -- path evaluation helpers -------------------------------------------
     def _window(self, mode, k):
         return k * self.period if mode == "cz" else 0.5 * k * self.period
 
-    def _target(self, t, mode):
-        """Crossing target and Psi at t (or an array of times).
+    def _horizon(self, mode):
+        """Time past which no window of the mode reads a crossing: total covers
+        k_max periods and their endpoint zone, half of it every L0 half window
+        and its zone."""
+        return self.total if mode == "cz" else 0.5 * self.total
 
-        The target is Psi - I for the periodic count and the block S12 for
-        the L0 count; it is singular exactly at the crossings.
-        """
+    def _target(self, t, mode):
+        """Crossing target and Psi at t (or an array of times)."""
         M = self.path.at(t)
-        n = self.N
-        return (M - np.eye(2 * n) if mode == "cz" else M[..., :n, n:]), M
+        return _crossing_target(M, self.N, mode), M
 
     def _kernel_form(self, t, M, ker, mode):
         """Eigenvalues of the crossing form on the kernel ker at t, and their tolerance."""
@@ -467,10 +484,32 @@ class _CrossingEngine:
         return ev, 1e-7 * (1.0 + float(np.max(np.abs(B_here))))
 
     def _scan_arrays(self, mode):
-        ts = np.linspace(self.guard, self.total, self.n_scan)
-        tgt, mats = self._target(ts, mode)
-        s_max, s_min = _target_svs(tgt, mats, mode)
-        return ts, s_min / (1.0 + s_max), s_min, _crossing_det(tgt, mats, mode)
+        """Per-sample (ts, g, g_abs, det) of the mode's scan, handed over once.
+
+        One walk over the scan grid serves both modes: Psi is evaluated once
+        per sample for both targets, a period of samples at a time, so only
+        one period of matrices is alive at once.  The L0 scan stops 8 samples
+        past its horizon, which keeps the neighbour and contrast tests
+        (3 samples either side) of every L0 crossing up to the horizon as
+        they are on the whole grid.
+        """
+        if mode not in self._scans:
+            ts = np.linspace(self.guard, self.total, self.n_scan)
+            chunk = int(np.ceil(self.period / (ts[1] - ts[0])))
+            ends = {m: min(len(ts), int(np.searchsorted(ts, self._horizon(m), "right")) + 8)
+                    for m in ("cz", "l0")}
+            parts = {m: [] for m in ends}
+            for start in range(0, len(ts), chunk):
+                mats = self.path.at(ts[start:start + chunk])
+                for m, end in ends.items():
+                    if start < end:
+                        M = mats[:end - start]
+                        tgt = _crossing_target(M, self.N, m)
+                        s_max, s_min = _target_svs(tgt, M, m)
+                        parts[m].append((s_min / (1.0 + s_max), s_min, _crossing_det(tgt, M, m)))
+            self._scans = {m: (ts[:end],) + tuple(np.concatenate(col) for col in zip(*parts[m]))
+                           for m, end in ends.items()}
+        return self._scans.pop(mode)
 
     def _classify(self, t_star, mode, det_before, det_after, nb_times):
         tgt, M = self._target(t_star, mode)
@@ -498,7 +537,7 @@ class _CrossingEngine:
         return pos - neg, ker.shape[1]
 
     def events(self, mode):
-        """Sorted (t, contribution) crossings over (guard, total)."""
+        """Sorted (t, contribution) crossings over (guard, horizon]."""
         if mode in self._events:
             return self._events[mode]
         ts, g, g_abs, dets = self._scan_arrays(mode)
@@ -531,7 +570,7 @@ class _CrossingEngine:
         # transversal crossings: sign changes of the target determinant
         flips = np.where(np.sign(dets[:-1]) * np.sign(dets[1:]) < 0)[0]
         for i in flips:
-            candidates.append((ts[i], ts[i + 1], None, None))
+            candidates.append((i, i + 1, None, None))
         # touches: local minima of the normalized smallest singular value; the
         # candidate gate is loose (the scan rarely lands near the touch), the
         # refined minimum is then held to deg_tol.  The contrast test against
@@ -542,7 +581,7 @@ class _CrossingEngine:
             lo_n, hi_n = max(i - 3, 0), min(i + 3, len(g) - 1)
             if g[i] > 0.3 * min(g[lo_n], g[hi_n]):
                 continue
-            candidates.append((ts[i - 1], ts[i + 1], g[lo_n], g[hi_n]))
+            candidates.append((i - 1, i + 1, g[lo_n], g[hi_n]))
 
         def sv_objective(t):
             s_max, s_min = _target_svs(*self._target(t, mode), mode)
@@ -555,10 +594,12 @@ class _CrossingEngine:
             tgt, M = self._target(t, mode)
             return float(_crossing_det(tgt[None], M[None], mode)[0])
 
+        horizon = self._horizon(mode)
         located = []
-        for lo, hi, g_lo, g_hi in candidates:
-            d_lo, d_hi = det_objective(lo), det_objective(hi)
-            if d_lo * d_hi < 0:
+        # a candidate's bracket ends are scan samples, whose det the scan holds
+        for a, b, g_lo, g_hi in candidates:
+            lo, hi = ts[a], ts[b]
+            if dets[a] * dets[b] < 0:
                 t_star = float(brentq(det_objective, lo, hi, xtol=1e-13 * self.total))
             else:
                 res = minimize_scalar(sv_objective, bounds=(lo, hi), method="bounded",
@@ -574,7 +615,8 @@ class _CrossingEngine:
                 # degeneracy
                 if sv_absolute(t_star) > 10.0 * self.deg_tol:
                     continue
-            if any(abs(t_star - t0) < 5e-9 * self.total for t0, _, _ in located):
+            if t_star > horizon or any(abs(t_star - t0) < 5e-9 * self.total
+                                       for t0, _, _ in located):
                 continue
             sig, kdim = self._classify(t_star, mode,
                                        det_objective(max(t_star - width, self.guard)),

@@ -297,6 +297,76 @@ def test_cz_and_l0_anchor_paths(name):
         assert l0_index(constant_coefficients(B), k) == l0_want
 
 
+@pytest.mark.parametrize("case", ["libration", "N=2"])
+def test_streamed_scan_matches_one_batch(case, stiff_system, libration):
+    from brakekit.index import _crossing_det, _CrossingEngine, _target_svs
+
+    if case == "libration":
+        co = linearize(stiff_system.L_theta, libration)
+        eng = _CrossingEngine(co.B_callable(), co.period, 8)
+    else:
+        eng = _CrossingEngine(constant_coefficients(np.diag([1.0, 2.0, 4 * np.pi ** 2, 3.0])),
+                              1.0, 8)
+    n = eng.N
+    ts = np.linspace(eng.guard, eng.total, eng.n_scan)
+    mats = eng.path.at(ts)
+    for mode, tgt in (("cz", mats - np.eye(2 * n)), ("l0", mats[:, :n, n:])):
+        s_max, s_min = _target_svs(tgt, mats, mode)
+        want = (ts, s_min / (1.0 + s_max), s_min, _crossing_det(tgt, mats, mode))
+        got = eng._scan_arrays(mode)
+        m = len(got[0])
+        if mode == "cz":
+            assert m == len(ts)
+        else:
+            # the L0 prefix ends 8 samples past half the horizon
+            assert ts[m - 9] <= 0.5 * eng.total < ts[m - 8]
+        for part, whole in zip(got, want):
+            assert np.array_equal(part, whole[:m])
+
+
+def test_crossing_scan_evaluates_each_sample_once(monkeypatch):
+    from brakekit.index import _CrossingEngine, SymplecticPath
+
+    eng = _CrossingEngine(constant_coefficients(PEND_B), 1.0, 8)
+    original = SymplecticPath.at
+    lengths = []
+
+    def counting(self, t):
+        if np.ndim(t):
+            lengths.append(len(t))
+        return original(self, t)
+
+    monkeypatch.setattr(SymplecticPath, "at", counting)
+    eng.events("cz")
+    l0_times = [t for t, _, _ in eng.events("l0")]
+    # both modes from one pass over the scan grid; the refinements are scalar
+    assert sum(lengths) == eng.n_scan
+    # S12 vanishes at every half period: the last L0 crossing read by the
+    # k = 8 window is at t = 4, and none past the horizon is located
+    assert max(l0_times) == pytest.approx(4.0) and max(l0_times) <= 0.5 * eng.total
+
+
+def test_crossing_scan_memory_on_an_n2_path():
+    import tracemalloc
+
+    from brakekit.systems import load_system
+
+    system = load_system({"dim": 2, "theta": ["0.3", "0.1"],
+                          "lagrangian": {"builtin": "kinetic_potential",
+                                         "potential": "0.7*cos(2*pi*q1) + 0.5*cos(2*pi*q2)"}})
+    loop = SymmetricLoop.constant([0.5, 0.5], 1, torus=system.torus)
+    tracemalloc.start()
+    try:
+        report = verify_relations(system.L_theta, loop, ks=(1, 2, 4), mean_k_max=32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["all_pass"], report
+    # a scan holding every Psi sample of both modes at once peaks at 24 MB
+    # here; streamed a period at a time it stays near 8.4 MB
+    assert peak < 12e6, peak
+
+
 def test_hyperbolic_paths_spawn_no_touch_refinement(stiff_system, monkeypatch):
     import brakekit.index as index_mod
 
@@ -345,9 +415,31 @@ def test_target_singular_values_follow_the_svd_where_it_is_accurate():
     assert 0 < np.sum(s_max > 2.0) < len(mats)
     # the scalar call is the same function
     assert _target_svs(tgt[7], mats[7], "cz") == (s_max[7], s_min[7])
-    # the L0 target is the 1x1 block S12: exact, left to the SVD
-    s12 = mats[:, :1, 1:]
-    assert np.array_equal(_target_svs(s12, mats, "l0")[1], np.abs(s12[:, 0, 0]))
+
+
+def test_target_singular_values_of_a_1x1_target_are_the_svd_bits():
+    from brakekit.index import _target_svs
+
+    rng = np.random.default_rng(5)
+    # signed values whose magnitudes span 1e-130 to 1e130, plus zeros and +-1e300
+    a = np.concatenate([rng.choice([-1.0, 1.0], 20000) * 10.0 ** rng.uniform(-130, 130, 20000),
+                        rng.standard_normal(2000), [0.0, -0.0, 1e300, -1e300]])
+    s12 = a[:, None, None]
+    mats = np.zeros((len(a), 2, 2))
+    mats[:, :1, 1:] = s12
+    s_max, s_min = _target_svs(s12, mats, "l0")
+    sv = np.linalg.svd(s12, compute_uv=False)[:, 0]
+    assert np.array_equal(s_max, sv) and np.array_equal(s_min, sv)
+    assert _target_svs(s12[3], mats[3], "l0") == (sv[3], sv[3])
+    # LAPACK scales a matrix whose largest entry is below about 1e-138 (or
+    # above about 1e137) before the SVD and back after it, which can cost it
+    # the last bit (+-1e300 above survive the round trip, 1e-300 does not);
+    # |a| is exact there
+    tiny = np.array([1e-300, -1e-300, 2.5e-301, 3e-200])[:, None, None]
+    s_tiny = _target_svs(tiny, np.zeros((4, 2, 2)), "l0")[1]
+    assert np.array_equal(s_tiny, np.abs(tiny[:, 0, 0]))
+    assert np.all(np.abs(np.linalg.svd(tiny, compute_uv=False)[:, 0] - s_tiny)
+                  <= np.spacing(s_tiny))
 
 
 def test_target_singular_values_on_a_strongly_hyperbolic_matrix():
