@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 from .errors import GridMismatch
 from .model import LagrangianSpec, TorusSpace
@@ -163,12 +164,24 @@ class LoopTangent:
 
 @dataclass
 class CriticalPointReport:
+    """Result of find_critical and how it got there.
+
+    newton_steps counts accepted steps along the banded Newton direction,
+    lstsq_fallbacks the iterations whose banded solve was refused (singular
+    or non-finite), so the dense least-squares direction was tried, and
+    armijo_steps the accepted descent steps.  The step counts describe the
+    run; no orbit record stores them.
+    """
+
     loop: SymmetricLoop
     gradient_norm: float
     action: float
     converged: bool
     max_speed: float
-    iterations: int = 0
+    iterations: int
+    newton_steps: int
+    lstsq_fallbacks: int
+    armijo_steps: int
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +346,9 @@ class BlockTridiagonal:
 
     diag[j] is the block A[j, j] and upper[j] the coupling A[j, j + 1]; the
     lower couplings are their transposes.  A cyclic operator has M couplings,
-    the last one joining node M - 1 to node 0; an open one has M - 1.
+    the last one joining node M - 1 to node 0; an open one has M - 1.  An open
+    operator is a band matrix with 2N - 1 sub- and superdiagonals, and solve()
+    factors it on that band; dense() forms the full (M N)^2 matrix.
     """
 
     diag: np.ndarray  # (M, N, N)
@@ -370,6 +385,29 @@ class BlockTridiagonal:
         A[i, :, nxt, :] = self.upper
         A[nxt, :, i, :] += np.swapaxes(self.upper, -1, -2)
         return A.reshape(M * N, M * N)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """A^-1 b for an open operator, by a banded LU with partial pivoting.
+
+        The symmetric operator may be indefinite, so the LU pivots rather than
+        taking a Cholesky or block-Thomas factor.  Raises ValueError for a
+        cyclic operator, whose wrap-around coupling is outside the band, and
+        LinAlgError for an exactly singular one; non-finite entries give a
+        non-finite solution.
+        """
+        if self.cyclic:
+            raise ValueError("solve needs an open operator; a cyclic one is not banded")
+        M, N = self.nodes, self.dim
+        w = 2 * N - 1
+        # band storage ab[w + i - j, j] = A[i, j], filled block by block
+        ab = np.zeros((2 * w + 1, M * N))
+        a = np.arange(N)[:, None]
+        c = np.arange(N)[None, :]
+        col = np.arange(M)[:, None, None] * N + c
+        ab[w + a - c, col] = self.diag
+        ab[w + a - c - N, col[1:]] = self.upper
+        ab[w + a - c + N, col[:-1]] = np.swapaxes(self.upper, -1, -2)
+        return solve_banded((w, w), ab, b, overwrite_ab=True, check_finite=False)
 
     def even_fold(self) -> "BlockTridiagonal":
         """The restriction E^T A E of a cyclic operator to the even subspace.
@@ -442,16 +480,19 @@ def find_critical(L: LagrangianSpec, loop0: SymmetricLoop, grad_tol: float = 1e-
 
     Each iteration first tries a (damped) Newton step built from the P1 (FEM)
     Hessian of the action, which matches the Hessian of the discrete
-    (trapezoid/centred) action only to O(h^2); when that step fails to reduce
-    the gradient norm (indefinite or singular Hessian far from a critical
-    point), a descent step with Armijo line search on the action is taken
-    instead.
+    (trapezoid/centred) action only to O(h^2).  The step solves the even fold
+    of that Hessian, an open block-tridiagonal operator, by a banded LU with
+    partial pivoting; only when the LU finds it singular (or the step is not
+    finite) is the dense matrix formed, for a least-squares step.  When the
+    step fails to reduce the gradient norm (indefinite or singular Hessian
+    far from a critical point), a descent step with Armijo line search on the
+    action is taken instead.
     Newton is what makes saddle-type orbits reachable, so seeds converge to
     the nearest critical point rather than sliding to minima.
     """
     loop = loop0
     b, g, norm = _gradient_and_norm(L, loop)
-    iters = 0
+    iters = newton_steps = lstsq_fallbacks = armijo_steps = 0
 
     for _ in range(max_iter):
         if norm <= grad_tol:
@@ -461,13 +502,15 @@ def find_critical(L: LagrangianSpec, loop0: SymmetricLoop, grad_tol: float = 1e-
         # FEM Hessian: same O(h^2) operator, but with a positive kinetic
         # part on every mode, so steps cannot excite the checkerboard
         # null direction of a centered-difference Hessian.
-        H = assemble_hessian(L, loop).even_fold().dense()
+        H = assemble_hessian(L, loop).even_fold()
         try:
-            step = np.linalg.solve(H, -b)
+            step = H.solve(-b)
         except np.linalg.LinAlgError:
             step = None
-        if step is None or not np.all(np.isfinite(step)):
-            step, *_ = np.linalg.lstsq(H, -b, rcond=1e-12)
+        banded = step is not None and bool(np.all(np.isfinite(step)))
+        if not banded:
+            lstsq_fallbacks += 1
+            step, *_ = np.linalg.lstsq(H.dense(), -b, rcond=1e-12)
         alpha = 1.0
         for _ in range(25):
             trial = loop.with_values(loop.half_values + alpha * step.reshape(-1, loop.dim))
@@ -475,6 +518,7 @@ def find_critical(L: LagrangianSpec, loop0: SymmetricLoop, grad_tol: float = 1e-
             if n_t < norm:
                 loop, b, g, norm = trial, b_t, g_t, n_t
                 improved = True
+                newton_steps += banded
                 break
             alpha *= 0.5
         if not improved:
@@ -488,13 +532,15 @@ def find_critical(L: LagrangianSpec, loop0: SymmetricLoop, grad_tol: float = 1e-
                     loop = trial
                     b, g, norm = _gradient_and_norm(L, loop)
                     improved = True
+                    armijo_steps += 1
                     break
                 alpha *= 0.5
         if not improved:
             break
 
     return CriticalPointReport(loop, norm, mean_action(L, loop), norm <= grad_tol,
-                               loop.max_speed(), iterations=iters)
+                               loop.max_speed(), iters, newton_steps, lstsq_fallbacks,
+                               armijo_steps)
 
 
 def loop_distance(a: SymmetricLoop, b: SymmetricLoop) -> float:

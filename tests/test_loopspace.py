@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from brakekit.errors import GridMismatch
 from brakekit.loopspace import (
+    BlockTridiagonal,
     LoopTangent,
     SymmetricLoop,
     _riesz_solve,
@@ -170,6 +173,39 @@ def test_find_critical_falls_back_to_armijo_descent(mild_system, monkeypatch):
     # then the report's
     assert len(actions) >= 2 * rep.iterations + 1
     assert rep.action == actions[-1] < a0
+    # the zero Hessian is singular, so every direction came from lstsq
+    assert (rep.newton_steps, rep.lstsq_fallbacks, rep.armijo_steps) == (0, 3, 3)
+
+
+def test_find_critical_newton_steps_form_no_dense_matrix(stiff_system, libration,
+                                                          monkeypatch):
+    calls, dense = [], BlockTridiagonal.dense
+    monkeypatch.setattr(BlockTridiagonal, "dense", lambda A: calls.append(A.nodes) or dense(A))
+    bump = 0.01 * np.cos(2 * np.pi * libration.full_times()[: libration.n // 2 + 1])
+    seed = libration.with_values(libration.half_values + bump[:, None])
+    rep = find_critical(stiff_system.L_theta, seed, grad_tol=1e-10)
+    assert rep.converged and loop_distance(rep.loop, libration) < 1e-8
+    assert rep.iterations >= 2
+    assert (rep.newton_steps, rep.lstsq_fallbacks, rep.armijo_steps) == (rep.iterations, 0, 0)
+    assert calls == []
+
+
+def test_find_critical_newton_step_memory_is_linear(twisted_systems):
+    # the even Hessian of this loop has order 2 * 8193, so dense it takes 2.1 GB
+    import tracemalloc
+
+    L = twisted_systems[1][0]
+    loop = SymmetricLoop.from_function(
+        lambda t: np.array([0.1 + 0.05 * np.cos(2 * np.pi * t), 0.2]), 1,
+        n_per_unit=2 ** 14)
+    tracemalloc.start()
+    try:
+        rep = find_critical(L, loop, max_iter=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep.iterations, rep.newton_steps) == (1, 1)
+    assert peak < 64 * 2 ** 20
 
 
 def test_find_critical_agrees_with_shooting(stiff_system, libration):
@@ -344,6 +380,49 @@ def _gram_w12_reference(n, dim, period):
     eye = np.eye(n)
     D = (np.roll(eye, 1, axis=1) - np.roll(eye, -1, axis=1)) / (2.0 * h)
     return np.kron(h * (eye + D.T @ D), np.eye(dim))
+
+
+def _random_open_operator(rng, nodes, dim):
+    diag = rng.normal(size=(nodes, dim, dim))
+    upper = rng.normal(size=(nodes - 1, dim, dim))
+    return BlockTridiagonal(diag + np.swapaxes(diag, -1, -2), upper, cyclic=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), nodes=st.integers(2, 70), dim=st.integers(1, 3))
+@example(seed=0, nodes=70, dim=3)
+@example(seed=1, nodes=2, dim=1)
+def test_band_solve_matches_dense_solve(seed, nodes, dim):
+    rng = np.random.default_rng(seed)
+    A = _random_open_operator(rng, nodes, dim)
+    dense = A.dense()
+    ev = np.linalg.eigvalsh(dense)
+    # indefinite, and conditioned well enough for the two answers to agree
+    assume(ev[0] < 0 < ev[-1])
+    assume(np.min(np.abs(ev)) > 1e-4 * np.max(np.abs(ev)))
+    b = rng.normal(size=nodes * dim)
+    x = A.solve(b)
+    x_ref = np.linalg.solve(dense, b)
+    assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+    assert np.linalg.norm(dense @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_band_solve_refuses_a_singular_operator(dim):
+    A = _random_open_operator(np.random.default_rng(6), 9, dim)
+    # node 4 is cut off from its neighbours and its block is zero
+    A.diag[4] = 0.0
+    A.upper[3:5] = 0.0
+    assert np.linalg.matrix_rank(A.dense()) == 8 * dim
+    with pytest.raises(np.linalg.LinAlgError):
+        A.solve(np.ones(9 * dim))
+
+
+def test_band_solve_refuses_a_cyclic_operator():
+    A = _random_open_operator(np.random.default_rng(7), 9, 2)
+    cyclic = BlockTridiagonal(A.diag, np.concatenate([A.upper, A.upper[:1]]), cyclic=True)
+    with pytest.raises(ValueError, match="open operator"):
+        cyclic.solve(np.ones(18))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
