@@ -504,9 +504,12 @@ def _keeps_iterate(L: LagrangianSpec, family: LoopFamily, n: int, x: float,
     return abs(action - plain_action) <= 1e-9 * (1.0 + abs(plain_action))
 
 
+PARAM_SAMPLES = 33  # bangert_homotopy's steps on [0, 1], or on each side for q = 2
+S_SAMPLES = 5  # its slices s in [0, 1] for q = 1
+
+
 def bangert_homotopy(sigma, n: int, c1: float, c2: float, eps: float,
-                     q: int = 1, param_samples: int = 33,
-                     s_samples: int = 5, *, L: LagrangianSpec) -> dict:
+                     q: int = 1, *, L: LagrangianSpec) -> dict:
     """Certified interpolation homotopy over a q-simplex, q in {1, 2}.
 
     sigma is a LoopFamily for q = 1 (the simplex [0, 1]) or a callable
@@ -521,16 +524,16 @@ def bangert_homotopy(sigma, n: int, c1: float, c2: float, eps: float,
               construction's mean action equals the plain 2n-iterate's to
               1e-9 (1 + |a|),
 
-    checked on the sample grid for the given n >= n_bar.  The s = 0 slice is
-    the plain 2n-iterate by definition, so there is no certificate (i) to
-    compute.
+    checked on the sample grid of PARAM_SAMPLES and S_SAMPLES, read at call
+    time, for the given n >= n_bar.  The s = 0 slice is the plain 2n-iterate by definition, so
+    there is no certificate (i) to compute.
     """
     if q not in (1, 2):
         raise Unsupported("simplex dimensions q in {1, 2} only")
 
     if q == 1:
         family: LoopFamily = sigma
-        xs = np.linspace(family.x0, family.x1, param_samples)
+        xs = np.linspace(family.x0, family.x1, PARAM_SAMPLES)
         boundary = [family.x0, family.x1]
         acts = {float(x): loop_action(L, family.at(x)) for x in xs}
         for x, a in acts.items():
@@ -550,7 +553,7 @@ def bangert_homotopy(sigma, n: int, c1: float, c2: float, eps: float,
         cert_ii = True
         cert_iii = True
         max_action_seen = -np.inf
-        for s in np.linspace(0.0, 1.0, s_samples):
+        for s in np.linspace(0.0, 1.0, S_SAMPLES):
             s = float(s)
             # the chord at scale s is [x0, x0 + s span]; outside it the slice
             # is the plain iterate by definition
@@ -577,10 +580,9 @@ def bangert_homotopy(sigma, n: int, c1: float, c2: float, eps: float,
 
     # q == 2: chords through the barycenter line of the triangle (0, e1, e2)
     sample_zs = []
-    gridN = param_samples
-    for i in range(gridN + 1):
-        for j in range(gridN + 1 - i):
-            sample_zs.append(np.array([i, j], dtype=float) / gridN)
+    for i in range(PARAM_SAMPLES + 1):
+        for j in range(PARAM_SAMPLES + 1 - i):
+            sample_zs.append(np.array([i, j], dtype=float) / PARAM_SAMPLES)
     acts = {}
     for z in sample_zs:
         a = loop_action(L, sigma(z))

@@ -177,7 +177,7 @@ def assemble_B(P: np.ndarray, Q: np.ndarray, R: np.ndarray) -> np.ndarray:
 
 
 def constant_coefficients(B: np.ndarray) -> Callable:
-    """B(t) provider for a constant symmetric matrix (test paths)."""
+    """B(t) provider for a constant symmetric matrix, as B_callable gives at equilibria."""
     B = np.asarray(B, dtype=float)
 
     def evaluate(t):
@@ -468,7 +468,7 @@ class _CrossingEngine:
         return self.total if mode == "cz" else 0.5 * self.total
 
     def _target(self, t, mode):
-        """Crossing target and Psi at t (or an array of times)."""
+        """Crossing target and Psi at the time t."""
         M = self.path.at(t)
         return _crossing_target(M, self.N, mode), M
 
@@ -687,7 +687,7 @@ def _mean_fit(eng: _CrossingEngine, k_max: int) -> dict:
 
     def slope(vals):
         A = np.vstack([karr, np.ones_like(karr)]).T
-        coef, res, *_ = np.linalg.lstsq(A, vals, rcond=None)
+        coef = np.linalg.lstsq(A, vals, rcond=None)[0]
         resid = vals - A @ coef
         dof = max(len(karr) - 2, 1)
         sigma = float(np.sqrt(np.sum(resid ** 2) / dof / np.sum((karr - karr.mean()) ** 2)))

@@ -215,20 +215,23 @@ def _sample_grid(L: LagrangianSpec, v_max: float, q_samples: int, n_radii: int,
     return np.concatenate(tt), np.vstack(qq), np.vstack(vv)
 
 
-def build_modification(L_theta: LagrangianSpec, T: float, constants: tuple,
-                       mu_cap: float = 1e8):
+MU_CAP = 1e8  # the largest mu the fiber-convexity doubling may reach
+
+
+def build_modification(L_theta: LagrangianSpec, T: float, constants: tuple):
     """Assemble the convex quadratic T-modification of L_theta.
 
     constants is the pair (K, C) of compute_constants.  The sampled maxima
     and minima use 24 seeded base points and 8 directions per radius.
-    Returns (LagrangianSpec, ModificationParams).
+    Returns (LagrangianSpec, ModificationParams); InfeasibleParams when no
+    mu <= MU_CAP certifies fiber convexity.
 
-    A call with the same L_theta object and equal T, (K, C) and mu_cap
+    A call with the same L_theta object and equal T, (K, C) and MU_CAP
     returns the pair an earlier call built, so both are shared: params is
     frozen, and the spec must not be altered.
     """
     return _build_modification(L_theta, float(T), tuple(float(c) for c in constants),
-                               float(mu_cap))
+                               float(MU_CAP))
 
 
 # A modify-check pass builds each (L, T, K, C) once for its certificates and
@@ -430,8 +433,8 @@ def verify_orbit_preservation(L_theta: LagrangianSpec, L_T: LagrangianSpec,
 
 
 def hessian_T_independence(L_theta: LagrangianSpec, loop: SymmetricLoop,
-                           T1: float, T2: float, constants: tuple, k: int = 1) -> dict:
-    """Max entry deviation of the discretized action Hessians under two T's.
+                           T1: float, T2: float, constants: tuple) -> dict:
+    """Max entry deviation of the discretized k = 1 action Hessians under two T's.
 
     constants is the (K, C) pair both modifications are built with.
     Along an orbit slower than min(T1, T2) the modified integrands coincide
@@ -445,10 +448,10 @@ def hessian_T_independence(L_theta: LagrangianSpec, loop: SymmetricLoop,
     pairs = {}
     for T in (T1, T2):
         spec, _ = build_modification(L_theta, T, constants)
-        full, even = morse_index(spec, loop, k)
+        full, even = morse_index(spec, loop)
         pairs[T] = {"full": full, "even": even}
         # the operators morse_index counts on, to the bit
-        H = assemble_hessian(spec, loop, k)
+        H = assemble_hessian(spec, loop)
         ops[T] = (H, H.even_fold())
     # the blocks hold every nonzero entry of the assembled matrices
     deviation = max(float(np.max(np.abs(getattr(a, part) - getattr(b, part))))

@@ -37,8 +37,7 @@ import inspect
 import math
 import operator
 import warnings
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 import sympy as sp
@@ -386,8 +385,8 @@ class MagneticSystem:
     L_theta: LagrangianSpec      # reversible mechanical Lagrangian on M
     L: LagrangianSpec            # L = L_theta - theta[v], dual of H
     H: HamiltonianSpec           # H_theta o Phi^-1 on the twisted side, R1-symmetric
-    numerics: dict = field(default_factory=lambda: dict(DEFAULT_NUMERICS))
-    config: Optional[dict] = None
+    numerics: dict               # DEFAULT_NUMERICS updated by the document's
+    config: dict                 # the system document
 
     @property
     def dim(self):
@@ -401,33 +400,66 @@ _BUILTINS = {
 }
 
 
+# numbers as JSON Schema reads them: no bool is one, and an integral float is an integer
+def _integer(x):
+    return type(x) is int or type(x) is float and x.is_integer()
+
+
+def _positive(x):
+    return type(x) in (int, float) and 0 < x < math.inf
+
+
+# (field, test, rule, required) for each field but the expression texts, objects first
+_FIELD_RULES = (
+    ("dim", lambda x: _integer(x) and x >= 1, "an integer >= 1", True),
+    ("periods", lambda x: isinstance(x, list) and all(map(_positive, x)),
+     "a list of positive finite numbers", False),
+    ("theta", lambda x: isinstance(x, list) and all(isinstance(e, str) for e in x),
+     "a list of strings", False),
+    ("lagrangian", lambda x: isinstance(x, dict), "an object", True),
+    ("lagrangian.builtin", lambda x: isinstance(x, str) and x in _BUILTINS,
+     f"one of {sorted(_BUILTINS)}", True),
+    ("lagrangian.potential", lambda x: isinstance(x, str), "a string", False),
+    ("lagrangian.mass", _positive, "a positive finite number", False),
+    ("numerics", lambda x: isinstance(x, dict) and set(x) <= set(DEFAULT_NUMERICS),
+     f"an object with keys from {list(DEFAULT_NUMERICS)}", False),
+    ("numerics.grid", lambda x: _integer(x) and x >= 2 and x % 2 == 0,
+     "an integer >= 2 and a multiple of 2", False),
+    ("numerics.integrator_tol", _positive, "a positive finite number", False),
+)
+
+
 def load_system(doc) -> MagneticSystem:
-    """Assemble a MagneticSystem from a system document, a dict parsed from JSON."""
+    """Assemble a MagneticSystem from a system document, a dict parsed from JSON.
+
+    Every field rule is checked before any expression is parsed, and a
+    document that breaks one is a ValueError naming the field.
+    """
     if not isinstance(doc, dict):
         raise ValueError("system document must be a dict")
-
-    dim = int(doc.get("dim", 1))
-    torus = TorusSpace(dim, np.asarray(doc.get("periods", [1.0] * dim), dtype=float))
-    theta_exprs = doc.get("theta", ["0"] * dim)
-    theta = one_form_from_expressions(torus, theta_exprs)
-
-    lag = dict(doc.get("lagrangian", {"builtin": "kinetic_potential"}))
-    builtin = lag.pop("builtin", "kinetic_potential")
-    if builtin not in _BUILTINS:
-        raise ValueError(f"unknown lagrangian builtin {builtin!r}; "
-                         f"available: {sorted(_BUILTINS)}")
+    for name, ok, rule, required in _FIELD_RULES:
+        *parent, key = name.split(".")
+        obj = doc.get(parent[0], {}) if parent else doc
+        if key in obj and not ok(obj[key]) or key not in obj and required:
+            got = f"not {obj[key]!r}" if key in obj else "and is missing"
+            raise ValueError(f"system document: {name} must be {rule}, {got}")
+    lag = dict(doc["lagrangian"])
+    builtin = lag.pop("builtin")
     make, dual = _BUILTINS[builtin]
     accepted = list(inspect.signature(make).parameters)[1:]  # the first is the torus
     unknown = sorted(set(lag) - set(accepted))
     if unknown:
         raise ValueError(f"lagrangian builtin {builtin!r} does not accept {unknown}; "
                          f"it accepts {accepted}")
+
+    dim = int(doc["dim"])
+    torus = TorusSpace(dim, doc.get("periods"))
+    theta = one_form_from_expressions(torus, doc.get("theta", ["0"] * dim))
     L_theta = make(torus, **lag)
 
     H_theta = hamiltonian_from_lagrangian(L_theta) if dual is None else dual(torus, **lag)
     L = magnetic_lagrangian(L_theta, -theta)
     H = shifted_hamiltonian(H_theta, -theta)
 
-    numerics = dict(DEFAULT_NUMERICS)
-    numerics.update(doc.get("numerics", {}))
+    numerics = {**DEFAULT_NUMERICS, **doc.get("numerics", {})}
     return MagneticSystem(torus, theta, L_theta, L, H, numerics, config=doc)

@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from brakekit import bangert
 from brakekit.bangert import (
     LoopFamily,
     action_bound_check,
@@ -262,7 +263,7 @@ def test_criterion_7_modification_certificates(stiff_acceptance, campaign):
                   f"T in ({T1:.3g}, {T2:.3g})", elapsed, 60.0)
 
 
-def test_criterion_8_bangert_suite(free_system):
+def test_criterion_8_bangert_suite(free_system, monkeypatch):
     t0 = time.monotonic()
     mk = lambda c: SymmetricLoop.constant([c], 1, n_per_unit=128)
     nonneg = load_system({
@@ -296,8 +297,10 @@ def test_criterion_8_bangert_suite(free_system):
         details.append(f"{name}: bound margin "
                        f"{min(r['bound_margin'] for r in rep['per_n'].values()):.2g}")
     two_const = families["two-constant"][0]
+    monkeypatch.setattr(bangert, "PARAM_SAMPLES", 17)
+    monkeypatch.setattr(bangert, "S_SAMPLES", 4)
     hom = bangert_homotopy(two_const, n=8, c1=0.06, c2=1.0, eps=0.032, q=1,
-                           param_samples=17, s_samples=4, L=free_system.L_theta)
+                           L=free_system.L_theta)
     ok &= hom["n_bar"] <= 8 and all(hom["certificates"].values())
     elapsed = time.monotonic() - t0
     report(8, ok, "; ".join(details) + f"; homotopy n_bar={hom['n_bar']} "

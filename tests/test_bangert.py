@@ -180,10 +180,14 @@ def test_action_bound_families(two_constant_family, pendulum_loop_family,
     assert rep["passed"]
 
 
-def test_homotopy_q1_certificates(two_constant_family, free_system):
-    rep = bangert_homotopy(two_constant_family, n=8, c1=0.06, c2=1.0, eps=0.032,
-                           q=1, param_samples=17, s_samples=4,
-                           L=free_system.L_theta)
+def test_homotopy_q1_certificates(two_constant_family, free_system, monkeypatch):
+    from brakekit import bangert as bg
+
+    with monkeypatch.context() as m:
+        m.setattr(bg, "PARAM_SAMPLES", 17)
+        m.setattr(bg, "S_SAMPLES", 4)
+        rep = bangert_homotopy(two_constant_family, n=8, c1=0.06, c2=1.0, eps=0.032,
+                               q=1, L=free_system.L_theta)
     assert rep["n_bar"] <= 8
     assert all(rep["certificates"].values()), rep
     with pytest.raises(PreconditionViolated):
@@ -195,10 +199,13 @@ def test_homotopy_q1_certificates(two_constant_family, free_system):
                          q=1, L=free_system.L_theta)
 
 
-def test_homotopy_q2_and_unsupported(free_system):
+def test_homotopy_q2_and_unsupported(free_system, monkeypatch):
+    from brakekit import bangert as bg
+
     sigma = lambda z: const_loop(0.2 * (z[0] + z[1]), n_per_unit=64)
+    monkeypatch.setattr(bg, "PARAM_SAMPLES", 6)
     rep = bangert_homotopy(sigma, n=4, c1=0.05, c2=1.0, eps=0.03, q=2,
-                           param_samples=6, L=free_system.L_theta)
+                           L=free_system.L_theta)
     assert all(rep["certificates"].values())
     with pytest.raises(Unsupported):
         bangert_homotopy(sigma, n=4, c1=0.05, c2=1.0, eps=0.03, q=3,
@@ -211,14 +218,16 @@ def test_homotopy_certificate_iii_sees_a_moved_boundary(q, two_constant_family,
     from brakekit import bangert as bg
 
     if q == 1:
-        sigma, n, c1, c2, eps, extra = two_constant_family, 8, 0.06, 1.0, 0.032, {
-            "param_samples": 17, "s_samples": 4}
+        sigma, n, c1, c2, eps, samples = two_constant_family, 8, 0.06, 1.0, 0.032, {
+            "PARAM_SAMPLES": 17, "S_SAMPLES": 4}
     else:
-        sigma, n, c1, c2, eps, extra = (lambda z: const_loop(0.2 * (z[0] + z[1]),
-                                                             n_per_unit=64),
-                                        4, 0.05, 1.0, 0.03, {"param_samples": 6})
+        sigma, n, c1, c2, eps, samples = (lambda z: const_loop(0.2 * (z[0] + z[1]),
+                                                               n_per_unit=64),
+                                          4, 0.05, 1.0, 0.03, {"PARAM_SAMPLES": 6})
+    for name, value in samples.items():
+        monkeypatch.setattr(bg, name, value)
     rep = bangert_homotopy(sigma, n=n, c1=c1, c2=c2, eps=eps, q=q,
-                           L=free_system.L_theta, **extra)
+                           L=free_system.L_theta)
     assert set(rep["certificates"]) == {"ii", "iii", "inside_c2"}
     assert rep["certificates"]["iii"] is True
     table = bg._half_table
@@ -231,8 +240,56 @@ def test_homotopy_certificate_iii_sees_a_moved_boundary(q, two_constant_family,
 
     monkeypatch.setattr(bg, "_half_table", moved)
     rep = bangert_homotopy(sigma, n=n, c1=c1, c2=c2, eps=eps, q=q,
-                           L=free_system.L_theta, **extra)
+                           L=free_system.L_theta)
     assert rep["certificates"]["iii"] is False
+
+
+def wobble_loop(a, n_per_unit=128):
+    return SymmetricLoop.from_function(
+        lambda t: np.array([0.5 + a * np.cos(2 * np.pi * t)]), 1, n_per_unit=n_per_unit)
+
+
+# free-particle loops whose action, (2 pi a)^2 / 4, vanishes on the boundary
+# of the simplex and reaches 0.099 inside it
+WOBBLE_SIMPLICES = {
+    1: lambda: LoopFamily.from_map(lambda x: wobble_loop(0.1 * np.sin(np.pi * x)),
+                                   0.0, 1.0, nodes=33),
+    2: lambda: (lambda z: wobble_loop(2.7 * z[0] * z[1] * (1 - z[0] - z[1]), 64)),
+}
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_homotopy_certificate_ii_sees_an_underestimated_glue_constant(q, free_system,
+                                                                      monkeypatch):
+    from brakekit import bangert as bg
+
+    sigma = WOBBLE_SIMPLICES[q]()
+    monkeypatch.setattr(bg, "PARAM_SAMPLES", 17 if q == 1 else 6)
+    monkeypatch.setattr(bg, "S_SAMPLES", 4)
+    with pytest.raises(PreconditionViolated, match="n = 2 below n_bar"):
+        bangert_homotopy(sigma, n=2, c1=0.03, c2=1.0, eps=0.01, q=q, L=free_system.L_theta)
+    # with C(sigma) taken too small, n = 2 passes for n_bar, and the s = 1 slice
+    # leaves the c1-sublevel
+    monkeypatch.setattr(bg, "hat_constant", lambda *args, **kwargs: 1e-3)
+    rep = bangert_homotopy(sigma, n=2, c1=0.03, c2=1.0, eps=0.01, q=q,
+                           L=free_system.L_theta)
+    assert rep["n_bar"] == 1
+    assert rep["certificates"] == {"ii": False, "iii": True, "inside_c2": True}
+
+
+@pytest.mark.parametrize("c1, c2, eps, message", [
+    (0.05, 0.03, 0.03, "not below c2 - eps"),        # the actions, 0, reach c2 - eps
+    (0.03, 1.0, 0.03, "boundary action .* not below c1 - eps"),
+    (0.05, 1.0, 1e-4, "n = 4 below n_bar"),
+], ids=["c2", "c1-on-boundary", "n_bar"])
+def test_homotopy_q2_refuses_an_unmet_precondition(c1, c2, eps, message, free_system,
+                                                   monkeypatch):
+    from brakekit import bangert as bg
+
+    monkeypatch.setattr(bg, "PARAM_SAMPLES", 6)
+    sigma = lambda z: const_loop(0.2 * (z[0] + z[1]), n_per_unit=64)
+    with pytest.raises(PreconditionViolated, match=message):
+        bangert_homotopy(sigma, n=4, c1=c1, c2=c2, eps=eps, q=2, L=free_system.L_theta)
 
 
 def test_loop_action_matches_mean_action(nonneg_pendulum):

@@ -247,6 +247,100 @@ def test_builtin_rejects_unknown_key_exit_code(tmp_path, capsys):
     assert "'mass'" in capsys.readouterr().err
 
 
+MISSING = object()
+
+
+def document_with(path, value):
+    """A loadable T^1 document on the grid 16, with the field at the dotted
+    path set to value, or removed when value is MISSING."""
+    doc = {"dim": 1, "lagrangian": {"builtin": "kinetic_potential"},
+           "numerics": {"grid": 16}}
+    *parents, key = path.split(".")
+    obj = doc
+    for name in parents:
+        obj = obj[name]
+    if value is MISSING:
+        del obj[key]
+    else:
+        obj[key] = value
+    return doc
+
+
+NAN, INF = float("nan"), float("inf")
+# both sides of every field rule, and integral floats, with the find-orbits
+# exit code; each document but the non-finite ones exits as it did when a
+# JSON Schema in the CLI checked the document before load_system
+DOCUMENT_RULES = [
+    ("dim", 2, 0), ("dim", 2.0, 0), ("dim", 0, 2), ("dim", 2.5, 2), ("dim", True, 2),
+    ("dim", "1", 2), ("dim", MISSING, 2),
+    ("periods", [2], 0), ("periods", [0.5], 0), ("periods", [0], 2), ("periods", [-1.0], 2),
+    ("periods", ["1"], 2), ("periods", [True], 2), ("periods", 1.0, 2),
+    ("theta", ["0.3"], 0), ("theta", [0.3], 2), ("theta", "0.3", 2),
+    ("name", "an extra top-level key", 0),
+    ("lagrangian", MISSING, 2), ("lagrangian", "kinetic_potential", 2),
+    ("lagrangian.builtin", MISSING, 2), ("lagrangian.builtin", 1, 2),
+    ("lagrangian.potential", "cos(2*pi*q1)", 0), ("lagrangian.potential", 1, 2),
+    ("lagrangian.mass", 2, 0), ("lagrangian.mass", 0.5, 0), ("lagrangian.mass", 0, 2),
+    ("lagrangian.mass", -1, 2), ("lagrangian.mass", True, 2), ("lagrangian.mass", "1", 2),
+    ("numerics", MISSING, 0), ("numerics", {}, 0), ("numerics", [16], 2),
+    ("numerics.grid", 16.0, 0), ("numerics.grid", 2, 0), ("numerics.grid", 1, 2),
+    ("numerics.grid", 0, 2), ("numerics.grid", 15, 2), ("numerics.grid", 16.5, 2),
+    ("numerics.grid", "abc", 2), ("numerics.grid", True, 2),
+    ("numerics.grad_tol", 1e-9, 2),
+    ("numerics.integrator_tol", 1e-8, 0), ("numerics.integrator_tol", 1, 0),
+    ("numerics.integrator_tol", 0, 2), ("numerics.integrator_tol", -1, 2),
+    ("numerics.integrator_tol", True, 2), ("numerics.integrator_tol", "1e-8", 2),
+    ("dim", NAN, 2), ("dim", INF, 2), ("numerics.grid", NAN, 2), ("numerics.grid", INF, 2),
+    # refused only since load_system owns the rules: under the schema, NaN and
+    # Infinity periods and an infinite mass exited 1 with a traceback, and a
+    # NaN mass and a NaN or infinite integrator_tol ran past 15 s
+    ("periods", [NAN], 2), ("periods", [INF], 2), ("lagrangian.mass", NAN, 2),
+    ("lagrangian.mass", INF, 2), ("numerics.integrator_tol", NAN, 2),
+    ("numerics.integrator_tol", INF, 2),
+]
+
+
+@pytest.mark.parametrize("path, value, code", DOCUMENT_RULES,
+                         ids=[f"{p}={v!r}" for p, v, _ in DOCUMENT_RULES])
+def test_document_rule_exit_code(tmp_path, capsys, path, value, code):
+    # json.dumps writes NaN and Infinity as the literals json.load reads back
+    cfg = write_config(tmp_path, document_with(path, value))
+    try:
+        got = main(["--store", str(tmp_path / "s"), "find-orbits", "--config", cfg,
+                    "--seeds", "1"])
+    except SystemExit as exc:
+        got = exc.code
+    assert got == code
+    if code == 2:
+        err = capsys.readouterr().err
+        assert path.split(".")[-1] in err and "Traceback" not in err, err
+
+
+def test_a_config_that_is_not_an_object_exit_code(tmp_path, capsys):
+    cfg = write_config(tmp_path, [document_with("dim", 1)])
+    with pytest.raises(SystemExit) as err:
+        main(["--store", str(tmp_path / "s"), "find-orbits", "--config", cfg])
+    assert err.value.code == 2
+    assert "must be a dict" in capsys.readouterr().err
+
+
+def test_cli_loads_a_config_without_jsonschema(tmp_path):
+    # the document's one validator is load_system: no command imports a schema library
+    import subprocess
+    import sys
+
+    cfg = write_config(tmp_path, MILD_CONFIG)
+    script = ("import sys\nfrom brakekit.cli import main\n"
+              f"code = main(['--store', {str(tmp_path / 's')!r}, 'find-orbits', "
+              f"'--config', {cfg!r}, '--seeds', '0'])\n"
+              "print(code, [m for m in sys.modules if m.split('.')[0] == 'jsonschema'])")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["3", "[]"]
+
+
 REJECTED_EXPRESSIONS = [
     # outside the grammar
     "__import__('os').getpid()*0", "exp(q1)", "sqrt(2)*cos(2*pi*q1)", "2^2*cos(2*pi*q1)",

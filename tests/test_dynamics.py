@@ -11,9 +11,9 @@ from brakekit.dynamics import (
     twisted_field,
     verify_conjugacy,
 )
-from brakekit.errors import BlowUp
+from brakekit.errors import BlowUp, NonConvergence, SymmetryViolation
 from brakekit.legendre import lagrangian_from_hamiltonian
-from brakekit.model import LagrangianSpec, OneForm, TorusSpace
+from brakekit.model import HamiltonianSpec, LagrangianSpec, OneForm, TorusSpace
 from brakekit.modification import build_modification, compute_constants
 from brakekit.systems import kinetic_hamiltonian, load_system, shifted_hamiltonian
 
@@ -221,3 +221,42 @@ def test_brake_residual_generic_trajectory(stiff_system):
     rhs = hamiltonian_rhs(stiff_system.H, stiff_system.theta)
     traj = integrate(rhs, np.array([0.3, 0.2]), 0.0, 2.0, tol=1e-10)
     assert brake_residual(stiff_system.theta, traj, 2.0) > 0.01
+
+
+def field_hamiltonian(grad_q, grad_p):
+    """A T^1 HamiltonianSpec with only the partials brake_shoot's flow reads."""
+    def unread(*args):
+        raise AssertionError("brake_shoot reads only grad_q and grad_p")
+
+    return HamiltonianSpec(TorusSpace(1), unread, grad_q, grad_p, unread, unread, unread)
+
+
+def shooting_residual(F):
+    """H = V(q) with V' = -F: q stays at q0 and p(1) = F(q0), so with
+    theta = 0 and tau = 2 brake_shoot's residual is F itself."""
+    return field_hamiltonian(lambda t, q, p: -F(np.asarray(q, dtype=float)),
+                             lambda t, q, p: np.zeros_like(np.asarray(p, dtype=float)))
+
+
+@pytest.mark.parametrize("F, q0, message", [
+    # a residual that does not depend on q0
+    (lambda q: 0.0 * q + 1.0, 0.3, "singular shooting Jacobian"),
+    # at the kink of 1 + |q| + q/2 the central difference gives slope 1/2,
+    # and every step back along it raises |F|
+    (lambda q: 1.0 + np.abs(q) + 0.5 * q, 0.0, "stalled at"),
+    # each damped Newton step on the cube root only halves q
+    (np.cbrt, 1.0, "after 40 iterations"),
+], ids=["singular", "stalled", "iteration-cap"])
+def test_brake_shoot_refuses_a_residual_it_cannot_solve(F, q0, message):
+    H = shooting_residual(F)
+    with pytest.raises(NonConvergence, match=message):
+        brake_shoot(H, OneForm.constant(H.torus, [0.0]), np.array([q0]), 2.0)
+
+
+def test_brake_shoot_refuses_a_hamiltonian_without_r1_symmetry():
+    # H = |p|^2/2 + p/10 has a term odd in p: the residual vanishes from every
+    # start, but the drifting flow is no brake orbit
+    H = field_hamiltonian(lambda t, q, p: np.zeros_like(np.asarray(q, dtype=float)),
+                          lambda t, q, p: np.asarray(p, dtype=float) + 0.1)
+    with pytest.raises(SymmetryViolation, match="R1 symmetry"):
+        brake_shoot(H, OneForm.constant(H.torus, [0.0]), np.array([0.3]), 1.0)

@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from brakekit.errors import IllConditionedCrossing
 from brakekit.index import (
     _J,
     _negative_count,
@@ -584,3 +585,35 @@ def test_symplecticity_defect_stays_finite_on_long_hyperbolic_paths():
     assert np.isfinite(defect) and defect < 1e-8
     assert report["ks"] == [1, 2, 4, 8, 16, 32, 64]
     assert report["i"] == [0] * 7 and report["i_L0"] == [-1] * 7
+
+
+@pytest.fixture(scope="module")
+def torus2_mixed():
+    from brakekit.systems import load_system
+
+    return load_system({
+        "dim": 2, "theta": ["0.3", "0.1"],
+        "lagrangian": {"builtin": "kinetic_potential",
+                       "potential": "0.7*cos(2*pi*q1) + 0.5*cos(2*pi*q2)"},
+    })
+
+
+# the three equilibria of the benchmark's torus2-mixed workload with a
+# hyperbolic direction, which it lists as expected failures; a change that
+# mends them makes these pass, and must take them off that list too
+@pytest.mark.xfail(strict=True, raises=IllConditionedCrossing,
+                   reason="the N = 2 crossing determinant loses its precision along "
+                          "hyperbolic growth")
+@pytest.mark.parametrize("q", [(0.0, 0.0), (0.0, 0.5), (0.5, 0.0)],
+                         ids=["q=(0,0)", "q=(0,0.5)", "q=(0.5,0)"])
+def test_torus2_hyperbolic_equilibria_match_the_fourier_oracle(torus2_mixed, q):
+    loop = SymmetricLoop.constant(q, 1, torus=torus2_mixed.torus, n_per_unit=256)
+    report = verify_relations(torus2_mixed.L_theta, loop, ks=(1, 2, 4), mean_k_max=32)
+    # L_qq = -V'' at an equilibrium of V = 0.7 cos 2 pi q1 + 0.5 cos 2 pi q2
+    R = 4 * np.pi ** 2 * np.diag([0.7 * np.cos(2 * np.pi * q[0]),
+                                  0.5 * np.cos(2 * np.pi * q[1])])
+    P, Q = np.eye(2), np.zeros((2, 2))
+    for k in (1, 2, 4):
+        assert report["per_k"][k]["morse_full"] == fourier_morse_index(P, Q, R, k=k)
+        assert report["per_k"][k]["morse_even"] == fourier_morse_index(P, Q, R, k=k,
+                                                                       symmetric=True)

@@ -145,7 +145,7 @@ def test_hessian_T_independence_takes_morse_index_pairs_and_one_assembly_per_T(
     want, specs = {}, []
     for T in (4.0, 8.0):
         spec, _ = build_modification(stiff_system.L_theta, T, constants=KC)
-        full, even = morse_index(spec, libration, k=2)
+        full, even = morse_index(spec, libration)
         want[str(T)] = {"full": full, "even": even}
         specs.append(spec)
     calls = []
@@ -156,7 +156,7 @@ def test_hessian_T_independence_takes_morse_index_pairs_and_one_assembly_per_T(
 
     monkeypatch.setattr(modification, "assemble_hessian", counted)
     out = hessian_T_independence(stiff_system.L_theta, libration, 4.0, 8.0,
-                                 constants=KC, k=2)
+                                 constants=KC)
     assert out["index_pairs"] == want
     # one deviation assembly per T, folded for the even part; morse_index
     # assembles its own through the index module
@@ -181,11 +181,13 @@ def test_mu_doublings_are_decided_without_eigenvalues(monkeypatch):
     assert len(calls) == 1 and params.convexity_min_eig > 0.0
 
 
-def test_infeasible_mu_raises(stiff_system):
+def test_infeasible_mu_raises(stiff_system, monkeypatch):
+    from brakekit import modification
+
+    monkeypatch.setattr(modification, "MU_CAP", 1e-9)
     for _ in range(2):  # a failed build is not cached: the repeat raises too
         with pytest.raises(InfeasibleParams):
-            build_modification(stiff_system.L_theta, 4.0, constants=(0.3, 2.3),
-                               mu_cap=1e-9)
+            build_modification(stiff_system.L_theta, 4.0, constants=(0.3, 2.3))
 
 
 def test_speed_bound_report():
@@ -212,14 +214,16 @@ def torus2_system():
     })
 
 
-def test_build_modification_is_shared(stiff_mod):
+def test_build_modification_is_shared(stiff_mod, monkeypatch):
+    from brakekit import modification
+
     system, _, params = stiff_mod
     L = system.L_theta
     K, C = params.K, params.C
     spec, prm = build_modification(L, 5.0, constants=(K, C))
     # positional constants, an int T and numpy scalars find the same build
     for again in (build_modification(L, 5.0, (K, C)),
-                  build_modification(L, 5, [np.float64(K), np.float64(C)], 1e8)):
+                  build_modification(L, 5, [np.float64(K), np.float64(C)])):
         assert again[0] is spec and again[1] is prm
     # an equal copy of L is another object, so it gets its own build
     copy = LagrangianSpec(L.torus, L.value, L.grad_q, L.grad_v, L.hess_vv, L.hess_qv,
@@ -227,10 +231,13 @@ def test_build_modification_is_shared(stiff_mod):
     other = build_modification(copy, 5.0, (K, C))
     assert other[0] is not spec and other[1] is not prm
     assert other[1].record() == prm.record()
-    for args in ((L, 4.5, (K, C)), (L, 5.0, (K + 0.01, C)), (L, 5.0, (K, C + 0.01)),
-                 (L, 5.0, (K, C), 1e9)):
+    for args in ((L, 4.5, (K, C)), (L, 5.0, (K + 0.01, C)), (L, 5.0, (K, C + 0.01))):
         spec2, prm2 = build_modification(*args)
         assert spec2 is not spec and prm2 is not prm
+    # nor is a build cached under one cap returned under another
+    monkeypatch.setattr(modification, "MU_CAP", 1e9)
+    spec2, prm2 = build_modification(L, 5.0, (K, C))
+    assert spec2 is not spec and prm2 is not prm
 
 
 def test_params_are_frozen(stiff_mod):

@@ -106,7 +106,8 @@ def _constant_parameters():
 
 
 def _calls():
-    for top in ("src", "tests", "brakebench"):
+    # a call in the tests is no reason to keep an option: only the program counts
+    for top in ("src", "brakebench"):
         for path in sorted((ROOT / top).rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.Call):
@@ -150,12 +151,30 @@ DOCUMENT_OPTIONS = {
 }
 
 
+# options that only the tests set, each for a reason the program does not have
+TEST_OPTIONS = {
+    # the Fourier closed form is the tests' oracle for the Morse count at
+    # every iterate, on the full and on the even loop space
+    ("fourier_morse_index", "k"),
+    ("fourier_morse_index", "symmetric"),
+    # the tests check the mean index's convergence in the iterate count
+    ("mean_index", "k_max"),
+    # the conjugacy and symmetry checks are oracles the tests run on more samples
+    ("verify_conjugacy", "samples"),
+    ("check_symmetry", "samples"),
+    # the CLI entry: the console script passes nothing, the tests pass argv
+    ("main", "argv"),
+    # the README's q = 2 simplex homotopy, which no command reaches
+    ("bangert_homotopy", "q"),
+}
+
+
 def _unset(parameters):
     calls = {}
     for name, node in _calls():
         calls.setdefault(name, []).append(node)
     return [f"{fn}({arg}={default!r})" for fn, arg, default, index in parameters
-            if (fn, arg) not in DOCUMENT_OPTIONS
+            if (fn, arg) not in DOCUMENT_OPTIONS | TEST_OPTIONS
             and not any(_sets_other_value(c, arg, default, index) for c in calls.get(fn, []))]
 
 

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import sympy as sp
 
 from brakekit.model import HamiltonianSpec, LagrangianSpec, TorusSpace
 from brakekit.systems import (
     kinetic_hamiltonian,
     kinetic_potential_lagrangian,
+    load_system,
     parse_scalar_field,
     quartic_kinetic_lagrangian,
 )
@@ -143,3 +145,73 @@ def test_template_returns_the_written_builders_floats(make, written, partials, d
         for i in (0, 17, 63):
             got, want = fn(t[i], q[i], w[i]), ref_fn(t[i], q[i], w[i])
             assert np.shape(got) == np.shape(want) and np.array_equal(got, want), (name, i)
+
+
+MILD_DOC = {"dim": 1, "theta": ["0.3"],
+            "lagrangian": {"builtin": "kinetic_potential", "potential": "cos(2*pi*q1)"}}
+
+
+def mild_doc_with(**fields):
+    """MILD_DOC with top-level fields replaced, lagrangian or numerics keys merged in
+    (as dicts), and fields given as None removed."""
+    doc = {**MILD_DOC, "lagrangian": dict(MILD_DOC["lagrangian"])}
+    for key, value in fields.items():
+        if value is None:
+            doc.pop(key)
+        elif key in ("lagrangian", "numerics"):
+            doc[key] = {**doc.get(key, {}), **value}
+        else:
+            doc[key] = value
+    return doc
+
+
+# documents load_system accepted before it owned the field rules, each with the
+# field its refusal names
+REFUSED_DOCUMENTS = [
+    (mild_doc_with(lagrangian={"mass": -1}), "lagrangian.mass"),
+    (mild_doc_with(lagrangian={"mass": True}), "lagrangian.mass"),
+    (mild_doc_with(lagrangian={"mass": float("nan")}), "lagrangian.mass"),
+    (mild_doc_with(numerics={"grid": "abc"}), "numerics.grid"),
+    (mild_doc_with(numerics={"grad_tol": 1e-9}), "grad_tol"),
+    (mild_doc_with(numerics={"integrator_tol": -1}), "numerics.integrator_tol"),
+    (mild_doc_with(numerics={"integrator_tol": float("inf")}), "numerics.integrator_tol"),
+    (mild_doc_with(periods=[float("nan")]), "periods"),
+    (mild_doc_with(dim=2.5), "dim"),
+    (mild_doc_with(dim=None), "dim"),
+    (mild_doc_with(lagrangian=None), "lagrangian"),
+]
+
+
+@pytest.mark.parametrize("doc, field", REFUSED_DOCUMENTS,
+                         ids=[f"{f}-{i}" for i, (_, f) in enumerate(REFUSED_DOCUMENTS)])
+def test_load_system_refuses_a_field_and_names_it(doc, field):
+    with pytest.raises(ValueError, match=field.replace(".", r"\.")):
+        load_system(doc)
+
+
+def test_load_system_checks_every_field_before_parsing_an_expression(monkeypatch):
+    from brakekit import systems
+
+    parsed = []
+
+    def parse(text, syms):
+        parsed.append(text)
+        return sp.Integer(0)
+
+    monkeypatch.setattr(systems, "_parse_expr", parse)
+    for doc in (mild_doc_with(numerics={"grid": 255}), mild_doc_with(lagrangian={"mass": 0}),
+                mild_doc_with(lagrangian={"builtin": "nope"}),
+                {**MILD_DOC, "lagrangian": {"builtin": "quartic_kinetic", "mass": 2.0}}):
+        with pytest.raises(ValueError):
+            load_system(doc)
+    assert parsed == []
+    # the same stub parses every expression of a document that passes the rules
+    load_system(mild_doc_with(numerics={"grid": 256.0}))
+    assert set(parsed) == {"0.3", "cos(2*pi*q1)"}
+
+
+def test_load_system_keeps_the_document_and_fills_in_default_numerics():
+    doc = mild_doc_with(name="mild pendulum", numerics={"grid": 64})
+    system = load_system(doc)
+    assert system.config is doc
+    assert system.numerics == {"grid": 64, "integrator_tol": 1e-10}
