@@ -31,7 +31,8 @@ def _load_config(path) -> MagneticSystem:
     try:
         with open(path) as fh:
             return load_system(json.load(fh))
-    except (OSError, ValueError, BrakekitError) as exc:  # a JSONDecodeError is a ValueError
+    # a JSONDecodeError is a ValueError; JSON nested too deeply is a RecursionError
+    except (OSError, ValueError, RecursionError, BrakekitError) as exc:
         print(f"error: invalid config {path}: {exc}", file=sys.stderr)
         raise SystemExit(2)
 

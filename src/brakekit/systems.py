@@ -32,17 +32,15 @@ K(w) - V(q) or K(w) + V(q), with w the velocity or the momentum.
 
 from __future__ import annotations
 
-import ast
 import inspect
 import math
 import operator
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import sympy as sp
 
 from .errors import PreconditionViolated
+from .expressions import Tree
 from .legendre import hamiltonian_from_lagrangian
 from .model import (
     HamiltonianSpec,
@@ -69,163 +67,20 @@ DEFAULT_NUMERICS = {
     "integrator_tol": 1e-10,
 }
 
-_FUNCS = {"sin": sp.sin, "cos": sp.cos}
-_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
-           ast.Div: operator.truediv, ast.Pow: operator.pow}
-_UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
-
-
-def _coords(dim):
-    return sp.symbols(" ".join(f"q{i + 1}" for i in range(dim)), real=True) if dim > 1 \
-        else (sp.Symbol("q1", real=True),)
-
-
-def _parse_expr(text, syms):
-    """Sympy tree of an expression in the README grammar; nothing is evaluated.
-
-    The ast is walked against a whitelist: + - * / ** and unary +/-, int and
-    float literals, pi, the coordinates, and one-argument sin and cos.
-    """
-    names = {str(s): s for s in syms}
-    names["pi"] = sp.pi
-
-    def build(node):
-        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
-            left, right = build(node.left), build(node.right)
-            # sympy evaluates a rational power exactly: 9**9**8 would take minutes
-            if (isinstance(node.op, ast.Pow) and left.is_Rational and left != 0
-                    and right.is_Number and abs(float(right)) * abs(
-                        math.log10(abs(left.p)) - math.log10(left.q)) > 308):
-                raise ValueError(f"expression {text!r}: {ast.unparse(node)!r} "
-                                 "is outside the float range")
-            return _BINARY[type(node.op)](left, right)
-        if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
-            return _UNARY[type(node.op)](build(node.operand))
-        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
-            return sp.Integer(node.value) if type(node.value) is int else sp.Float(node.value)
-        if isinstance(node, ast.Name) and node.id in names:
-            return names[node.id]
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id in _FUNCS and len(node.args) == 1 and not node.keywords):
-            return _FUNCS[node.func.id](build(node.args[0]))
-        raise ValueError(f"expression {text!r}: {ast.unparse(node)!r} is outside the grammar")
-
-    try:
-        with warnings.catch_warnings():  # "1or q1" warns; as an error it is a SyntaxError
-            warnings.simplefilter("error", SyntaxWarning)
-            tree = ast.parse(text, mode="eval")
-        expr = build(tree.body)
-    except (SyntaxError, RecursionError) as exc:
-        raise ValueError(f"cannot parse expression {text!r}: {exc}") from exc
-    for sub in sp.preorder_traversal(expr):
-        if sub.is_number and not (sub.is_real and sub.is_finite):
-            raise ValueError(f"expression {text!r}: constant {sub} is not a finite real")
-    return expr
-
-
-def _lambdify_batched(syms, expr, out_shape):
-    """Batched evaluator of a scalar field, or of a field of ``out_shape`` arrays.
-
-    For an array field, ``expr`` lists its entries in C order.  They are
-    printed into one lambdified function that returns them as a list, and
-    each is written into a preallocated array; the assignment broadcasts the
-    constant entries to the batch shape of q.
-    """
-    if out_shape == ():
-        fn = sp.lambdify(syms, expr, modules="numpy")
-
-        def wrapped_scalar(q):
-            q = np.asarray(q, dtype=float)
-            cols = [q[..., i] for i in range(len(syms))]
-            val = np.asarray(fn(*cols), dtype=float)
-            target = q.shape[:-1]
-            return np.broadcast_to(val, target).copy() if val.shape != target else val
-
-        return wrapped_scalar
-
-    fn = sp.lambdify(syms, list(expr), modules="numpy")
-    n, k = len(syms), len(expr)
-
-    def wrapped(q):
-        q = np.asarray(q, dtype=float)
-        batch = q.shape[:-1]
-        out = np.empty(batch + (k,))
-        for j, val in enumerate(fn(*[q[..., i] for i in range(n)])):
-            out[..., j] = val
-        return out.reshape(batch + out_shape)
-
-    return wrapped
-
-
-# a larger expansion takes sympy seconds to minutes, so such a base is refused
-_MAX_EXPANDED_TERMS = 2000
-
-
-def _expanded_terms(expr) -> float:
-    """Upper bound on the number of terms of sp.expand(expr); inf past the cap."""
-    if expr.is_Add:
-        return sum(_expanded_terms(a) for a in expr.args)
-    if expr.is_Mul:
-        return math.prod(_expanded_terms(a) for a in expr.args)
-    if expr.is_Pow and expr.exp.is_Integer and expr.exp > 0:
-        k, n = _expanded_terms(expr.base), int(expr.exp)
-        if k == 1:
-            return 1.0
-        if k > _MAX_EXPANDED_TERMS or n > _MAX_EXPANDED_TERMS:
-            return math.inf
-        count = math.comb(n + int(k) - 1, int(k) - 1)
-        return float(count) if count <= _MAX_EXPANDED_TERMS else math.inf
-    return 1.0
-
-
-def _dominated_by_constant(base) -> bool:
-    """Whether |c0| exceeds the summed |coefficients| of the other terms of base,
-    each of them a product of positive integer powers of sin and cos.
-
-    Real sin and cos are bounded by 1, so such a base never vanishes.
-    """
-    if _expanded_terms(base) > _MAX_EXPANDED_TERMS:
-        return False
-    c0, bound = 0.0, 0.0
-    for term in sp.Add.make_args(sp.expand(base)):
-        if term.is_number:
-            c0 += float(term)
-            continue
-        coeff = 1.0
-        for factor in sp.Mul.make_args(term):
-            b, e = factor.as_base_exp()
-            if factor.is_number:
-                coeff *= float(factor)
-            elif not (isinstance(b, (sp.sin, sp.cos)) and e.is_Integer and e > 0):
-                return False
-        bound += abs(coeff)
-    return abs(c0) > bound
-
-
-def _refuse_poles(text, expr):
-    """Refuse a q-dependent base under a negative power that may vanish."""
-    for sub in sp.preorder_traversal(expr):
-        if (sub.is_Pow and sub.exp.is_negative and sub.base.free_symbols
-                and not _dominated_by_constant(sub.base)):
-            raise PreconditionViolated(
-                f"field {text!r}: {sub} may have a pole; a q-dependent base under a "
-                "negative power must expand to a constant that outweighs its sin/cos terms")
-
-
 def parse_scalar_field(torus: TorusSpace, text: str):
     """Parse a lattice-periodic scalar field of q into (value, gradient, hessian)."""
-    syms = _coords(torus.dim)
-    expr = _parse_expr(text, syms)
-    _refuse_poles(text, expr)
-    value = _lambdify_batched(syms, expr, ())
+    tree = Tree(torus.dim)
+    expr = tree.parse(text)
+    tree.refuse_poles(expr)
+    value = tree.compile([expr], (), "value")
     bad, size = torus.lattice_defect(value)
     if not bad <= 1e-12 * (1.0 + size):
         raise PreconditionViolated(
             f"field {text!r} is not lattice-periodic (violation {bad:.2e})")
     n = torus.dim
-    gradient = _lambdify_batched(syms, [sp.diff(expr, a) for a in syms], (n,))
-    hessian = _lambdify_batched(syms, [sp.diff(expr, a, b) for a in syms for b in syms],
-                                (n, n))
+    grad = [tree.diff(expr, a) for a in range(n)]
+    gradient = tree.compile(grad, (n,), "gradient")
+    hessian = tree.compile([tree.diff(g, b) for g in grad for b in range(n)], (n, n), "hessian")
     return value, gradient, hessian
 
 
@@ -233,22 +88,22 @@ def one_form_from_expressions(torus: TorusSpace, exprs) -> OneForm:
     """Build a OneForm from one expression string per component."""
     if len(exprs) != torus.dim:
         raise ValueError("need one component expression per coordinate")
-    syms = _coords(torus.dim)
-    comps = [_parse_expr(e, syms) for e in exprs]
-    for text, comp in zip(exprs, comps):
-        _refuse_poles(text, comp)
+    tree = Tree(torus.dim)
+    comps = []
+    for text in exprs:
+        comps.append(tree.parse(text))
+        tree.refuse_poles(comps[-1])
+    tree.text = f"[{', '.join(exprs)}]"
     n = torus.dim
-    components = _lambdify_batched(syms, comps, (n,))
-    jacobian = _lambdify_batched(syms, [sp.diff(c, a) for c in comps for a in syms], (n, n))
-    hessian = _lambdify_batched(
-        syms, [sp.diff(c, a, b) for c in comps for a in syms for b in syms], (n, n, n))
-
-    form = OneForm(torus, components, jacobian, hessian, name=f"[{', '.join(exprs)}]")
-    bad = form.periodicity_violation()
+    components = tree.compile(comps, (n,), "components")
+    bad = torus.lattice_defect(components)[0]
     if not bad <= 1e-12:
         raise PreconditionViolated(
             f"one-form components are not lattice-periodic (violation {bad:.2e})")
-    return form
+    jac = [tree.diff(c, a) for c in comps for a in range(n)]
+    jacobian = tree.compile(jac, (n, n), "jacobian")
+    hessian = tree.compile([tree.diff(j, b) for j in jac for b in range(n)], (n, n, n), "hessian")
+    return OneForm(torus, components, jacobian, hessian, name=tree.text)
 
 
 def _separable(torus: TorusSpace, potential: str, sign: int, kinetic, kinetic_w,

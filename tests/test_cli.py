@@ -630,3 +630,44 @@ def test_orbit_in_another_dimension_exit_code(command, tmp_path, capsys):
     argv = ["index", "--orbit", oid] if command == "index" else ["modify-check"]
     assert main(["--store", str(store.root), *argv, "--config", cfg]) == 2
     assert "T^1; the system is on T^2" in capsys.readouterr().err
+
+
+def test_cli_loads_a_2d_config_without_sympy(tmp_path):
+    # the expression compiler is brakekit's own: sympy is a test oracle only
+    import subprocess
+    import sys
+
+    doc = {"dim": 2, "theta": ["0.3", "0.1"],
+           "lagrangian": {"builtin": "kinetic_potential",
+                          "potential": "0.7*cos(2*pi*q1) + 0.5*cos(2*pi*q2)"},
+           "numerics": {"grid": 64}}
+    cfg = write_config(tmp_path, doc)
+    script = ("import sys\nfrom brakekit.cli import main\n"
+              f"code = main(['--store', {str(tmp_path / 's')!r}, 'find-orbits', "
+              f"'--config', {cfg!r}, '--seeds', '1'])\n"
+              "print(code, [m for m in sys.modules if m.split('.')[0] == 'sympy'])")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split()[-2:] == ["0", "[]"]
+
+
+@pytest.mark.parametrize("text", ["[" * 200000, '{"dim": ' + "[" * 200000],
+                         ids=["array", "object"])
+def test_config_nested_too_deeply_exit_code(tmp_path, capsys, text):
+    cfg = tmp_path / "deep.json"
+    cfg.write_text(text)
+    with pytest.raises(SystemExit) as err:
+        main(["--store", str(tmp_path / "s"), "find-orbits", "--config", str(cfg),
+              "--seeds", "1"])
+    assert err.value.code == 2
+    assert "invalid config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [3000, 30000])
+def test_expression_nested_too_deeply_exit_code(tmp_path, capsys, n):
+    doc = {"dim": 1, "lagrangian": {"builtin": "kinetic_potential",
+                                    "potential": "-" * n + "cos(2*pi*q1)"}}
+    assert find_orbits_exit_code(tmp_path, doc) == 2
+    assert "cannot parse" in capsys.readouterr().err

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import sympy as sp
 
 from brakekit.model import HamiltonianSpec, LagrangianSpec, TorusSpace
 from brakekit.systems import (
@@ -190,15 +189,16 @@ def test_load_system_refuses_a_field_and_names_it(doc, field):
 
 
 def test_load_system_checks_every_field_before_parsing_an_expression(monkeypatch):
-    from brakekit import systems
+    from brakekit.expressions import Tree
 
     parsed = []
 
-    def parse(text, syms):
+    def parse(self, text):
         parsed.append(text)
-        return sp.Integer(0)
+        self.text = text
+        return self.zero
 
-    monkeypatch.setattr(systems, "_parse_expr", parse)
+    monkeypatch.setattr(Tree, "parse", parse)
     for doc in (mild_doc_with(numerics={"grid": 255}), mild_doc_with(lagrangian={"mass": 0}),
                 mild_doc_with(lagrangian={"builtin": "nope"}),
                 {**MILD_DOC, "lagrangian": {"builtin": "quartic_kinetic", "mass": 2.0}}):
