@@ -54,7 +54,7 @@ class _NotFinite(ValueError):
 
 
 class _OutOfRange(ValueError):
-    """An exact power is too large to fold."""
+    """A folded number would leave the float range, or underflow to 0."""
 
 
 class _ZeroPower(ValueError):
@@ -166,9 +166,10 @@ class Tree:
                 const = _fold(operator.add, const, t.val)
             for p in (t.args if t.op == "add" else (t,)):
                 c, rest = Fraction(1), p
-                if p.op == "mul":
+                if p.op == "mul":   # p is c times the product of its factors
                     c = p.val
-                    rest = p.args[0] if len(p.args) == 1 else self._node("mul", Fraction(1), p.args)
+                    rest = p.args[0] if len(p.args) == 1 else \
+                        self._node("mul", Fraction(1), p.args)
                 coeffs[rest] = _fold(operator.add, coeffs.get(rest, Fraction(0)), c)
         out = []
         for rest in sorted(coeffs, key=lambda r: r.serial):
@@ -240,7 +241,7 @@ class Tree:
         """sin or cos of u, exact at multiples of pi/2, with a minus sign taken out of u."""
         if u is self.zero:
             return self.zero if op == "sin" else self.one
-        k = Fraction(1) if u is self.pi else u.val if u.op == "mul" and u.args == (self.pi,) else None
+        k = 1 if u is self.pi else u.val if u.op == "mul" and u.args == (self.pi,) else None
         if k is not None and 2 * k == int(2 * k):
             c, s = ((1, 0), (0, 1), (-1, 0), (0, -1))[int(2 * k) % 4]
             return self.num(s if op == "sin" else c)

@@ -212,7 +212,6 @@ GRAMMAR_STRINGS_1D = st.recursive(st.sampled_from(GRAMMAR_LEAVES[:-1]), _grammar
 def _oracle_parse(text, dim, built=None):
     """The sympy tree of a grammar text, built by the whitelist walk the loader
     used before it had its own compiler; ``built`` collects every subtree."""
-    import ast
     import math
     import operator
 
@@ -242,7 +241,8 @@ def _oracle_parse(text, dim, built=None):
             out = sp.Integer(node.value) if type(node.value) is int else sp.Float(node.value)
         elif isinstance(node, ast.Name) and node.id in names:
             out = names[node.id]
-        elif (isinstance(node, ast.Call) and node.func.id in ("sin", "cos")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("sin", "cos")
               and len(node.args) == 1 and not node.keywords):
             out = getattr(sp, node.func.id)(build(node.args[0]))
         else:
@@ -366,7 +366,7 @@ def _check_text_against_oracle(text, dim, batch):
     except ValueError as exc:
         if "not a finite real" in str(exc) and not any(
                 _not_finite_real(e, numerically=True) for e in built):
-            return  # widening: sympy cannot show (-0.4161...)**1.0 real; its float is
+            return  # a widening: sympy cannot show cos(2)**1.0 real; as floats, it is
         with pytest.raises(ValueError) as ours:
             Tree(dim).parse(text)
         assert ("outside the grammar" in str(exc)) == ("outside the grammar" in str(ours.value))
@@ -390,6 +390,8 @@ def _check_text_against_oracle(text, dim, batch):
     cols = [q[..., i] for i in range(dim)]
     want_fields = _oracle_derivatives(expr, syms)
     got_fields = _tree_derivatives(tree, node)
+    for entries, shape in zip(got_fields, [(), (dim,), (dim, dim)]):
+        _assert_batched_matches_per_entry(tree, entries, shape, q)
     # an entry whose oracle passes through nan or zoo has no oracle value, nor
     # do its derivatives: sympy's d/dq2 of 0**q2 is nan, and its d/dq2 of that 0
     unreal = [[_not_finite_real(w) for w in f] for f in want_fields]
@@ -412,7 +414,8 @@ def _check_text_against_oracle(text, dim, batch):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(st.tuples(GRAMMAR_STRINGS, st.just(2)), st.tuples(GRAMMAR_STRINGS_1D, st.just(1))),
+@given(st.one_of(st.tuples(GRAMMAR_STRINGS, st.just(2)),
+                 st.tuples(GRAMMAR_STRINGS_1D, st.just(1))),
        st.sampled_from([(), (7,)]))
 def test_grammar_strings_compile_to_the_sympy_oracles_fields(text_dim, batch):
     # value, gradient and Hessian of every grammar string agree with sympy's
@@ -476,6 +479,33 @@ def _field_arrays(dim, texts, q):
         return [value(q), gradient(q), hessian(q)]
     form = one_form_from_expressions(torus, texts)
     return [form.components(q), form.jacobian(q), form.hessian(q)]
+
+
+def _assert_batched_matches_per_entry(tree, entries, shape, q):
+    """One printed function per field computes each entry as a function of that
+    entry alone would, so the values are the same floats, constants broadcast."""
+    batch = q.shape[:-1]
+    got = tree.compile(entries, shape)(q)
+    want = np.stack([tree.compile([e], ())(q) for e in entries], axis=-1)
+    assert got.shape == batch + shape and got.dtype == want.dtype
+    assert np.array_equal(got, want.reshape(batch + shape), equal_nan=True)
+
+
+@pytest.mark.parametrize("batch", [(), (7,), (3, 4)])
+@pytest.mark.parametrize("dim,texts", DOCUMENT_FIELDS + WORKLOAD_FIELDS)
+def test_batched_field_matches_per_entry_functions(dim, texts, batch):
+    tree = Tree(dim)
+    if isinstance(texts, str):
+        fields = _tree_derivatives(tree, tree.parse(texts))
+    else:
+        comps = [tree.parse(t) for t in texts]
+        jac = [tree.diff(c, a) for c in comps for a in range(dim)]
+        fields = [comps, jac, [tree.diff(j, b) for j in jac for b in range(dim)]]
+    shapes = [(), (dim,), (dim, dim)] if isinstance(texts, str) else \
+        [(dim,), (dim, dim), (dim, dim, dim)]
+    q = np.random.default_rng(dim).uniform(-1.0, 2.0, batch + (dim,))
+    for entries, shape in zip(fields, shapes):
+        _assert_batched_matches_per_entry(tree, entries, shape, q)
 
 
 @pytest.mark.parametrize("batch", [(), (7,), (3, 4)])
