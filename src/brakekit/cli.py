@@ -432,13 +432,14 @@ def build_parser():
     parser.add_argument("--store", default="./brakekit-store",
                         help="result store directory (env BRAKEKIT_STORE overrides)")
     sub = parser.add_subparsers(dest="command", required=True)
+    positive = _int_where(lambda m: m >= 1, "a positive integer")
+    seed = _int_where(lambda s: s >= 0, "a non-negative integer")  # numpy's seed range
 
     p = sub.add_parser("find-orbits", help="run a brake-orbit search campaign")
     p.add_argument("--config", required=True)
-    p.add_argument("--period", type=_int_where(lambda m: m >= 1, "a positive integer"),
-                   default=1)
-    p.add_argument("--seeds", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--period", type=positive, default=1)
+    p.add_argument("--seeds", type=positive, default=8)
+    p.add_argument("--seed", type=seed, default=0)
     # the same rule as the document's numerics.grid: the half grid of a
     # symmetric loop holds n/2 + 1 nodes, so n must be even
     p.add_argument("--grid", type=_int_where(lambda g: g >= 2 and g % 2 == 0,
@@ -456,7 +457,7 @@ def build_parser():
     p.add_argument("--config", required=True)
     p.add_argument("--T", type=_comma_list(float, lambda T: 0 < T < math.inf,
                                            "positive numbers"), default="4,8")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed, default=0)
     p.set_defaults(func=cmd_modify_check)
 
     p = sub.add_parser("bangert", help="iteration homotopy demonstration")

@@ -1,23 +1,26 @@
 """Convex quadratic T-modification of the magnetic Lagrangian.
 
 The surgery follows the classical cutoff construction: with lambda above the
-sampled max of L over the 2T-ball and phi a smooth increasing profile that is
-the identity below 1 and constant above 2,
+max of L over the 2T-ball and phi a smooth increasing profile that is the
+identity below 1 and constant above 2,
 
     L_1T = lambda phi(L / lambda),    L_T = L_1T + psi(|v|^2),
 
 where psi vanishes below T^2 and is the affine mu s - 2 mu T^2 above 4 T^2.
 The defining inequalities 4 T mu >= 1 and 2 T^2 mu >= 2T - C - min L_1T make
 the linear growth floor L_T >= |v| - C hold, and mu is doubled until the
-sampled fiber convexity certificate passes.  Inside |v| <= T with L <= lambda
-the construction returns the original evaluations verbatim, so coincidence of
-values and all partials there is exact to the last bit, which is what makes
-orbit preservation and Hessian T-independence round-off statements.
+sampled fiber convexity certificate passes.  Both sups are sampled only where
+convexity puts them: lambda's on |v| = 2T, since the even fiber-convex L grows
+along rays from v = 0, and C's at the ends of lines through p = 0.  Inside
+|v| <= T with L <= lambda the construction returns the original evaluations
+verbatim, so values and all partials coincide there to the last bit, which
+makes orbit preservation and Hessian T-independence round-off statements.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,45 +177,35 @@ def compute_constants(H: HamiltonianSpec, theta: OneForm, q_samples: int = 512,
                       p_dirs: int = 32, t_samples: int = 8, rng=None):
     """(K, C): K = max_q |theta(q)|, C = max H over the ball |p| <= K + 1.
 
-    Both maxima are sampled on fixed seeded grids; on the flat torus the sup
-    over unit v of theta(q)[v] is the Euclidean norm of theta(q), and the
-    p-maximum of a fiberwise convex H sits on the sphere, sampled here in
-    random directions plus interior radii for safety.
+    Both maxima are sampled at seeded q and t.  On the flat torus the sup
+    over unit v of theta(q)[v] is |theta(q)|.  H is convex in p, so its max
+    on each line through p = 0 sits at an end: H is sampled at p = +-(K + 1) d
+    for seeded unit d, which for N = 1 is the whole sphere {+-(K + 1)}.
     """
     rng = np.random.default_rng(0 if rng is None else rng)
-    torus = H.torus
-    n = torus.dim
-    q = rng.uniform(0, 1, size=(q_samples, n)) * torus.periods
+    q = rng.uniform(0, 1, size=(q_samples, H.torus.dim)) * H.torus.periods
     K = float(np.max(np.linalg.norm(theta.components(q), axis=-1)))
-    dirs = rng.normal(size=(p_dirs, n))
+    dirs = rng.normal(size=(p_dirs, H.torus.dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    radii = np.linspace(0.0, K + 1.0, 9)[1:]
+    ends = np.tile((K + 1.0) * np.concatenate([dirs, -dirs]), (q_samples, 1))
+    qq = np.repeat(q, 2 * p_dirs, axis=0)
     ts = np.linspace(0.0, 1.0, t_samples, endpoint=False)
-    C = -np.inf
-    for t in ts:
-        for r in radii:
-            vals = H.value(t, q[:, None, :].repeat(p_dirs, 1).reshape(-1, n),
-                           np.tile(r * dirs, (q_samples, 1)))
-            C = max(C, float(np.max(vals)))
-    return K, float(C)
+    return K, max(float(np.max(H.value(t, qq, ends))) for t in ts)
 
 
-def _sample_grid(L: LagrangianSpec, v_max: float, q_samples: int, n_radii: int,
-                 n_dirs: int, t_samples: int, rng):
-    torus = L.torus
-    n = torus.dim
-    q = rng.uniform(0, 1, size=(q_samples, n)) * torus.periods
+def _sample_grid(L: LagrangianSpec, radii, q_samples: int, n_dirs: int,
+                 t_samples: int, rng):
+    """(t, q, r d) ordered by t, then r in radii, then the base point q, then d."""
+    n = L.torus.dim
+    q = rng.uniform(0, 1, size=(q_samples, n)) * L.torus.periods
     dirs = rng.normal(size=(n_dirs, n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    radii = np.linspace(0.0, v_max, n_radii)
     ts = np.linspace(0.0, 1.0, t_samples, endpoint=False)
-    tt, qq, vv = [], [], []
-    for t in ts:
-        for r in radii:
-            tt.append(np.full(q_samples * n_dirs, t))
-            qq.append(np.repeat(q, n_dirs, axis=0))
-            vv.append(np.tile(r * dirs, (q_samples, 1)))
-    return np.concatenate(tt), np.vstack(qq), np.vstack(vv)
+    shape = (t_samples, len(radii), q_samples, n_dirs)
+    tt = np.broadcast_to(ts[:, None, None, None], shape).ravel()
+    qq = np.broadcast_to(q[:, None, :], shape + (n,)).reshape(-1, n)
+    vv = np.broadcast_to(np.multiply.outer(radii, dirs)[:, None], shape + (n,))
+    return tt, qq, vv.reshape(-1, n)
 
 
 MU_CAP = 1e8  # the largest mu the fiber-convexity doubling may reach
@@ -221,10 +214,11 @@ MU_CAP = 1e8  # the largest mu the fiber-convexity doubling may reach
 def build_modification(L_theta: LagrangianSpec, T: float, constants: tuple):
     """Assemble the convex quadratic T-modification of L_theta.
 
-    constants is the pair (K, C) of compute_constants.  The sampled maxima
-    and minima use 24 seeded base points and 8 directions per radius.
-    Returns (LagrangianSpec, ModificationParams); InfeasibleParams when no
-    mu <= MU_CAP certifies fiber convexity.
+    L_theta is even and convex in v; constants is the pair (K, C) of
+    compute_constants.  The sampled maxima and minima use 24 seeded base
+    points and 8 directions per radius.  Returns (LagrangianSpec,
+    ModificationParams); InfeasibleParams when T overflows |v|^2 or L on the
+    samples, or when no mu <= MU_CAP certifies fiber convexity.
 
     A call with the same L_theta object and equal T, (K, C) and MU_CAP
     returns the pair an earlier call built, so both are shared: params is
@@ -241,20 +235,25 @@ def build_modification(L_theta: LagrangianSpec, T: float, constants: tuple):
 def _build_modification(L_theta: LagrangianSpec, T: float, constants: tuple,
                         mu_cap: float):
     K, C = constants
+    if not math.isfinite(36.0 * T * T):
+        raise InfeasibleParams(f"T = {T:g} is too large: |v|^2 overflows at |v| = 6T")
     rng = np.random.default_rng(0)
     q_samples, n_dirs = 24, 8
 
-    # lambda >= max of L over |v| <= 2T, with a 10% safety margin
-    tt, qq, vv = _sample_grid(L_theta, 2.0 * T, q_samples, 33, n_dirs, 4, rng)
-    mx = float(np.max(L_theta.value(tt, qq, vv)))
-    lam = max(1.1 * mx, 1.0)
+    # lambda >= max of L over |v| <= 2T, attained on |v| = 2T; 10% safety margin
+    tt, qq, vv = _sample_grid(L_theta, [2.0 * T], q_samples, n_dirs, 4, rng)
+    lam = max(1.1 * float(np.max(L_theta.value(tt, qq, vv))), 1.0)
+    if not math.isfinite(lam):
+        raise InfeasibleParams(f"T = {T:g} is too large: L overflows at |v| = 2T")
 
     phi = SmoothCap()
 
-    # min of L_1T for the mu inequality (sampled over a generous ball)
-    tt2, qq2, vv2 = _sample_grid(L_theta, 6.0 * T, q_samples, 49, n_dirs, 4, rng)
-    L1T_vals = lam * phi.value(L_theta.value(tt2, qq2, vv2) / lam)
-    min_L1T = float(np.min(L1T_vals))
+    # min of L_1T for the mu inequality and the convexity certificate, from one
+    # L evaluation; L_T's fiber Hessian is not monotone along rays, so radii fill the ball
+    tt2, qq2, vv2 = _sample_grid(L_theta, np.linspace(0.0, 6.0 * T, 49), q_samples,
+                                 n_dirs, 4, rng)
+    parts = _core_parts(L_theta, lam, T, tt2, qq2, vv2)
+    min_L1T = float(np.min(lam * phi.value(parts[2])))
 
     mu = max(1.0 / (4.0 * T),
              (2.0 * T - C - min_L1T) / (2.0 * T ** 2),
@@ -263,7 +262,7 @@ def _build_modification(L_theta: LagrangianSpec, T: float, constants: tuple,
         raise InfeasibleParams(
             f"mu lower bound {mu:.3e} already exceeds the cap {mu_cap:.1e}")
     # only psi depends on mu: the rest of the fiber Hessian is sampled once
-    fixed = _fiber_hessian_fixed(L_theta, lam, phi, T, tt2, qq2, vv2)
+    fixed = _fiber_hessian_fixed(L_theta, lam, phi, tt2, qq2, parts)
     doublings = 0
     while True:
         psi = QuinticRamp(T, mu)
@@ -303,14 +302,13 @@ def _core_parts(L: LagrangianSpec, lam: float, T: float, t, q, v):
     return v, base, s, w, exact
 
 
-def _fiber_hessian_fixed(L: LagrangianSpec, lam: float, phi: SmoothCap, T: float,
-                         t, q, v):
+def _fiber_hessian_fixed(L: LagrangianSpec, lam: float, phi: SmoothCap, t, q, parts):
     """The mu-independent part of the fiber Hessian of L_T at (t, q, v).
 
-    Returns (v, |v|^2, core mask, L_vv, phi' L_vv + (phi'' / lam) L_v L_v^T),
-    which _fiber_hessian completes with the psi terms.
+    From _core_parts at (t, q, v), returns (v, |v|^2, core mask, L_vv,
+    phi' L_vv + (phi'' / lam) L_v L_v^T); _fiber_hessian adds the psi terms.
     """
-    v, _, s, w, exact = _core_parts(L, lam, T, t, q, v)
+    v, _, s, w, exact = parts
     gv = np.asarray(L.grad_v(t, q, v))
     hvv = np.asarray(L.hess_vv(t, q, v))
     cap = (phi.d1(s)[..., None, None] * hvv
@@ -350,7 +348,7 @@ def _modified_spec(L: LagrangianSpec, lam: float, phi: SmoothCap,
         return np.where(exact[..., None], gv, generic)
 
     def hess_vv(t, q, v):
-        return _fiber_hessian(_fiber_hessian_fixed(L, lam, phi, T, t, q, v), psi)
+        return _fiber_hessian(_fiber_hessian_fixed(L, lam, phi, t, q, parts(t, q, v)), psi)
 
     def hess_qv(t, q, v):
         v, base, s, w, exact = parts(t, q, v)
@@ -384,7 +382,7 @@ def check_quadratic_growth(L: LagrangianSpec, v_ref: float = 10.0,
     |v| = v_hi.  A failure returns the witnessing sample.
     """
     rng = np.random.default_rng(0 if rng is None else rng)
-    tt, qq, vv = _sample_grid(L, v_hi, 16, 41, 6, 4, rng)
+    tt, qq, vv = _sample_grid(L, np.linspace(0.0, v_hi, 41), 16, 6, 4, rng)
     speed = np.linalg.norm(vv, axis=-1)
     hvv = np.asarray(L.hess_vv(tt, qq, vv))
     hqv = np.asarray(L.hess_qv(tt, qq, vv))

@@ -172,6 +172,11 @@ def test_unmapped_brakekit_error_exit_code(mild_store, monkeypatch, capsys):
     ["find-orbits", "--grid", "0"],  # once silently replaced by the document's grid
     ["find-orbits", "--grid", "3"],  # an odd grid once stored loops on the grid 2
     ["find-orbits", "--grid", "255"],
+    # numpy's generators take no negative seed; no seed at all once exited 3
+    ["find-orbits", "--seed", "-1"],
+    ["modify-check", "--seed", "-3"],
+    ["find-orbits", "--seeds", "0"],
+    ["find-orbits", "--seeds", "-2"],
 ])
 def test_bad_numbers_exit_code(tmp_path, capsys, argv):
     cfg = write_config(tmp_path, MILD_CONFIG)
@@ -191,6 +196,20 @@ def test_modify_check_refuses_a_repeated_T(tmp_path, capsys):
         assert "repeats a value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc,t_list,what", [
+    (MILD_CONFIG, "1e200,1e201", "|v|^2 overflows"),
+    ({"dim": 1, "lagrangian": {"builtin": "quartic_kinetic"}}, "1e80,1e81", "L overflows"),
+])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # L at |v| = 2T
+def test_modify_check_refuses_an_overflowing_T(tmp_path, capsys, doc, t_list, what):
+    cfg = write_config(tmp_path, doc)
+    assert main(["--store", str(tmp_path / "s"), "modify-check", "--config", cfg,
+                 "--T", t_list, "--seed", "1"]) == 1
+    stderr = capsys.readouterr().err
+    assert f"error: T = {float(t_list.split(',')[0]):g} is too large: {what}" in stderr
+    assert "Traceback" not in stderr
+
+
 def test_bangert_refuses_a_partial_homotopy_request(tmp_path, capsys):
     cfg = write_config(tmp_path, FREE_CONFIG)
     for extra in (["--c1", "0.5"], ["--c1", "0.06", "--c2", "1.0"], ["--eps", "0.032"]):
@@ -200,10 +219,21 @@ def test_bangert_refuses_a_partial_homotopy_request(tmp_path, capsys):
     assert not (tmp_path / "s" / "reports").exists()
 
 
-def test_no_convergence_exit_code(tmp_path):
+def test_no_convergence_exit_code(tmp_path, monkeypatch):
+    from types import SimpleNamespace
+
+    from brakekit import cli
+    from brakekit.errors import NonConvergence
+
+    def fail(*args, **kwargs):
+        raise NonConvergence("shooting did not close")
+
+    # neither the shots nor the descents from the one seed converge
+    monkeypatch.setattr(cli.dynamics, "brake_shoot", fail)
+    monkeypatch.setattr(cli, "find_critical", lambda *a, **k: SimpleNamespace(converged=False))
     cfg = write_config(tmp_path, MILD_CONFIG)
     code = main(["--store", str(tmp_path / "s"), "find-orbits", "--config", cfg,
-                 "--period", "1", "--seeds", "0"])
+                 "--period", "1", "--seeds", "1"])
     assert code == 3
 
 
@@ -332,13 +362,13 @@ def test_cli_loads_a_config_without_jsonschema(tmp_path):
     cfg = write_config(tmp_path, MILD_CONFIG)
     script = ("import sys\nfrom brakekit.cli import main\n"
               f"code = main(['--store', {str(tmp_path / 's')!r}, 'find-orbits', "
-              f"'--config', {cfg!r}, '--seeds', '0'])\n"
+              f"'--config', {cfg!r}, '--seeds', '1', '--grid', '64'])\n"
               "print(code, [m for m in sys.modules if m.split('.')[0] == 'jsonschema'])")
     src = str(Path(__file__).resolve().parents[1] / "src")
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["3", "[]"]
+    assert out.stdout.split()[-2:] == ["0", "[]"]
 
 
 REJECTED_EXPRESSIONS = [

@@ -284,8 +284,117 @@ def test_hess_vv_matches_inline_formula(which, stiff_system, torus2_system):
                               _inline_hess_vv(L, params, t[j], q[j], v[j]))
     # the certificate inside build_modification saw the same matrices
     rng = np.random.default_rng(0)
-    _sample_grid(L, 2.0 * T, 24, 33, 8, 4, rng)
-    tt, qq, vv = _sample_grid(L, 6.0 * T, 24, 49, 8, 4, rng)
+    _sample_grid(L, [2.0 * T], 24, 8, 4, rng)
+    tt, qq, vv = _sample_grid(L, np.linspace(0.0, 6.0 * T, 49), 24, 8, 4, rng)
     hv = _inline_hess_vv(L, params, tt, qq, vv)
     assert float(np.min(np.linalg.eigvalsh(0.5 * (hv + np.swapaxes(hv, -1, -2))))) \
         == params.convexity_min_eig
+
+
+# the benchmark's three workload documents
+WORKLOAD_DOCUMENTS = {
+    "pendulum-k8": {"dim": 1, "theta": ["0.3"],
+                    "lagrangian": {"builtin": "kinetic_potential",
+                                   "potential": "1.2*cos(2*pi*q1)"}},
+    "quartic-dual": {"dim": 1, "theta": ["0.3"],
+                     "lagrangian": {"builtin": "quartic_kinetic",
+                                    "potential": "0.5*cos(2*pi*q1)"}},
+    "torus2-mixed": {"dim": 2, "theta": ["0.3", "0.1"],
+                     "lagrangian": {"builtin": "kinetic_potential",
+                                    "potential": "0.7*cos(2*pi*q1) + 0.5*cos(2*pi*q2)"}},
+}
+
+
+def _ball_constants(H, theta, q_samples, p_dirs, t_samples, rng):
+    """compute_constants as it sampled the whole ball: 8 radii on each drawn ray."""
+    rng = np.random.default_rng(rng)
+    n = H.torus.dim
+    q = rng.uniform(0, 1, size=(q_samples, n)) * H.torus.periods
+    K = float(np.max(np.linalg.norm(theta.components(q), axis=-1)))
+    dirs = rng.normal(size=(p_dirs, n))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    C = -np.inf
+    for t in np.linspace(0.0, 1.0, t_samples, endpoint=False):
+        for r in np.linspace(0.0, K + 1.0, 9)[1:]:
+            vals = H.value(t, q[:, None, :].repeat(p_dirs, 1).reshape(-1, n),
+                           np.tile(r * dirs, (q_samples, 1)))
+            C = max(C, float(np.max(vals)))
+    return K, C
+
+
+def _loop_grid(L, radii, q_samples, n_dirs, t_samples, rng):
+    """_sample_grid as one block per (t, r), stacked in loop order."""
+    n = L.torus.dim
+    q = rng.uniform(0, 1, size=(q_samples, n)) * L.torus.periods
+    dirs = rng.normal(size=(n_dirs, n))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    tt, qq, vv = [], [], []
+    for t in np.linspace(0.0, 1.0, t_samples, endpoint=False):
+        for r in radii:
+            tt.append(np.full(q_samples * n_dirs, t))
+            qq.append(np.repeat(q, n_dirs, axis=0))
+            vv.append(np.tile(r * dirs, (q_samples, 1)))
+    return np.concatenate(tt), np.vstack(qq), np.vstack(vv)
+
+
+def test_c_takes_both_ends_of_a_one_sided_draw():
+    # in 1-D the drawn directions are +-1, and this seed draws -1 eight times:
+    # sampling only along them, C once missed the side p > 0
+    system = load_system(WORKLOAD_DOCUMENTS["quartic-dual"])
+    seed = 721961931
+    K, C = compute_constants(system.H, system.theta, q_samples=32, p_dirs=8,
+                             t_samples=2, rng=seed)
+    rng = np.random.default_rng(seed)
+    q = rng.uniform(0, 1, size=(32, 1))
+    assert np.all(rng.normal(size=8) < 0.0)
+    ends = np.tile([[K + 1.0], [-(K + 1.0)]], (32, 1))
+    assert C == max(float(np.max(system.H.value(t, np.repeat(q, 2, axis=0), ends)))
+                    for t in (0.0, 0.5))
+    assert C > _ball_constants(system.H, system.theta, 32, 8, 2, seed)[1]
+    rng = np.random.default_rng(37)
+    for T in (4.0, 8.0):
+        spec, params = build_modification(system.L_theta, T, (K, C))
+        t = rng.uniform(0, 1, 10000)
+        q = rng.uniform(0, 1, (10000, 1))
+        v = rng.normal(size=(10000, 1)) * 4 * T
+        assert float(np.min(spec.value(t, q, v) - (np.abs(v[:, 0]) - params.C))) >= 0.0
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_DOCUMENTS))
+def test_c_is_never_below_the_ball_sample(name):
+    # H is convex in p, so the ends of each drawn line bound the 8 radii on it
+    system = load_system(WORKLOAD_DOCUMENTS[name])
+    for seed in range(100):
+        K, C = compute_constants(system.H, system.theta, q_samples=32, p_dirs=8,
+                                 t_samples=2, rng=seed)
+        K_ball, C_ball = _ball_constants(system.H, system.theta, 32, 8, 2, seed)
+        assert K == K_ball and C >= C_ball, seed
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_DOCUMENTS))
+def test_lambda_equals_the_33_radius_sweep(name, monkeypatch):
+    # L is even and convex in v, so over 33 radii up to 2T the max is at 2T
+    system = load_system(WORKLOAD_DOCUMENTS[name])
+    L = system.L_theta
+    calls = []
+
+    def value(t, q, v):
+        calls.append(len(v))
+        return L.value(t, q, v)
+
+    counted = LagrangianSpec(L.torus, value, L.grad_q, L.grad_v, L.hess_vv, L.hess_qv,
+                             L.hess_qq, reversible=L.reversible, name=L.name)
+    for T in (1.0, 4.0, 8.0):
+        calls.clear()
+        _, params = build_modification(counted, T, (0.3, 2.5))
+        rng = np.random.default_rng(0)
+        sweep = _loop_grid(L, np.linspace(0.0, 2.0 * T, 33), 24, 8, 4, rng)
+        assert params.lam == max(1.1 * float(np.max(L.value(*sweep))), 1.0)
+        # the convexity grid is the loop's to the bit, and L is evaluated
+        # once on it: min L_1T and the fiber Hessian share that evaluation
+        grid = _loop_grid(L, np.linspace(0.0, 6.0 * T, 49), 24, 8, 4, rng)
+        rng = np.random.default_rng(0)
+        _sample_grid(L, [2.0 * T], 24, 8, 4, rng)
+        for a, b in zip(grid, _sample_grid(L, np.linspace(0.0, 6.0 * T, 49), 24, 8, 4, rng)):
+            assert np.array_equal(a, b)
+        assert calls == [24 * 8 * 4, len(grid[0])]
