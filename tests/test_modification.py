@@ -339,7 +339,7 @@ def _loop_grid(L, radii, q_samples, n_dirs, t_samples, rng):
 
 def test_c_takes_both_ends_of_a_one_sided_draw():
     # in 1-D the drawn directions are +-1, and this seed draws -1 eight times:
-    # sampling only along them, C once missed the side p > 0
+    # sampled along the drawn directions only, C misses the side p > 0
     system = load_system(WORKLOAD_DOCUMENTS["quartic-dual"])
     seed = 721961931
     K, C = compute_constants(system.H, system.theta, q_samples=32, p_dirs=8,
