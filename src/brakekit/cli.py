@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bangert as bg
 from . import dynamics, loopspace, modification
-from .errors import BrakekitError, MalformedRecord
+from .errors import BrakekitError, InfeasibleParams, MalformedRecord
 from .index import verify_relations
 from .loopspace import SymmetricLoop, find_critical, loop_distance, mean_action
 from .store import OrbitStore
@@ -214,21 +214,29 @@ def cmd_modify_check(args):
     for T in t_list:
         spec, params = modification.build_modification(
             system.L_theta, T, constants=(K, C))
-        cert = modification.check_quadratic_growth(spec, v_ref=max(10.0, 3 * T),
-                                                   v_hi=max(40.0, 10 * T))
-        # (M1): exact coincidence on a sampled core region
-        tt = rng.uniform(0, 1, 512)
-        qq = rng.uniform(0, 1, (512, system.dim)) * system.torus.periods
-        vv = rng.uniform(-T, T, (512, system.dim))
-        vv *= np.minimum(1.0, (T * 0.999) / np.maximum(
-            np.linalg.norm(vv, axis=1, keepdims=True), 1e-12))
-        m1 = bool(np.all(spec.value(tt, qq, vv) == system.L_theta.value(tt, qq, vv)))
-        # (M3): growth floor on 10^4 samples
-        tt3 = rng.uniform(0, 1, 10000)
-        qq3 = rng.uniform(0, 1, (10000, system.dim)) * system.torus.periods
-        vv3 = rng.normal(size=(10000, system.dim)) * (4 * T)
-        floor = float(np.min(spec.value(tt3, qq3, vv3)
-                             - (np.linalg.norm(vv3, axis=1) - params.C)))
+        # the certificates sample out to |v| = max(40, 10T) and about 4T |N(0, 1)|,
+        # past the (6T)^2 that the build checks; an overflow there is refused
+        with np.errstate(over="ignore", invalid="ignore"):
+            cert = modification.check_quadratic_growth(spec, v_ref=max(10.0, 3 * T),
+                                                       v_hi=max(40.0, 10 * T))
+            # (M1): exact coincidence on a sampled core region
+            tt = rng.uniform(0, 1, 512)
+            qq = rng.uniform(0, 1, (512, system.dim)) * system.torus.periods
+            vv = rng.uniform(-T, T, (512, system.dim))
+            vv *= np.minimum(1.0, (T * 0.999) / np.maximum(
+                np.linalg.norm(vv, axis=1, keepdims=True), 1e-12))
+            core = spec.value(tt, qq, vv)
+            m1 = bool(np.all(core == system.L_theta.value(tt, qq, vv)))
+            # (M3): growth floor on 10^4 samples
+            tt3 = rng.uniform(0, 1, 10000)
+            qq3 = rng.uniform(0, 1, (10000, system.dim)) * system.torus.periods
+            vv3 = rng.normal(size=(10000, system.dim)) * (4 * T)
+            margins = spec.value(tt3, qq3, vv3) - (np.linalg.norm(vv3, axis=1) - params.C)
+        if not (np.isfinite(cert["l1"]) and np.isfinite(cert["l2"])
+                and np.all(np.isfinite(core)) and np.all(np.isfinite(margins))):
+            raise InfeasibleParams(f"T = {T:g} is too large: the certificate samples "
+                                   "overflow")
+        floor = float(np.min(margins))
         row = {"T": T, "M1_exact": m1, "M2_growth": cert["passed"],
                "M3_floor_margin": floor, "params": params.record()}
         ok &= m1 and cert["passed"] and floor >= 0.0

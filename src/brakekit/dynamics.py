@@ -37,14 +37,18 @@ BLOWUP_CEILING = 1e6
 
 
 def twisted_field(H: HamiltonianSpec, theta: Optional[OneForm], t, x):
-    """Right-hand side (qdot, pdot) of the twisted Hamiltonian system at x = (q, p)."""
+    """Right-hand side (qdot, pdot) of the twisted Hamiltonian system at x = (q, p).
+
+    x is one point or a batch of points as rows; the twist sigma(q) qdot is
+    contracted row by row.
+    """
     x = np.asarray(x, dtype=float)
     n = x.shape[-1] // 2
     q, p = x[..., :n], x[..., n:]
     qdot = np.asarray(H.grad_p(t, q, p))
     pdot = -np.asarray(H.grad_q(t, q, p))
     if theta is not None:
-        pdot = pdot + theta.sigma(q) @ qdot
+        pdot = pdot + (theta.sigma(q) @ qdot[..., None])[..., 0]
     return qdot, pdot
 
 
@@ -98,8 +102,11 @@ class Trajectory:
 def integrate(field, state0, t0, t1, tol=1e-10, dense_output=True) -> Trajectory:
     """Adaptive explicit Runge-Kutta (DOP853) integration of a first-order field.
 
-    field(t, y) -> dy/dt on flat state vectors.  Raises BlowUp when the state
-    norm reaches BLOWUP_CEILING, signalling a non-global flow.  With
+    field(t, y) -> dy/dt on states of state0's shape.  A 2-D state0 stacks
+    trajectories as rows, integrated together on one shared step sequence;
+    the trajectory's states are then the flattened stacks.  Raises BlowUp
+    when the norm of one row (of the state, for a 1-D state0) reaches
+    BLOWUP_CEILING, signalling a non-global flow.  With
     dense_output=False the trajectory has no interpolant, so the steps skip
     the three extra field evaluations of DOP853's order-7 interpolant; the
     steps and their end states are the same, and Trajectory.at refuses to
@@ -107,17 +114,18 @@ def integrate(field, state0, t0, t1, tol=1e-10, dense_output=True) -> Trajectory
     """
     if t1 <= t0:
         raise ValueError("t1 must exceed t0")
-    y0 = np.asarray(state0, dtype=float).ravel()
+    state0 = np.asarray(state0, dtype=float)
+    shape = state0.shape
 
     def rhs(t, y):
-        return np.asarray(field(t, y), dtype=float).ravel()
+        return np.asarray(field(t, y.reshape(shape)), dtype=float).ravel()
 
     def blowup_event(t, y):
-        return float(np.linalg.norm(y) - BLOWUP_CEILING)
+        return float(np.max(np.linalg.norm(y.reshape(shape), axis=-1)) - BLOWUP_CEILING)
 
     blowup_event.terminal = True
 
-    sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=tol, atol=tol,
+    sol = solve_ivp(rhs, (t0, t1), state0.ravel(), method="DOP853", rtol=tol, atol=tol,
                     dense_output=dense_output, events=blowup_event)
     if sol.status == 1:
         raise BlowUp(f"state norm reached {BLOWUP_CEILING:.1e} at t = {sol.t[-1]:.6g}")
@@ -127,11 +135,11 @@ def integrate(field, state0, t0, t1, tol=1e-10, dense_output=True) -> Trajectory
 
 
 def hamiltonian_rhs(H: HamiltonianSpec, theta: Optional[OneForm]):
-    """Flat-vector RHS for the (possibly twisted) Hamiltonian flow."""
+    """RHS for the (possibly twisted) Hamiltonian flow, at one state or a batch."""
 
     def rhs(t, y):
         qd, pd = twisted_field(H, theta, t, y)
-        return np.concatenate([qd, pd])
+        return np.concatenate([qd, pd], axis=-1)
 
     return rhs
 
@@ -214,31 +222,35 @@ def brake_shoot(H: HamiltonianSpec, theta: OneForm, q0_guess, tau: float,
     and the residual F(q0) = p(tau/2) + theta(q(tau/2)) demands that the half
     trajectory ends on Fix(R1) as well.  Newton runs on central-difference
     Jacobians (step 1e-6) with backtracking, for at most 40 iterations, until
-    |F| <= 1e-9.  The full orbit is the reflected extension, whose defect
-    against a direct integration is reported.
+    |F| <= 1e-9.  Each Newton trial is integrated together with its 2N
+    neighbours q0 +- 1e-6 e_j on one shared step sequence (internal numerical
+    differentiation), so one integration gives F and its Jacobian at the
+    trial, and an accepted trial needs no further integration.  The full
+    orbit is the reflected extension, whose defect against a direct
+    integration is reported.
     """
     newton_tol, maxit, fd_step = 1e-9, 40, 1e-6
     torus = H.torus
     n = torus.dim
     rhs = hamiltonian_rhs(H, theta)
+    # rows: q0, then q0 + fd_step e_j, then q0 - fd_step e_j
+    offsets = np.concatenate([np.zeros((1, n)), fd_step * np.eye(n), -fd_step * np.eye(n)])
 
-    def residual(q0):
-        # only the end state is read, so the half shot builds no interpolant
-        y0 = np.concatenate([q0, -theta.components(q0)])
-        end = integrate(rhs, y0, 0.0, 0.5 * tau, tol=tol, dense_output=False).states[-1]
-        return end[n:] + theta.components(end[:n])
+    def shoot(q0):
+        # only the end states are read, so the half shot builds no interpolant
+        qs = q0 + offsets
+        y0 = np.concatenate([qs, -theta.components(qs)], axis=1)
+        end = integrate(rhs, y0, 0.0, 0.5 * tau, tol=tol,
+                        dense_output=False).states[-1].reshape(y0.shape)
+        F = end[:, n:] + theta.components(end[:, :n])
+        return F[0], (F[1:n + 1] - F[n + 1:]).T / (2 * fd_step)
 
     q0 = np.asarray(q0_guess, dtype=float).copy()
-    F = residual(q0)
+    F, jac = shoot(q0)
     norm = np.linalg.norm(F)
     for _ in range(maxit):
         if norm <= newton_tol:
             break
-        jac = np.empty((n, n))
-        for j in range(n):
-            dq = np.zeros(n)
-            dq[j] = fd_step
-            jac[:, j] = (residual(q0 + dq) - residual(q0 - dq)) / (2 * fd_step)
         try:
             step = np.linalg.solve(jac, -F)
         except np.linalg.LinAlgError:
@@ -246,10 +258,10 @@ def brake_shoot(H: HamiltonianSpec, theta: OneForm, q0_guess, tau: float,
         alpha = 1.0
         for _ in range(30):
             trial = q0 + alpha * step
-            F_trial = residual(trial)
+            F_trial, jac_trial = shoot(trial)
             n_trial = np.linalg.norm(F_trial)
             if n_trial < norm:
-                q0, F, norm = trial, F_trial, n_trial
+                q0, F, jac, norm = trial, F_trial, jac_trial, n_trial
                 break
             alpha *= 0.5
         else:

@@ -199,6 +199,9 @@ def test_modify_check_refuses_a_repeated_T(tmp_path, capsys):
 @pytest.mark.parametrize("doc,t_list,what", [
     (MILD_CONFIG, "1e200,1e201", "|v|^2 overflows"),
     ({"dim": 1, "lagrangian": {"builtin": "quartic_kinetic"}}, "1e80,1e81", "L overflows"),
+    # builds, but the (M2) ladder out to |v| = 10T and the (M3) samples of
+    # about 4T |N(0, 1)| overflow |v|^2
+    (MILD_CONFIG, "1e153,2e153", "the certificate samples overflow"),
 ])
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # L at |v| = 2T
 def test_modify_check_refuses_an_overflowing_T(tmp_path, capsys, doc, t_list, what):

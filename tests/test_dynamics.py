@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from brakekit import dynamics
 from brakekit.dynamics import (
+    BLOWUP_CEILING,
     brake_residual,
     brake_shoot,
     el_field,
@@ -28,6 +30,20 @@ def test_twisted_field_reduces_to_standard(torus1, mild_system):
     assert np.allclose(qd0, qd1) and np.allclose(pd0, pd1)
     assert np.allclose(pd1, pd2)
     assert np.allclose(qd0, H.grad_p(0.0, x[:1], x[1:]))
+
+
+@pytest.mark.parametrize("rows", [2, 3])
+def test_twisted_field_contracts_a_batch_per_row(t2_magnetic, rows):
+    # theta_2 = sin(2 pi q1)/(2 pi) twists; 2 rows on T^2 is the square case
+    torus, H, theta = t2_magnetic
+    rng = np.random.default_rng(3)
+    x = np.concatenate([rng.uniform(0, 1, (rows, 2)), rng.normal(size=(rows, 2))], axis=1)
+    qd, pd = twisted_field(H, theta, 0.0, x)
+    assert qd.shape == pd.shape == (rows, 2)
+    assert np.max(np.abs(theta.sigma(x[:, :2]))) > 0.1
+    for i in range(rows):
+        qd_i, pd_i = twisted_field(H, theta, 0.0, x[i])
+        assert np.array_equal(qd[i], qd_i) and np.array_equal(pd[i], pd_i)
 
 
 def test_t2_energy_conservation(t2_magnetic):
@@ -173,6 +189,20 @@ def test_blowup_detected():
                       dense_output=dense_output)
 
 
+def test_blowup_ceiling_is_per_row():
+    rhs = lambda t, y: y  # each row grows by e^t
+    # e^14 = 1.2e6: the first row reaches the ceiling, the others stay at 1.2e3
+    y0 = np.array([[1.0, 0.0], [1e-3, 0.0], [0.0, 1e-3]])
+    for dense_output in (True, False):
+        with pytest.raises(BlowUp):
+            integrate(rhs, y0, 0.0, 14.0, tol=1e-8, dense_output=dense_output)
+    # five rows that each end at norm 0.9e6: the stack's norm, sqrt(5) * 0.9e6,
+    # is over the ceiling, but no single trajectory is
+    y0 = np.full((5, 2), 0.9e6 * np.exp(-14.0) / np.sqrt(2.0))
+    end = integrate(rhs, y0, 0.0, 14.0, tol=1e-8).states[-1].reshape(5, 2)
+    assert np.max(np.linalg.norm(end, axis=1)) < BLOWUP_CEILING < np.linalg.norm(end)
+
+
 def test_verify_conjugacy_zero_theta(torus1):
     H = kinetic_hamiltonian(torus1, potential="cos(2*pi*q1)/(4*pi**2)")
     dev = verify_conjugacy(H, OneForm.constant(torus1, [0.0]), samples=4)
@@ -223,19 +253,66 @@ def test_brake_residual_generic_trajectory(stiff_system):
     assert brake_residual(stiff_system.theta, traj, 2.0) > 0.01
 
 
-def field_hamiltonian(grad_q, grad_p):
-    """A T^1 HamiltonianSpec with only the partials brake_shoot's flow reads."""
+def field_hamiltonian(grad_q, grad_p, dim=1):
+    """A T^dim HamiltonianSpec with only the partials brake_shoot's flow reads."""
     def unread(*args):
         raise AssertionError("brake_shoot reads only grad_q and grad_p")
 
-    return HamiltonianSpec(TorusSpace(1), unread, grad_q, grad_p, unread, unread, unread)
+    return HamiltonianSpec(TorusSpace(dim), unread, grad_q, grad_p, unread, unread, unread)
 
 
-def shooting_residual(F):
+def shooting_residual(F, dim=1):
     """H = V(q) with V' = -F: q stays at q0 and p(1) = F(q0), so with
     theta = 0 and tau = 2 brake_shoot's residual is F itself."""
     return field_hamiltonian(lambda t, q, p: -F(np.asarray(q, dtype=float)),
-                             lambda t, q, p: np.zeros_like(np.asarray(p, dtype=float)))
+                             lambda t, q, p: np.zeros_like(np.asarray(p, dtype=float)),
+                             dim)
+
+
+def test_brake_shoot_integrates_once_per_newton_trial(stiff_system, monkeypatch):
+    # every Newton step's trial is accepted on the libration, so the trials
+    # are the Jacobian solves; each costs one integration of the trial and its
+    # 2N neighbours, plus one for the guess and the dense full period
+    calls, solves = [], [0]
+    integrate_, solve_ = dynamics.integrate, np.linalg.solve
+
+    def counted_integrate(field, state0, t0, t1, **kwargs):
+        calls.append((np.shape(state0), t1, kwargs.get("dense_output", True)))
+        return integrate_(field, state0, t0, t1, **kwargs)
+
+    def counted_solve(a, b):
+        solves[0] += 1
+        return solve_(a, b)
+
+    monkeypatch.setattr(dynamics, "integrate", counted_integrate)
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    orbit = brake_shoot(stiff_system.H, stiff_system.theta, np.array([0.04]), 2.0)
+    assert orbit.symmetry_residual < 1e-8
+    assert solves[0] >= 2
+    assert len(calls) == solves[0] + 2
+    assert calls[:-1] == [((3, 2), 1.0, False)] * (solves[0] + 1)
+    assert calls[-1] == ((2,), 2.0, True)
+
+
+def test_shooting_jacobian_equals_the_slope_of_a_linear_residual(monkeypatch):
+    # F(q) = A q + b on T^2, with A not symmetric so that a transposed
+    # Jacobian shows; the first Newton step lands on the root (0.3, 0.6)
+    A = np.array([[3.0, -1.0], [0.5, 2.0]])
+    b = -A @ np.array([0.3, 0.6])
+    H = shooting_residual(lambda q: q @ A.T + b, dim=2)
+    jacs = []
+    solve_ = np.linalg.solve
+
+    def spy(a, rhs):
+        jacs.append(np.array(a))
+        return solve_(a, rhs)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    orbit = brake_shoot(H, OneForm.constant(H.torus, [0.0, 0.0]), np.array([0.1, 0.2]), 2.0)
+    assert len(jacs) >= 1
+    for jac in jacs:
+        assert np.max(np.abs(jac - A)) < 1e-8
+    assert np.max(np.abs(orbit.q0 @ A.T + b)) <= 1e-9
 
 
 @pytest.mark.parametrize("F, q0, message", [
@@ -260,3 +337,52 @@ def test_brake_shoot_refuses_a_hamiltonian_without_r1_symmetry():
                           lambda t, q, p: np.asarray(p, dtype=float) + 0.1)
     with pytest.raises(SymmetryViolation, match="R1 symmetry"):
         brake_shoot(H, OneForm.constant(H.torus, [0.0]), np.array([0.3]), 1.0)
+
+
+# The benchmark's three workload documents, their campaigns, and the q0 of
+# every brake_shoot the campaign makes, as central-difference shots from
+# independently integrated neighbours found them (seed shots first, then the
+# dynamic re-shoots of the accepted orbits)
+WORKLOAD_SHOOTS = {
+    "pendulum-k8": (
+        {"dim": 1, "theta": ["0.3"], "numerics": {"grid": 1024},
+         "lagrangian": {"builtin": "kinetic_potential", "potential": "1.2*cos(2*pi*q1)"}},
+        1, {"n_seeds": 4, "seed": 2, "grid": 1024, "amplitudes": (0.0, 0.2)},
+        [[0.3114968460738789], [0.311496845942383], [0.6885031539188807],
+         [0.31149684607992145], [0.3114968458466064], [0.5000000000000004], [0.0]]),
+    "quartic-dual": (
+        {"dim": 1, "theta": ["0.3"], "numerics": {"grid": 256},
+         "lagrangian": {"builtin": "quartic_kinetic", "potential": "0.5*cos(2*pi*q1)"}},
+        2, {"n_seeds": 2, "seed": 1},
+        [[0.4999999999634034], [0.7547641476179003], [0.5000000000000082],
+         [0.7547641475875235], [0.0]]),
+    "torus2-mixed": (
+        {"dim": 2, "theta": ["0.3", "0.1"], "numerics": {"grid": 256},
+         "lagrangian": {"builtin": "kinetic_potential",
+                        "potential": "0.7*cos(2*pi*q1) + 0.5*cos(2*pi*q2)"}},
+        1, {"n_seeds": 2, "seed": 7},
+        [[0.5000000000000002, 0.499999999999998], [0.49999999999106015, 0.5000000000000002],
+         [0.5000000000000002, 0.499999999999998], [0.5, 0.0], [0.0, 1.0],
+         [0.9999999999999165, 0.5000000000002295]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_SHOOTS))
+def test_campaign_shoots_converge_to_the_separate_shot_q0(name, monkeypatch):
+    from brakekit import cli
+
+    doc, period, campaign, want = WORKLOAD_SHOOTS[name]
+    system = load_system(doc)
+    found = []
+    shoot = dynamics.brake_shoot
+
+    def recorded(*args, **kwargs):
+        orbit = shoot(*args, **kwargs)
+        found.append(orbit.q0)
+        return orbit
+
+    monkeypatch.setattr(dynamics, "brake_shoot", recorded)
+    cli.run_orbit_campaign(system, period, **campaign)
+    assert len(found) == len(want)
+    for q0, q0_want in zip(found, want):
+        assert system.torus.distance(q0, np.array(q0_want)) < 1e-9
