@@ -30,8 +30,8 @@ from functools import cached_property, partial, reduce
 from typing import List, NamedTuple, Optional
 
 import numpy as np
-from scipy.interpolate import PPoly
 
+from .cubic import PiecewiseCubic
 from .errors import EndpointMismatch, PreconditionViolated, TooFar, Unsupported
 from .loopspace import SymmetricLoop, iterate
 from .model import LagrangianSpec, TorusSpace
@@ -60,10 +60,11 @@ class PathSegment:
 
     Piece i spans the times breaks[i] .. breaks[i + 1]: its leaf runs the
     source curve sources[i], qa + s disp for a geodesic and the loop's
-    periodic spline (a PPoly) for a loop, from windows[i, 0] to
+    periodic spline (a PiecewiseCubic) for a loop, from windows[i, 0] to
     windows[i, 1], translated by the lattice vector shifts[i].  A curve gives
-    q(s) as curve(s, 0) and dq/ds as curve(s, 1).  The interior breaks are the
-    corners, which split the action quadrature.
+    q(s) as curve(s, 0) at a scalar s and (q(s), dq/ds) as curve.jet(s) at an
+    array of s.  The interior breaks are the corners, which split the action
+    quadrature.
     """
 
     breaks: np.ndarray  # (P + 1,) sorted times
@@ -85,11 +86,11 @@ class PathSegment:
 
     @property
     def start(self):
-        return self.sources[0](self.windows[0, :1], 0)[0] + self.shifts[0]
+        return self.sources[0](self.windows[0, 0], 0) + self.shifts[0]
 
     @property
     def end(self):
-        return self.sources[-1](self.windows[-1, 1:], 0)[0] + self.shifts[-1]
+        return self.sources[-1](self.windows[-1, 1], 0) + self.shifts[-1]
 
     def at(self, ts):
         """(values, velocities) at the times ts, one call per touched leaf.
@@ -112,22 +113,24 @@ class PathSegment:
         starts = np.flatnonzero(np.diff(idx[order], prepend=-1))
         for lo, hi in zip(starts, [*starts[1:], len(ts)]):
             rows = order[lo:hi]
-            curve = self.sources[idx[rows[0]]]
-            q[rows] += curve(s[rows], 0)
-            v[rows] = curve(s[rows], 1) * scale[rows, None]
+            values, slopes = self.sources[idx[rows[0]]].jet(s[rows])
+            q[rows] += values
+            v[rows] = slopes * scale[rows, None]
         return q, v
 
 
 class _Chord(NamedTuple):
-    """The curve s -> qa + s disp, called like a PPoly: nu = 0 values, nu = 1 derivatives."""
+    """The curve s -> qa + s disp, evaluated like a spline."""
 
     qa: np.ndarray
     disp: np.ndarray
 
-    def __call__(self, s, nu):
-        if nu:
-            return np.broadcast_to(self.disp, (len(s), self.disp.size))
-        return self.qa + s[:, None] * self.disp
+    def __call__(self, s: float, nu: int):
+        return self.disp if nu else self.qa + s * self.disp
+
+    def jet(self, s):
+        return (self.qa + s[:, None] * self.disp,
+                np.broadcast_to(self.disp, (len(s), self.disp.size)))
 
 
 def _piece(curve, t0, t1, s0, s1, dim: int) -> PathSegment:
@@ -255,11 +258,11 @@ class LoopFamily:
     def _node_splines(self):
         return [lp.spline() for lp in self.loops]
 
-    def spline(self, x: float) -> PPoly:
+    def spline(self, x: float) -> PiecewiseCubic:
         """The periodic spline of at(x), blended from the node splines."""
         i, t = self._locate(x)
         a, b = self._node_splines[i], self._node_splines[i + 1]
-        return PPoly.construct_fast((1.0 - t) * a.c + t * b.c, a.x, extrapolate="periodic")
+        return PiecewiseCubic(a.x, (1.0 - t) * a.c + t * b.c, periodic=True)
 
     def modulus_rho(self) -> float:
         """Largest dyadic step rho >= 2^-16 span with ev-increments below half

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import BlowUp, NonConvergence, SingularMass, SymmetryViolation
 from .model import HamiltonianSpec, LagrangianSpec, OneForm
+from .ode import dop853
 from .systems import shifted_hamiltonian
 
 __all__ = [
@@ -92,11 +92,11 @@ class Trajectory:
             raise ValueError("trajectory states must be finite")
 
     def at(self, t):
-        """Interpolated state; vectorized over t.  Needs the dense interpolant."""
+        """Interpolated state; vectorized over t, one row per time.  Needs the
+        dense interpolant."""
         if self.dense is None:
             raise ValueError("trajectory was integrated without dense output")
-        out = self.dense(np.asarray(t, dtype=float))
-        return out.T if np.ndim(t) > 0 else out
+        return self.dense(t)
 
 
 def integrate(field, state0, t0, t1, tol=1e-10, dense_output=True) -> Trajectory:
@@ -106,7 +106,8 @@ def integrate(field, state0, t0, t1, tol=1e-10, dense_output=True) -> Trajectory
     trajectories as rows, integrated together on one shared step sequence;
     the trajectory's states are then the flattened stacks.  Raises BlowUp
     when the norm of one row (of the state, for a 1-D state0) reaches
-    BLOWUP_CEILING, signalling a non-global flow.  With
+    BLOWUP_CEILING at a step end, signalling a non-global flow, and
+    NonConvergence when the step size underflows.  With
     dense_output=False the trajectory has no interpolant, so the steps skip
     the three extra field evaluations of DOP853's order-7 interpolant; the
     steps and their end states are the same, and Trajectory.at refuses to
@@ -120,18 +121,12 @@ def integrate(field, state0, t0, t1, tol=1e-10, dense_output=True) -> Trajectory
     def rhs(t, y):
         return np.asarray(field(t, y.reshape(shape)), dtype=float).ravel()
 
-    def blowup_event(t, y):
-        return float(np.max(np.linalg.norm(y.reshape(shape), axis=-1)) - BLOWUP_CEILING)
+    def blowup(t, y):
+        if np.max(np.linalg.norm(y.reshape(shape), axis=-1)) >= BLOWUP_CEILING:
+            raise BlowUp(f"state norm reached {BLOWUP_CEILING:.1e} at t = {t:.6g}")
 
-    blowup_event.terminal = True
-
-    sol = solve_ivp(rhs, (t0, t1), state0.ravel(), method="DOP853", rtol=tol, atol=tol,
-                    dense_output=dense_output, events=blowup_event)
-    if sol.status == 1:
-        raise BlowUp(f"state norm reached {BLOWUP_CEILING:.1e} at t = {sol.t[-1]:.6g}")
-    if not sol.success:
-        raise NonConvergence(f"integrator failed: {sol.message}")
-    return Trajectory(sol.t, sol.y.T, dense=sol.sol)
+    sol = dop853(rhs, (t0, t1), state0.ravel(), tol, dense_output, step_check=blowup)
+    return Trajectory(sol.t, sol.y, dense=sol.dense)
 
 
 def hamiltonian_rhs(H: HamiltonianSpec, theta: Optional[OneForm]):

@@ -20,15 +20,14 @@ the anchor tests pin it through the Morse index identities.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq, minimize_scalar
 
-from .errors import BlowUp, IllConditionedCrossing, NonSymplectic, SingularP
+from .cubic import cubic_spline
+from .errors import BlowUp, IllConditionedCrossing, NonConvergence, NonSymplectic, SingularP
 from .loopspace import (
     BlockTridiagonal,
     SymmetricLoop,
@@ -39,6 +38,7 @@ from .loopspace import (
     refine,
 )
 from .model import LagrangianSpec
+from .ode import TOO_SMALL_STEP, dop853
 
 __all__ = [
     "LinearizedCoefficients",
@@ -81,10 +81,10 @@ class LinearizedCoefficients:
             return constant_coefficients(B[0].copy())
         ts = np.append(self.times, self.period)
         Bx = np.concatenate([B, B[:1]])
-        spline = CubicSpline(ts, Bx, bc_type="periodic", axis=0)
+        spline = cubic_spline(ts, Bx, periodic=True)
 
         def evaluate(t):
-            return spline(np.mod(t, self.period))
+            return spline(np.mod(t, self.period), 0)
 
         return evaluate
 
@@ -124,7 +124,7 @@ class SymplecticPath:
         # 0-d t of the refinements
         j = np.minimum(np.maximum(np.floor(t / self.period), 0),
                        len(self.powers) - 1).astype(int)
-        base = self.dense(t - j * self.period).T.reshape(t.shape + (two_n, two_n))
+        base = self.dense(t - j * self.period).reshape(t.shape + (two_n, two_n))
         # one power at a time, so that no batch-sized copy of the powers is
         # made.  A 0-d t takes the same code, and both operands of every
         # product are C-contiguous, so a time rounds alike alone and in a batch
@@ -207,15 +207,15 @@ def fundamental_solution(B_fn: Callable, period: float,
         Psi = y.reshape(two_n, two_n)
         return (J @ B_fn(t) @ Psi).ravel()
 
-    sol = solve_ivp(rhs, (0.0, period), np.eye(two_n).ravel(), method="DOP853",
-                    rtol=1e-11, atol=1e-11, dense_output=True)
-    if not sol.success:
-        raise BlowUp(f"fundamental solution integration failed: {sol.message}")
-    monodromy = sol.y[:, -1].reshape(two_n, two_n)
+    try:
+        sol = dop853(rhs, (0.0, period), np.eye(two_n).ravel(), 1e-11)
+    except NonConvergence:
+        raise BlowUp(f"fundamental solution integration failed: {TOO_SMALL_STEP}") from None
+    monodromy = sol.y[-1].reshape(two_n, two_n)
     powers = [np.eye(two_n)]
     for _ in range(int(np.floor(total_time / period))):
         powers.append(powers[-1] @ monodromy)
-    path = SymplecticPath(two_n // 2, sol.sol, float(period), np.array(powers), 0.0)
+    path = SymplecticPath(two_n // 2, sol.dense, float(period), np.array(powers), 0.0)
     mats = path.at(np.linspace(0.0, total_time, 257))
     # defect relative to |Psi|^2: hyperbolic paths grow exponentially and an
     # absolute bound would be dominated by float rounding alone.  With each
@@ -339,6 +339,141 @@ def fourier_morse_index(P, Q, R, k: int = 1, symmetric: bool = False) -> IndexPa
 # ---------------------------------------------------------------------------
 # crossing engine
 # ---------------------------------------------------------------------------
+
+def _brent_root(f, a: float, b: float, xtol: float) -> float:
+    """A root of f in the bracket [a, b], by Brent's method (R. P. Brent,
+    *Algorithms for Minimization Without Derivatives*, 1973, Ch. 4).
+
+    The iteration and its arithmetic are those of SciPy's brentq, so the root
+    is bit-equal to it.  Stops when half the bracket is below
+    (xtol + 4 eps |x|) / 2.  Raises ValueError when f(a) and f(b) have one
+    sign or f is NaN, and NonConvergence after 100 iterations.
+    """
+    rtol, maxiter = 4 * np.finfo(float).eps, 100
+
+    def call(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise NonConvergence(f"Brent root search did not converge in {maxiter} iterations")
+
+
+def _brent_minimize(f, bounds, xatol: float):
+    """(x, f(x)) at a local minimum of f on bounds = (lo, hi), by Brent's
+    golden-section and parabolic search (Brent 1973, Ch. 5).
+
+    The iteration and its arithmetic are those of SciPy's
+    minimize_scalar(method="bounded"), so both are bit-equal to it.  Stops
+    when x is within 2 (sqrt(2.2e-16) |x| + xatol / 3) of the bracket's
+    middle less half its width, or after 500 evaluations.
+    """
+    maxiter = 500
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = bounds
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = f(x)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        # a parabolic fit through the three best points
+        if abs(e) > tol1:
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * (np.sign(xm - xf) + ((xm - xf) == 0))
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = golden_mean * e
+        x = xf + (np.sign(rat) + (rat == 0)) * max(abs(rat), tol1)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxiter:
+            break
+    return float(xf), float(fx)
+
 
 def _signed_counts(ev, tol):
     pos = int(np.sum(ev > tol))
@@ -600,14 +735,13 @@ class _CrossingEngine:
         for a, b, g_lo, g_hi in candidates:
             lo, hi = ts[a], ts[b]
             if dets[a] * dets[b] < 0:
-                t_star = float(brentq(det_objective, lo, hi, xtol=1e-13 * self.total))
+                t_star = _brent_root(det_objective, lo, hi, xtol=1e-13 * self.total)
             else:
-                res = minimize_scalar(sv_objective, bounds=(lo, hi), method="bounded",
-                                      options={"xatol": 1e-13 * max(self.total, 1.0)})
-                t_star = float(res.x)
+                t_star, g_star = _brent_minimize(sv_objective, bounds=(lo, hi),
+                                                 xatol=1e-13 * max(self.total, 1.0))
                 accept = min(self.deg_tol, 0.05 * max(g_lo, g_hi)) \
                     if g_lo is not None else self.deg_tol
-                if float(res.fun) > accept:
+                if g_star > accept:
                     continue
                 # a fixed vector of a touch has unit scale, so the residual
                 # must be small in absolute terms as well; exploding paths

@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 
+from .cubic import PiecewiseCubic, cubic_spline
 from .errors import GridMismatch
 from .model import LagrangianSpec, TorusSpace
 
@@ -92,11 +92,12 @@ class SymmetricLoop:
     def max_speed(self) -> float:
         return float(np.max(np.linalg.norm(self.velocities(), axis=1)))
 
-    def spline(self) -> CubicSpline:
+    def spline(self) -> PiecewiseCubic:
+        """The periodic cubic spline through the full grid, of period m."""
         g = self.full_values()
         ts = np.append(self.full_times(), self.period)
         vals = np.vstack([g, g[:1]])
-        return CubicSpline(ts, vals, bc_type="periodic")
+        return cubic_spline(ts, vals, periodic=True)
 
     def shifted_half_period(self) -> "SymmetricLoop":
         """The loop t -> gamma(t + m/2); still even for even loops."""
@@ -320,7 +321,7 @@ def refine(loop: SymmetricLoop) -> SymmetricLoop:
     sp = loop.spline()
     n_new = loop.n * 2
     ts = np.arange(n_new // 2 + 1) * (loop.period / n_new)
-    return SymmetricLoop(loop.period, sp(ts), loop.torus)
+    return SymmetricLoop(loop.period, sp(ts, 0), loop.torus)
 
 
 # ---------------------------------------------------------------------------

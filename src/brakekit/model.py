@@ -152,10 +152,6 @@ class OneForm:
         jac = self.jacobian(q)
         return np.swapaxes(jac, -1, -2) - jac
 
-    def periodicity_violation(self) -> float:
-        """Max |theta(q + e_i period_i) - theta(q)| on a seeded sample set."""
-        return self.torus.lattice_defect(self.components)[0]
-
 
 class _NegatedOneForm(OneForm):
     """-theta: its evaluators negate theta's memoized arrays and keep no memo,

@@ -24,8 +24,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
+from .cubic import cubic_spline
 from .errors import InfeasibleParams, SpeedTooHigh
 from .index import morse_index
 from .loopspace import SymmetricLoop, assemble_hessian, gradient_norm_w12, mean_action
@@ -80,7 +80,8 @@ class SmoothCap:
     """Profile phi: identity below 1, constant 3/2 above 2, C-infinity blend.
 
     phi'(s) = 1 - transition(s - 1); the value on (1, 2) is tabulated once by
-    cumulative Simpson quadrature and interpolated, the derivatives are closed
+    cumulative Simpson quadrature and interpolated by a not-a-knot cubic
+    spline, evaluated only at the points inside; the derivatives are closed
     form.  phi(s) -> 3/2 because the transition integrates to 1/2 by symmetry.
     """
 
@@ -95,16 +96,16 @@ class SmoothCap:
             cum = np.zeros_like(s)
             cum[2::2] = np.cumsum((d[0:-2:2] + 4 * d[1:-1:2] + d[2::2]) * h / 3.0)
             cum[1::2] = cum[0:-1:2] + (d[0:-1:2] + d[1::2]) * 0.5 * h
-            SmoothCap._spline = CubicSpline(s, 1.0 + cum)
+            SmoothCap._spline = cubic_spline(s, 1.0 + cum)
             SmoothCap._cap = float(1.0 + cum[-1])
 
     def value(self, s):
         s = np.asarray(s, dtype=float)
         out = np.where(s <= 1.0, s, 0.0)
         mid = (s > 1.0) & (s < 2.0)
-        if np.any(mid):
-            out = np.where(mid, SmoothCap._spline(np.clip(s, 1.0, 2.0)), out)
-        return np.where(s >= 2.0, SmoothCap._cap, out)
+        out[mid] = SmoothCap._spline(s[mid], 0)
+        out[s >= 2.0] = SmoothCap._cap
+        return out
 
     def d1(self, s):
         s = np.asarray(s, dtype=float)
@@ -119,7 +120,9 @@ class QuinticRamp:
     """psi: zero below T^2, affine mu s - 2 mu T^2 above 4 T^2, C^2 quintic blend.
 
     The blend g(u) = 8u^3 - 9u^4 + 3u^5 on u = (s - T^2)/(3 T^2) matches value,
-    slope and curvature at both ends and is strictly increasing inside.
+    slope and curvature at both ends and is strictly increasing inside.  The
+    blend is evaluated only at the points strictly inside (T^2, 4 T^2), NaN
+    included, and written into the one output array.
     """
 
     def __init__(self, T: float, mu: float):
@@ -128,30 +131,31 @@ class QuinticRamp:
         self.lo = self.T ** 2
         self.hi = 4.0 * self.T ** 2
 
-    def _u(self, s):
-        return (np.asarray(s, dtype=float) - self.lo) / (3.0 * self.T ** 2)
+    def _split(self, s):
+        """(s, zeros of its shape, the mask of s >= hi, the mask of the blend
+        points, u at the blend points)."""
+        s = np.asarray(s, dtype=float)
+        above = s >= self.hi
+        mid = ~((s <= self.lo) | above)
+        u = np.clip((s[mid] - self.lo) / (3.0 * self.T ** 2), 0.0, 1.0)
+        return s, np.zeros_like(s), above, mid, u
 
     def value(self, s):
-        s = np.asarray(s, dtype=float)
-        u = np.clip(self._u(s), 0.0, 1.0)
-        g = 8 * u ** 3 - 9 * u ** 4 + 3 * u ** 5
-        blend = self.mu * self.T ** 2 * g
-        tail = self.mu * s - 2.0 * self.mu * self.T ** 2
-        return np.where(s <= self.lo, 0.0, np.where(s >= self.hi, tail, blend))
+        s, out, above, mid, u = self._split(s)
+        out[above] = self.mu * s[above] - 2.0 * self.mu * self.T ** 2
+        out[mid] = self.mu * self.T ** 2 * (8 * u ** 3 - 9 * u ** 4 + 3 * u ** 5)
+        return out
 
     def d1(self, s):
-        s = np.asarray(s, dtype=float)
-        u = np.clip(self._u(s), 0.0, 1.0)
-        gp = 24 * u ** 2 - 36 * u ** 3 + 15 * u ** 4
-        blend = self.mu * gp / 3.0
-        return np.where(s <= self.lo, 0.0, np.where(s >= self.hi, self.mu, blend))
+        s, out, above, mid, u = self._split(s)
+        out[above] = self.mu
+        out[mid] = self.mu * (24 * u ** 2 - 36 * u ** 3 + 15 * u ** 4) / 3.0
+        return out
 
     def d2(self, s):
-        s = np.asarray(s, dtype=float)
-        u = np.clip(self._u(s), 0.0, 1.0)
-        gpp = 48 * u - 108 * u ** 2 + 60 * u ** 3
-        blend = self.mu * gpp / (9.0 * self.T ** 2)
-        return np.where((s <= self.lo) | (s >= self.hi), 0.0, blend)
+        s, out, above, mid, u = self._split(s)
+        out[mid] = self.mu * (48 * u - 108 * u ** 2 + 60 * u ** 3) / (9.0 * self.T ** 2)
+        return out
 
 
 @dataclass(frozen=True)

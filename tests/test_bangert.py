@@ -419,12 +419,11 @@ def _ref_broken(family, xa, xb, rho):
 def _ref_loop_segment(family, x, t0, t1, src0=0.0, src1=1.0):
     # a spline solve on the interpolated loop, not the family's blended spline
     sp = family.at(x).spline()
-    dsp = sp.derivative()
     scale = (src1 - src0) / (t1 - t0)
 
     def eval_fn(ts):
         s = src0 + (ts - t0) * scale
-        return sp(np.mod(s, 1.0)), dsp(np.mod(s, 1.0)) * scale
+        return sp(np.mod(s, 1.0), 0), sp(np.mod(s, 1.0), 1) * scale
 
     return _RefSegment(t0, t1, eval_fn)
 
@@ -624,8 +623,8 @@ def test_family_spline_is_the_spline_of_the_interpolated_loop():
     between = [0.5 * (a + b) for a, b in zip(fam.xs[:-1], fam.xs[1:])]
     for x in [*fam.xs, -0.5, 1.5, *between, 0.123456789, 1.0 - 1e-15]:
         blend, direct = fam.spline(float(x)), fam.at(float(x)).spline()
-        assert np.max(np.abs(blend(s, 0) - direct(s))) <= 1e-13, x
-        assert np.max(np.abs(blend(s, 1) - direct.derivative()(s))) <= 1e-13, x
+        assert np.max(np.abs(blend(s, 0) - direct(s, 0))) <= 1e-13, x
+        assert np.max(np.abs(blend(s, 1) - direct(s, 1))) <= 1e-13, x
 
 
 def test_segment_action_of_a_point_is_zero(torus1, nonneg_pendulum):

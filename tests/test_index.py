@@ -25,6 +25,7 @@ from brakekit.index import (
 )
 from brakekit.loopspace import BlockTridiagonal, SymmetricLoop, assemble_gram, assemble_hessian
 from brakekit.model import LagrangianSpec, OneForm
+from brakekit.ode import dop853
 from brakekit.systems import kinetic_potential_lagrangian
 
 FREE_B = np.diag([1.0, 0.0])
@@ -125,9 +126,9 @@ def test_verify_relations_integrates_once(stiff_system, monkeypatch):
 
     def counting(*args, **kwargs):
         calls.append(args[1])
-        return solve_ivp(*args, **kwargs)
+        return dop853(*args, **kwargs)
 
-    monkeypatch.setattr(index_mod, "solve_ivp", counting)
+    monkeypatch.setattr(index_mod, "dop853", counting)
     verify_relations(stiff_system.L_theta, SymmetricLoop.constant([0.5], 1),
                      ks=(1, 2, 4), mean_k_max=16)
     # one period, extended to 16 by monodromy powers
@@ -148,9 +149,9 @@ def test_verify_relations_assembles_B_once(stiff_system, libration, monkeypatch)
 
     def integrating(*args, **kwargs):
         integrated.append(args[1])
-        return solve_ivp(*args, **kwargs)
+        return dop853(*args, **kwargs)
 
-    monkeypatch.setattr(index_mod, "solve_ivp", integrating)
+    monkeypatch.setattr(index_mod, "dop853", integrating)
     verify_relations(stiff_system.L_theta, libration, ks=(1,), mean_k_max=4)
     assert len(calls) == 1
     assert integrated == [(0.0, libration.period)], integrated
@@ -167,9 +168,9 @@ def test_each_count_integrates_once(count, monkeypatch):
 
     def counting(*args, **kwargs):
         calls.append(args[1])
-        return solve_ivp(*args, **kwargs)
+        return dop853(*args, **kwargs)
 
-    monkeypatch.setattr(index_mod, "solve_ivp", counting)
+    monkeypatch.setattr(index_mod, "dop853", counting)
     getattr(index_mod, count)(constant_coefficients(PEND_B), 4)
     assert calls == [(0.0, 1.0)], calls
 
@@ -372,13 +373,13 @@ def test_hyperbolic_paths_spawn_no_touch_refinement(stiff_system, monkeypatch):
     import brakekit.index as index_mod
 
     calls = []
-    original = index_mod.minimize_scalar
+    original = index_mod._brent_minimize
 
     def counting(*args, **kwargs):
         calls.append(kwargs.get("bounds"))
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(index_mod, "minimize_scalar", counting)
+    monkeypatch.setattr(index_mod, "_brent_minimize", counting)
     # |Psi| reaches 7e21 by t = 8 here; sigma_min(Psi - I) from the SVD would
     # be rounding noise with local minima everywhere
     assert cz_index(constant_coefficients(STABLE_B), 8) == (0, 0)
@@ -617,3 +618,54 @@ def test_torus2_hyperbolic_equilibria_match_the_fourier_oracle(torus2_mixed, q):
         assert report["per_k"][k]["morse_full"] == fourier_morse_index(P, Q, R, k=k)
         assert report["per_k"][k]["morse_even"] == fourier_morse_index(P, Q, R, k=k,
                                                                        symmetric=True)
+
+
+@pytest.mark.parametrize("name", ["pendulum-k8", "torus2-mixed"])
+def test_brent_ports_match_scipy_on_the_workload_crossings(name, monkeypatch):
+    # every refinement the crossing engine makes on the workload's index
+    # operations that certify, run again by scipy's brentq and bounded
+    # minimize_scalar: the roots and minima are bit-equal
+    import sys
+    from pathlib import Path
+
+    from scipy.optimize import brentq, minimize_scalar
+
+    import brakekit.index as index_mod
+    from brakekit import cli, systems
+
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "brakebench"))
+    from workloads import WORKLOADS
+
+    wl = WORKLOADS[name]
+    system = systems.load_system(wl.document())
+    roots, minima = [], []
+    root, minimize = index_mod._brent_root, index_mod._brent_minimize
+
+    def checked_root(f, a, b, xtol):
+        x = root(f, a, b, xtol=xtol)
+        roots.append((x, brentq(f, a, b, xtol=xtol)))
+        return x
+
+    def checked_minimize(f, bounds, xatol):
+        got = minimize(f, bounds=bounds, xatol=xatol)
+        ref = minimize_scalar(f, bounds=bounds, method="bounded", options={"xatol": xatol})
+        minima.append((got, (float(ref.x), float(ref.fun))))
+        return got
+
+    monkeypatch.setattr(index_mod, "_brent_root", checked_root)
+    monkeypatch.setattr(index_mod, "_brent_minimize", checked_minimize)
+    loops = []
+    for op in wl.index_ops:
+        if ("index", op.label) in wl.expected_failures:
+            continue
+        if op.orbit == "libration":
+            records = cli.run_orbit_campaign(system, wl.period, **wl.campaign)
+            loops += [(op, rec["loop"]) for rec in records
+                      if np.max(np.ptp(rec["loop"].half_values, axis=0)) > 1e-6]
+        else:
+            loops.append((op, SymmetricLoop.constant(op.orbit, wl.period, torus=system.torus,
+                                                      n_per_unit=wl.grid)))
+    for op, loop in loops:
+        verify_relations(system.L_theta, loop, ks=op.ks, mean_k_max=wl.mean_k_max)
+    assert len(roots) >= 16 and len(minima) >= 8
+    assert all(got == want for got, want in roots + minima)

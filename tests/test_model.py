@@ -98,7 +98,7 @@ def test_check_symmetry_hamiltonians(torus1, stiff_system):
 def test_one_form_periodicity_and_sigma():
     torus = TorusSpace(2)
     theta = one_form_from_expressions(torus, ["0", "sin(2*pi*q1)/(2*pi)"])
-    assert theta.periodicity_violation() < 1e-12
+    assert torus.lattice_defect(theta.components)[0] < 1e-12
     q = np.array([0.2, 0.7])
     sig = theta.sigma(q)
     assert np.allclose(sig, -sig.T)

@@ -2,12 +2,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from brakekit.errors import InfeasibleParams, SpeedTooHigh
 from brakekit.index import morse_index
 from brakekit.loopspace import SymmetricLoop
 from brakekit.model import LagrangianSpec, OneForm
 from brakekit.modification import (
+    QuinticRamp,
+    SmoothCap,
     _sample_grid,
     build_modification,
     check_quadratic_growth,
@@ -398,3 +401,57 @@ def test_lambda_equals_the_33_radius_sweep(name, monkeypatch):
         for a, b in zip(grid, _sample_grid(L, np.linspace(0.0, 6.0 * T, 49), 24, 8, 4, rng)):
             assert np.array_equal(a, b)
         assert calls == [24 * 8 * 4, len(grid[0])]
+
+
+def _ramp_reference(ramp, s):
+    """QuinticRamp's value, d1 and d2 as full-array formulas, each blend
+    evaluated on every point and selected with np.where."""
+    s = np.asarray(s, dtype=float)
+    T, mu, lo, hi = ramp.T, ramp.mu, ramp.lo, ramp.hi
+    u = np.clip((s - lo) / (3.0 * T ** 2), 0.0, 1.0)
+    value = np.where(s <= lo, 0.0, np.where(s >= hi, mu * s - 2.0 * mu * T ** 2,
+                                            mu * T ** 2 * (8 * u ** 3 - 9 * u ** 4 + 3 * u ** 5)))
+    d1 = np.where(s <= lo, 0.0, np.where(s >= hi, mu,
+                                         mu * (24 * u ** 2 - 36 * u ** 3 + 15 * u ** 4) / 3.0))
+    d2 = np.where((s <= lo) | (s >= hi), 0.0,
+                  mu * (48 * u - 108 * u ** 2 + 60 * u ** 3) / (9.0 * T ** 2))
+    return value, d1, d2
+
+
+def _cap_reference(s):
+    """SmoothCap.value with scipy's CubicSpline of the same table on the clipped s."""
+    table = SmoothCap._spline
+    spline = CubicSpline(table.x, np.append(table.c[3], SmoothCap._cap))
+    s = np.asarray(s, dtype=float)
+    out = np.where(s <= 1.0, s, 0.0)
+    out = np.where((s > 1.0) & (s < 2.0), spline(np.clip(s, 1.0, 2.0)), out)
+    return np.where(s >= 2.0, SmoothCap._cap, out)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(np.ascontiguousarray(a).view(np.uint64),
+                                                 np.ascontiguousarray(b).view(np.uint64))
+
+
+@pytest.mark.parametrize("T, mu", [(4.0, 0.3), (0.7, 2.5), (8.0, 1e-3)])
+def test_blends_evaluated_inside_match_the_full_array_formulas(T, mu):
+    # the blends are computed only at the points strictly inside their
+    # interval; every output, the ends and NaN included, keeps its bits
+    ramp, cap = QuinticRamp(T, mu), SmoothCap()
+    rng = np.random.default_rng(11)
+    lo, hi = ramp.lo, ramp.hi
+    ends = [lo, hi, np.nextafter(lo, 0), np.nextafter(lo, np.inf), np.nextafter(hi, 0),
+            np.nextafter(hi, np.inf), 0.0, np.nan]
+    s = np.concatenate([rng.uniform(0.0, 1.5 * hi, 3000), ends]).reshape(-1, 8)
+    for got, want in zip((ramp.value(s), ramp.d1(s), ramp.d2(s)), _ramp_reference(ramp, s)):
+        assert _same_bits(got, want)
+    for x in (*ends, 0.5 * (lo + hi)):
+        for got, want in zip((ramp.value(x), ramp.d1(x), ramp.d2(x)), _ramp_reference(ramp, x)):
+            assert _same_bits(got, want)
+    c = np.concatenate([rng.uniform(0.0, 3.0, 3000),
+                        [1.0, 2.0, np.nextafter(1.0, 2.0), np.nextafter(2.0, 1.0), np.nan,
+                         -1.0, 0.0, 5.0]]).reshape(-1, 8)
+    assert _same_bits(cap.value(c), _cap_reference(c))
+    for x in (1.0, 1.5, 2.0, 0.3, 7.0):
+        assert _same_bits(cap.value(x), _cap_reference(x))
