@@ -3,10 +3,10 @@
 The fiberwise conjugates are computed by a batched damped Newton iteration;
 the Tonelli conditions make the fiber maps p = L_v and v = H_p mutually
 inverse diffeomorphisms, so Newton with backtracking converges globally.
-A solve at one point (as every twisted-field evaluation makes) runs the same
-iteration without the batch's masks, and a 1x1 Newton step is one division,
-the bits LAPACK's solve returns for it; results are equal to the last bit
-to those of the same point solved inside a batch.
+A solve at one point (as every field evaluation of a Fenchel-dual spec makes)
+runs the same iteration without the batch's masks, and a 1x1 Newton step is
+one division, the bits LAPACK's solve returns for it; results are equal to
+the last bit to those of the same point solved inside a batch.
 """
 
 from __future__ import annotations
@@ -34,7 +34,9 @@ def _residual_norm(r):
 
 def _newton_fiber(grad, hess, t, q, target, label):
     """Solve grad(t, q, x) = target from x = 0 by damped Newton with monotone
-    backtracking, to a residual of TOL in at most MAXIT steps.
+    backtracking, to a residual of TOL * max(1, |target|) in at most MAXIT
+    steps: relative to the target once |target| > 1, where float spacing of
+    the target alone would exceed an absolute TOL.
 
     Works at one point or a batch (leading axis M).  Every point keeps its own
     step length (the line search halves only for points not yet accepted) and
@@ -69,12 +71,18 @@ def _singular(label):
     return SingularMass(f"{label}: the fiber Hessian is singular at a Newton iterate")
 
 
+def _stop_tolerance(y):
+    """TOL * max(1, |y|) per row of the targets y."""
+    return TOL * np.maximum(1.0, _residual_norm(y))
+
+
 def _newton_point(grad, hess, t, q, y, x, label):
     """_newton_fiber at one point: y, x of shape (1, N), t of shape (1,)."""
     r = np.asarray(grad(t, q, x)) - y
     norm = _residual_norm(r)
+    tol = _stop_tolerance(y)[0]
     for it in range(MAXIT + 1):
-        if norm[0] <= TOL:
+        if norm[0] <= tol:
             return x
         if it == MAXIT:
             raise NonConvergence(f"{label}: residual {norm[0]:.3e} "
@@ -103,15 +111,16 @@ def _newton_batch(grad, hess, t, q, y, x, label):
     """_newton_fiber on a batch of M points: y, x of shape (M, N), t of shape (M,)."""
     out, rows = x, np.arange(len(y))
     r = np.asarray(grad(t, q, x)) - y
-    norm = _residual_norm(r)
+    norm, tol = _residual_norm(r), _stop_tolerance(y)
     for it in range(MAXIT + 1):
-        done = norm <= TOL
+        done = norm <= tol
         if done.all():
             out[rows] = x
             return out
         if done.any():
             out[rows[done]] = x[done]
-            rows, t, q, y, x, r, norm = (a[~done] for a in (rows, t, q, y, x, r, norm))
+            rows, t, q, y, x, r, norm, tol = (a[~done] for a in
+                                              (rows, t, q, y, x, r, norm, tol))
         if it == MAXIT:
             raise NonConvergence(f"{label}: residual {np.max(norm):.3e} "
                                  f"after {MAXIT} iterations")

@@ -20,14 +20,18 @@ outside the grammar is a ValueError.  Every expression must be
 lattice-periodic; this is validated by sampling at load time.
 
 The "lagrangian" entry defines the reversible mechanical Lagrangian
-L_theta(t, q, v) (even in v), and each builtin its dual H_theta on the
-standard side (a closed form for kinetic_potential, the Fenchel dual for
-quartic_kinetic).  For every builtin the loader derives L = L_theta - theta[v]
-and its dual H = H_theta o Phi^-1, H(t, q, p) = H_theta(t, q, p + theta(q)), on
-the twisted side; H is R1-symmetric because H_theta is even in p.  A
-MagneticSystem keeps theta, L_theta, L and H.  The mechanical specs (each
-L_theta, and the closed-form H_theta) come from one separable template,
-K(w) - V(q) or K(w) + V(q), with w the velocity or the momentum.
+L_theta(t, q, v) (even in v), and each builtin its Fenchel dual H_theta on
+the standard side, in closed form: |p|^2/(2m) + V for kinetic_potential, and
+for quartic_kinetic K*(p) + V with K* the dual of |v|^4/4 + |v|^2/2, written
+through the real root of a cubic.  For every builtin the loader derives
+L = L_theta - theta[v] and its dual H = H_theta o Phi^-1,
+H(t, q, p) = H_theta(t, q, p + theta(q)), on the twisted side; H is
+R1-symmetric because H_theta is even in p.  A MagneticSystem keeps theta,
+L_theta, L and H.  The mechanical specs (each L_theta and each H_theta) come
+from one separable template, K(w) - V(q) or K(w) + V(q), with w the velocity
+or the momentum.  No field evaluation solves for a fiber point:
+brakekit.legendre's Newton duals stay the general construction, and the
+tests' oracle for these closed forms.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ import numpy as np
 
 from .errors import PreconditionViolated
 from .expressions import Tree
-from .legendre import hamiltonian_from_lagrangian
 from .model import (
     HamiltonianSpec,
     LagrangianSpec,
@@ -56,6 +59,7 @@ __all__ = [
     "kinetic_potential_lagrangian",
     "quartic_kinetic_lagrangian",
     "kinetic_hamiltonian",
+    "quartic_kinetic_hamiltonian",
     "shifted_hamiltonian",
     "MagneticSystem",
     "load_system",
@@ -186,6 +190,49 @@ def kinetic_hamiltonian(torus: TorusSpace, potential: str = "0",
                            name=f"|p|^2/{2 * mass} + ({potential})")
 
 
+# rho = _SINH_SCALE sinh(asinh(_ASINH_SCALE s) / 3) solves rho + rho^3 = s
+_SINH_SCALE = 2.0 / math.sqrt(3.0)
+_ASINH_SCALE = 1.5 * math.sqrt(3.0)
+
+
+def quartic_kinetic_hamiltonian(torus: TorusSpace, potential: str) -> HamiltonianSpec:
+    """Fenchel dual of quartic_kinetic_lagrangian, H = K*(p) + V(q), symmetric under R0.
+
+    The velocity dual to p is v = p / (1 + rho^2), where rho = |v| is the one
+    real root of rho + rho^3 = |p|, taken in the trigonometric (sinh) form,
+    which has no cancellation at small or large |p|.  Then
+        K*(p) = 3 rho^4 / 4 + rho^2 / 2,   K*_p = v,
+        K*_pp = (I - 2 v v^T / (1 + 3 rho^2)) / (1 + rho^2),
+    the last the Sherman-Morrison inverse of L_vv = (1 + rho^2) I + 2 v v^T.
+    """
+    eye = np.eye(torus.dim)
+
+    def squared_speed(p):
+        s = np.sqrt(np.sum(p * p, axis=-1))
+        rho = _SINH_SCALE * np.sinh(np.arcsinh(_ASINH_SCALE * s) / 3.0)
+        # one Newton step on the cubic takes the sinh form's few-ulp error
+        # (it grows with asinh(s)) down to the round-off of the residual
+        rho = rho - (rho * rho * rho + rho - s) / (3.0 * rho * rho + 1.0)
+        return rho * rho
+
+    def kinetic(p):
+        r2 = squared_speed(p)
+        return (0.75 * r2 + 0.5) * r2
+
+    def kinetic_p(p):
+        return p / (1.0 + squared_speed(p))[..., None]
+
+    def kinetic_pp(p):
+        r2 = squared_speed(p)
+        v = p / (1.0 + r2)[..., None]
+        vvt = (2.0 / (1.0 + 3.0 * r2))[..., None, None] * (v[..., :, None] * v[..., None, :])
+        return (eye - vvt) / (1.0 + r2)[..., None, None]
+
+    parts = _separable(torus, potential, 1, kinetic, kinetic_p, kinetic_pp)
+    return HamiltonianSpec(torus, *parts, reversible=True,
+                           name=f"(|v|^4/4 + |v|^2/2)*(p) + ({potential})")
+
+
 def shifted_hamiltonian(H: HamiltonianSpec, theta: OneForm) -> HamiltonianSpec:
     """H o Phi, i.e. (t, q, p) -> H(t, q, p - theta(q)); given -theta, H o Phi^-1,
     which is how load_system builds the twisted H from H_theta."""
@@ -248,10 +295,10 @@ class MagneticSystem:
         return self.torus.dim
 
 
-# each builtin's L_theta, and the closed form of its dual H_theta where there is one
+# each builtin's L_theta, and the closed form of its dual H_theta
 _BUILTINS = {
     "kinetic_potential": (kinetic_potential_lagrangian, kinetic_hamiltonian),
-    "quartic_kinetic": (quartic_kinetic_lagrangian, None),
+    "quartic_kinetic": (quartic_kinetic_lagrangian, quartic_kinetic_hamiltonian),
 }
 
 
@@ -298,7 +345,7 @@ def load_system(doc) -> MagneticSystem:
         if key in obj and not ok(obj[key]) or key not in obj and required:
             got = f"not {obj[key]!r}" if key in obj else "and is missing"
             raise ValueError(f"system document: {name} must be {rule}, {got}")
-    lag = dict(doc["lagrangian"])
+    lag = {"potential": "0", **doc["lagrangian"]}  # no potential is V = 0
     builtin = lag.pop("builtin")
     make, dual = _BUILTINS[builtin]
     accepted = list(inspect.signature(make).parameters)[1:]  # the first is the torus
@@ -312,7 +359,7 @@ def load_system(doc) -> MagneticSystem:
     theta = one_form_from_expressions(torus, doc.get("theta", ["0"] * dim))
     L_theta = make(torus, **lag)
 
-    H_theta = hamiltonian_from_lagrangian(L_theta) if dual is None else dual(torus, **lag)
+    H_theta = dual(torus, **lag)
     L = magnetic_lagrangian(L_theta, -theta)
     H = shifted_hamiltonian(H_theta, -theta)
 

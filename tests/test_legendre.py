@@ -16,6 +16,8 @@ from brakekit.systems import (
     kinetic_hamiltonian,
     kinetic_potential_lagrangian,
     load_system,
+    quartic_kinetic_hamiltonian,
+    quartic_kinetic_lagrangian,
     shifted_hamiltonian,
 )
 
@@ -220,26 +222,19 @@ def test_twisted_hamiltonian_matches_closed_form(dim):
         assert np.max(np.abs(got - want)) < 1e-12, name
 
 
-def test_quartic_load_builds_one_fenchel_dual(monkeypatch):
-    import brakekit.legendre as legendre
-    import brakekit.systems as systems
-
-    duals, built = [], []
-    dual_spec, from_lagrangian = legendre._dual_spec, systems.hamiltonian_from_lagrangian
+def test_quartic_load_builds_no_fenchel_dual(monkeypatch):
+    # quartic_kinetic's H_theta is closed form: loading it builds no Newton dual
+    built = []
+    dual_spec = legendre._dual_spec
 
     def counting_dual_spec(primal, *args):
         built.append(primal)
         return dual_spec(primal, *args)
 
-    def counting_from_lagrangian(L):
-        duals.append(L)
-        return from_lagrangian(L)
-
     monkeypatch.setattr(legendre, "_dual_spec", counting_dual_spec)
-    monkeypatch.setattr(systems, "hamiltonian_from_lagrangian", counting_from_lagrangian)
-    system = load_system({"dim": 1, "theta": ["0.3 + 0.1*sin(2*pi*q1)"],
-                          "lagrangian": {"builtin": "quartic_kinetic"}})
-    assert duals == [system.L_theta] and built == [system.L_theta]
+    load_system({"dim": 1, "theta": ["0.3 + 0.1*sin(2*pi*q1)"],
+                 "lagrangian": {"builtin": "quartic_kinetic"}})
+    assert built == []
 
 
 THETA = "0.3 + 0.1*sin(2*pi*q1)"
@@ -267,6 +262,11 @@ def quartic_any(request):
     return request.getfixturevalue(request.param)
 
 
+def newton_twisted(system):
+    """The twisted H of a loaded system, with H_theta the Newton Fenchel dual of L_theta."""
+    return shifted_hamiltonian(hamiltonian_from_lagrangian(system.L_theta), -system.theta)
+
+
 def quartic_batch(dim=1):
     rng = np.random.default_rng(3)
     t = rng.uniform(0, 1, 400)
@@ -280,26 +280,29 @@ def quartic_batch(dim=1):
 
 def test_batched_dual_matches_root_oracle(quartic_twisted):
     # L_v = (v^2 + 1) v - theta(q), so H_p(q, p) is the real root of (v^2 + 1) v = p + theta(q)
-    H = quartic_twisted.H
     t, q, p = quartic_batch()
     rhs = p[:, 0] + 0.3 + 0.1 * np.sin(2 * np.pi * q[:, 0])
     v = np.array([brentq(lambda w, c=c: (w * w + 1.0) * w - c, -10.0, 10.0, xtol=1e-14)
                   for c in rhs])
-    assert np.max(np.abs(H.grad_p(t, q, p)[:, 0] - v)) < 1e-10
-    assert np.max(np.abs(H.hess_pp(t, q, p)[:, 0, 0] - 1.0 / (3.0 * v * v + 1.0))) < 1e-10
+    for H in (quartic_twisted.H, newton_twisted(quartic_twisted)):
+        assert np.max(np.abs(H.grad_p(t, q, p)[:, 0] - v)) < 1e-10
+        assert np.max(np.abs(H.hess_pp(t, q, p)[:, 0, 0] - 1.0 / (3.0 * v * v + 1.0))) < 1e-10
 
 
 def test_batched_dual_equals_pointwise(quartic_twisted, quartic_t2):
     for system in (quartic_twisted, quartic_t2):
         t, q, p = quartic_batch(system.dim)
-        for name in ("value", "grad_q", "grad_p", "hess_pp", "hess_qp", "hess_qq"):
-            fn = getattr(system.H, name)
-            single = np.stack([fn(t[i], q[i], p[i]) for i in range(len(t))])
-            assert np.array_equal(fn(t, q, p), single), (system.dim, name)
+        for kind, H in (("closed", system.H), ("newton", newton_twisted(system))):
+            for name in ("value", "grad_q", "grad_p", "hess_pp", "hess_qp", "hess_qq"):
+                fn = getattr(H, name)
+                single = np.stack([fn(t[i], q[i], p[i]) for i in range(len(t))])
+                assert np.array_equal(fn(t, q, p), single), (system.dim, kind, name)
 
 
 def test_dual_memo_is_never_stale(quartic_twisted):
-    H, L_theta, theta = quartic_twisted.H, quartic_twisted.L_theta, quartic_twisted.theta
+    # the loaded H is closed form, so the memo is tested on a Newton dual
+    H, L_theta, theta = (newton_twisted(quartic_twisted), quartic_twisted.L_theta,
+                         quartic_twisted.theta)
 
     def reference(t, q, p):  # H = H_theta o Phi^-1, H_theta the dual of L_theta
         return dual_velocity(L_theta, t, q, p + theta.components(q))
@@ -312,6 +315,92 @@ def test_dual_memo_is_never_stale(quartic_twisted):
     assert not np.array_equal(first[3], second[3])
     second[:] = 0.0  # nor may a caller's write to a result reach the memo
     assert np.array_equal(H.grad_p(t, q, p), reference(t, q, p))
+
+
+QUARTIC_POTENTIALS = {
+    1: "0.5*cos(2*pi*q1)",
+    2: "0.7*cos(2*pi*q1) + 0.5*cos(2*pi*q2) + 0.2*sin(2*pi*q1)*cos(2*pi*q2)",
+    3: "0.5*cos(2*pi*q1) + 0.3*sin(2*pi*q2)*cos(2*pi*q3)",
+}
+
+
+def fiber_points(dim, seed, low=-8.0, high=3.0, count=400):
+    """Points (t, q, p) with |p| log-uniform in [10^low, 10^high] along random directions."""
+    rng = np.random.default_rng(seed)
+    d = rng.normal(size=(count, dim))
+    d /= np.linalg.norm(d, axis=-1)[:, None]
+    p = 10.0 ** rng.uniform(low, high, (count, 1)) * d
+    return rng.uniform(0, 1, count), rng.uniform(0, 1, (count, dim)), p
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_quartic_closed_form_matches_the_newton_dual(dim):
+    # the Newton dual stops at a residual of 1e-12 max(1, |p|); L_vv >= (1 + |v|^2) I
+    # then puts its v within 1e-12 max(1, |v|) of the root, and so within
+    # that of the closed form, partial by partial
+    torus = TorusSpace(dim)
+    closed = quartic_kinetic_hamiltonian(torus, QUARTIC_POTENTIALS[dim])
+    L = quartic_kinetic_lagrangian(torus, QUARTIC_POTENTIALS[dim])
+    newton = hamiltonian_from_lagrangian(L)
+    t, q, p = fiber_points(dim, seed=dim)
+    for name in ("value", "grad_q", "grad_p", "hess_pp", "hess_qp", "hess_qq"):
+        got, want = getattr(closed, name)(t, q, p), getattr(newton, name)(t, q, p)
+        axes = tuple(range(1, want.ndim))
+        scale = np.maximum(1.0, np.max(np.abs(want), axis=axes, keepdims=True) if axes
+                           else np.abs(want))
+        assert got.shape == want.shape and np.all(np.abs(got - want) <= 1e-12 * scale), name
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_quartic_closed_form_inverts_the_legendre_map(dim):
+    torus = TorusSpace(dim)
+    H = quartic_kinetic_hamiltonian(torus, QUARTIC_POTENTIALS[dim])
+    L = quartic_kinetic_lagrangian(torus, QUARTIC_POTENTIALS[dim])
+    t, q, p = fiber_points(dim, seed=10 + dim, high=6.0, count=4000)
+    v = H.grad_p(t, q, p)
+    # L_v(H_p(p)) = p to a few ulp of |p|
+    ulp = np.spacing(np.linalg.norm(p, axis=-1))[:, None]
+    assert np.all(np.abs(L.grad_v(t, q, v) - p) <= 16 * ulp)
+    # H_pp = L_vv^-1 at the dual points to a few ulp
+    product = H.hess_pp(t, q, p) @ L.hess_vv(t, q, v)
+    assert np.all(np.abs(product - np.eye(dim)) <= 16 * np.finfo(float).eps)
+    # and H_p(0) = 0 exactly, as at the rest point of every brake orbit
+    assert np.all(H.grad_p(t, q, np.zeros_like(p)) == 0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_newton_stops_relative_to_a_large_target(dim):
+    # float spacing of |p| >= 1e4 is above 1e-12, so an absolute stop rule
+    # could not be met there; point and batch solves stop at 1e-12 |p|.  The
+    # first 50 points have |p| evenly in [1e4, 2e4] (for N = 1, 34 of them
+    # stalled under the absolute rule), the other 10 reach 1e6
+    L = quartic_kinetic_lagrangian(TorusSpace(dim))
+    t, q, p = fiber_points(dim, seed=20 + dim, low=4.0, high=6.0, count=60)
+    p[:50] *= (np.linspace(1e4, 2e4, 50) / np.linalg.norm(p[:50], axis=-1))[:, None]
+    batch = dual_velocity(L, t, q, p)
+    single = np.stack([dual_velocity(L, t[i], q[i], p[i]) for i in range(len(t))])
+    assert np.array_equal(batch, single)
+    residual = np.linalg.norm(L.grad_v(t, q, batch) - p, axis=-1)
+    assert np.all(residual <= 1e-12 * np.linalg.norm(p, axis=-1))
+
+
+def test_quartic_campaign_and_constants_make_no_fiber_solve(monkeypatch):
+    # a fiber solve that came back onto the campaign or the constants would raise here
+    from brakekit.cli import run_orbit_campaign
+    from brakekit.modification import compute_constants
+
+    def refuse(*args):
+        raise AssertionError("a legendre fiber solve ran")
+
+    monkeypatch.setattr(legendre, "dual_velocity", refuse)
+    monkeypatch.setattr(legendre, "dual_momentum", refuse)
+    system = load_system({"dim": 1, "theta": ["0.3"], "numerics": {"grid": 64},
+                          "lagrangian": {"builtin": "quartic_kinetic",
+                                         "potential": "0.5*cos(2*pi*q1)"}})
+    records = run_orbit_campaign(system, 2, n_seeds=1, seed=1)
+    assert records
+    K, C = compute_constants(system.H, system.theta, q_samples=32, p_dirs=8, t_samples=2, rng=0)
+    assert np.isfinite(C) and K == pytest.approx(0.3)
 
 
 def test_point_solve_equals_batch_solve(quartic_any):
